@@ -17,10 +17,11 @@ import numpy as np
 
 from .errors import InvalidClaim, InvalidConfig
 from .ergotropy import ergotropy, incoherent_ergotropy, observational_ergotropy, passive_energy_of_spectrum
-from .linalg import eig_hermitian, max_abs
+from .linalg import eig_hermitian, max_abs, unchecked
 from .majorization import bistochastic_from_unitary, majorization_deficit, refinement_bistochastic
 from .measurement import (
     FineGrainedMeasurement,
+    Povm,
     coarse_grained_state,
     energy_incoherent,
     outcome_distribution,
@@ -195,7 +196,9 @@ def _spectrum_majorization_trial(cfg: AuditConfig, rng: RandomSource, state: dic
     dmat = random_column_stochastic(cfg.outcomes, d, rng)
     coarse = post_process(fine, dmat)
     spec_fine = coarse_grained_state(rho, fine).spectrum()
-    spec_coarse = coarse_grained_state(rho, coarse).spectrum()
+    # Checked against the element matrices' estimate, not the Lemma 1 kernel.
+    dense = unchecked(Povm, elements=coarse.elements, labels=coarse.labels)
+    spec_coarse = coarse_grained_state(rho, dense).spectrum()
     deficit = majorization_deficit(spec_fine, spec_coarse, pad=True)
     b = refinement_bistochastic(fine, dmat)
     bisto_residual = max(max_abs(b.entries.sum(axis=0) - 1.0), max_abs(b.entries.sum(axis=1) - 1.0))

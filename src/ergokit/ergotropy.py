@@ -9,17 +9,20 @@ an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InconsistentReport
 from .linalg import adjoint, eig_hermitian
-from .measurement import Povm, coarse_grained_state
+from .measurement import BasisMeasurement, Povm, coarse_grained_state
 from .states import DensityMatrix, Hamiltonian, dephase, mean_energy
 
-DECOMPOSITION_TOL = 1e-10
-NONNEGATIVITY_TOL = 1e-10
+# The identities WorkReport checks hold up to roundoff, which grows with the
+# energy scale and the dimension: they are checked to within
+# ROUNDOFF_ULPS * d * eps * max|E|, and never more tightly than ABSOLUTE_TOL.
+ROUNDOFF_ULPS = 16.0
+ABSOLUTE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -27,7 +30,8 @@ class WorkReport:
     """All work quantities for one (state, Hamiltonian, measurement) instance.
 
     ``observational`` is None when no measurement was supplied. Energies are
-    in the Hamiltonian's units.
+    in the Hamiltonian's units; ``energy_scale`` is max|E|, which sets the
+    tolerance of the consistency checks.
     """
 
     dimension: int
@@ -37,14 +41,16 @@ class WorkReport:
     incoherent: float
     coherent: float
     observational: float | None = None
+    energy_scale: float = field(default=0.0, repr=False, compare=False)
 
     def __post_init__(self):
-        if abs(self.ergotropy - (self.mean_energy - self.passive_energy)) > 1e-12:
-            raise ValueError("ergotropy must equal mean energy minus passive energy")
-        if abs(self.ergotropy - (self.incoherent + self.coherent)) > DECOMPOSITION_TOL:
-            raise ValueError("ergotropy must split into incoherent plus coherent parts")
-        if self.ergotropy < -NONNEGATIVITY_TOL:
-            raise ValueError(f"ergotropy is negative: {self.ergotropy!r}")
+        tol = max(ABSOLUTE_TOL, ROUNDOFF_ULPS * self.dimension * np.finfo(float).eps * self.energy_scale)
+        if abs(self.ergotropy - (self.mean_energy - self.passive_energy)) > tol:
+            raise InconsistentReport(f"ergotropy must equal mean energy minus passive energy within {tol:.1e}")
+        if abs(self.ergotropy - (self.incoherent + self.coherent)) > tol:
+            raise InconsistentReport(f"ergotropy must split into incoherent plus coherent parts within {tol:.1e}")
+        if self.ergotropy < -tol:
+            raise InconsistentReport(f"ergotropy is negative: {self.ergotropy!r} < -{tol:.1e}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -86,7 +92,7 @@ def passive_energy_of_spectrum(h: Hamiltonian, spectrum) -> float:
 def passive_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
     if rho.dim != h.dim:
         raise DimensionMismatch(f"state is {rho.dim}-dimensional but Hamiltonian is {h.dim}-dimensional")
-    return passive_energy_of_spectrum(h, np.linalg.eigvalsh(rho.op))
+    return passive_energy_of_spectrum(h, rho.eigenvalues)
 
 
 def passive_state(rho: DensityMatrix, h: Hamiltonian) -> tuple[DensityMatrix, np.ndarray]:
@@ -103,9 +109,7 @@ def passive_state(rho: DensityMatrix, h: Hamiltonian) -> tuple[DensityMatrix, np
     lam_desc, order = _descending(dec.eigenvalues)
     sorted_vectors = dec.eigenvectors[:, order]
     w = h.eigenbasis
-    pi_op = (w * lam_desc) @ adjoint(w)
-    unitary = w @ adjoint(sorted_vectors)
-    return DensityMatrix((pi_op + adjoint(pi_op)) / 2.0), unitary
+    return DensityMatrix._in_basis(w, lam_desc), w @ adjoint(sorted_vectors)
 
 
 def ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
@@ -113,13 +117,11 @@ def ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
     return mean_energy(rho, h) - passive_energy(rho, h)
 
 
-def observational_ergotropy(rho: DensityMatrix, h: Hamiltonian, m: Povm) -> float:
+def observational_ergotropy(rho: DensityMatrix, h: Hamiltonian, m: Povm | BasisMeasurement) -> float:
     """Work extractable when the state is known only through one round of
     outcome statistics of m: mean energy of rho minus the passive energy of
     the coarse-grained estimate. Can be negative when the estimate misranks
     the populations."""
-    if rho.dim != h.dim:
-        raise DimensionMismatch(f"state is {rho.dim}-dimensional but Hamiltonian is {h.dim}-dimensional")
     estimate = coarse_grained_state(rho, m)
     return mean_energy(rho, h) - passive_energy(estimate, h)
 
@@ -135,7 +137,7 @@ def coherent_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
     return ergotropy(rho, h) - incoherent_ergotropy(rho, h)
 
 
-def report(rho: DensityMatrix, h: Hamiltonian, m: Povm | None = None) -> WorkReport:
+def report(rho: DensityMatrix, h: Hamiltonian, m: Povm | BasisMeasurement | None = None) -> WorkReport:
     """Bundle every work quantity for one instance."""
     mean = mean_energy(rho, h)
     passive = passive_energy(rho, h)
@@ -150,6 +152,7 @@ def report(rho: DensityMatrix, h: Hamiltonian, m: Povm | None = None) -> WorkRep
         incoherent=incoherent,
         coherent=total - incoherent,
         observational=observational,
+        energy_scale=float(np.max(np.abs(h.energies))),
     )
 
 

@@ -18,7 +18,7 @@ class NotUnitary(ErgokitError):
 
 
 class NoConvergence(ErgokitError):
-    """Eigensolver exhausted its iteration budget."""
+    """An eigensolver or a resampling loop exhausted its iteration budget."""
 
 
 class InvalidRank(ErgokitError):
@@ -39,6 +39,10 @@ class LengthMismatch(ErgokitError):
 
 class PreconditionFailed(ErgokitError):
     """A documented precondition does not hold for the given inputs."""
+
+
+class InconsistentReport(ErgokitError):
+    """Computed work quantities break an identity they satisfy exactly in theory."""
 
 
 class InvalidConfig(ErgokitError):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ErgokitError, InvalidGrid, ParseError, UnknownFamily, ValidationError
+from .errors import InvalidGrid, ParseError, UnknownFamily, ValidationError
 from .measurement import Povm, StochasticMatrix
 from .states import DensityMatrix, Hamiltonian
 
@@ -73,8 +73,6 @@ def _domain(path: str, build):
     """Run a domain constructor, re-tagging its invariant errors with the field path."""
     try:
         return build()
-    except ErgokitError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 

@@ -11,12 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian
+from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotUnitary
 
 # Max-entry tolerance on |A - A^dag| for an input to count as Hermitian.
 HERMITICITY_TOL = 1e-10
 # Max-entry tolerance on reconstruction/unitarity residuals of eigendecompositions.
 RESIDUAL_TOL = 1e-9
+# Max-entry tolerance on |A^dag A - I| for an input to count as unitary.
+UNITARY_TOL = 1e-10
 
 
 def as_matrix(a, dtype=complex) -> np.ndarray:
@@ -40,43 +42,41 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(a)).T
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def trace(a: np.ndarray) -> complex:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"trace needs a square matrix, got {a.shape}")
-    return complex(np.trace(a))
-
-
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Max-entry distance from A to its own adjoint."""
-    return max_abs(a - adjoint(a))
-
-
 def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL, what: str = "matrix") -> np.ndarray:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got {a.shape}")
-    defect = hermiticity_defect(a)
+    defect = max_abs(a - adjoint(a))
     if defect > tol:
         raise NotHermitian(f"{what} is not Hermitian: max |A - A^dag| = {defect:.3e} > {tol:.0e}")
     return a
 
 
-def is_unitary(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """Max-entry test of A^dag A - I against tol; False for nonsquare input."""
+def require_unitary(a, what: str = "matrix") -> np.ndarray:
+    """Coerce to a matrix and check it is square with max |A^dag A - I| <= UNITARY_TOL."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
-        return False
-    eye = np.eye(a.shape[0])
-    return max_abs(adjoint(a) @ a - eye) <= tol
+        raise NotUnitary(f"{what} must be square to be unitary, got {a.shape}")
+    defect = max_abs(adjoint(a) @ a - np.eye(a.shape[0]))
+    if defect > UNITARY_TOL:
+        raise NotUnitary(f"{what} is not unitary: max |A^dag A - I| = {defect:.3e} > {UNITARY_TOL:.0e}")
+    return a
+
+
+def diagonal_in_basis(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Real part of the diagonal of B^dag A B: the populations of A in the
+    columns of B, in O(d^3) with one product."""
+    return np.real(np.sum(np.conj(basis) * (a @ basis), axis=0))
+
+
+def unchecked(cls, **fields):
+    """Instance of a frozen dataclass with the given fields, skipping its
+    ``__post_init__``. Only for objects the package computed itself from
+    validated inputs, so that they are not validated (or eigensolved) again."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +91,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 def eig_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
@@ -114,8 +110,3 @@ def eig_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposi
     return EigenDecomposition(eigenvalues=np.ascontiguousarray(w[order]),
                               eigenvectors=np.ascontiguousarray(v[:, order]))
 
-
-def eigvals_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix."""
-    a = require_hermitian(a, tol=tol)
-    return np.sort(np.linalg.eigvalsh((a + adjoint(a)) / 2.0), kind="stable")

@@ -12,12 +12,11 @@ import numpy as np
 
 from .errors import LengthMismatch, NotUnitary, PreconditionFailed
 from .ergotropy import passive_energy_of_spectrum
-from .linalg import as_matrix, max_abs
-from .measurement import Povm, StochasticMatrix, refine_distribution
+from .linalg import max_abs, require_unitary
+from .measurement import BasisMeasurement, Povm, StochasticMatrix, refine_distribution
 from .states import Hamiltonian
 
 MAJORIZATION_TOL = 1e-9
-UNITARY_TOL = 1e-10
 BISTOCHASTIC_TOL = 1e-10
 
 
@@ -64,16 +63,13 @@ def majorizes(x, y, tol: float = MAJORIZATION_TOL, pad: bool = False) -> bool:
 
 def bistochastic_from_unitary(v) -> StochasticMatrix:
     """Entrywise squared moduli |V_{k,i}|^2 of a unitary; always bistochastic."""
-    v = as_matrix(v)
-    if v.shape[0] != v.shape[1] or max_abs(np.conj(v).T @ v - np.eye(v.shape[0])) > UNITARY_TOL:
-        raise NotUnitary(f"input of shape {v.shape} is not unitary within {UNITARY_TOL:.0e}")
-    b = StochasticMatrix(np.abs(v) ** 2)
+    b = StochasticMatrix(np.abs(require_unitary(v)) ** 2)
     if not b.bistochastic:
         raise NotUnitary("squared moduli failed the bistochastic row-sum check")
     return b
 
 
-def refinement_bistochastic(p: Povm, d: StochasticMatrix) -> StochasticMatrix:
+def refinement_bistochastic(p: Povm | BasisMeasurement, d: StochasticMatrix) -> StochasticMatrix:
     """Bistochastic matrix linking the outcome spectra of a fine-grained
     measurement and its post-processed coarsening.
 

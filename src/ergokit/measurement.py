@@ -4,17 +4,20 @@ A measurement here is a finite POVM. Fine-grained measurements (rank-1
 projective) are the informationally sharpest ones; applying a
 column-stochastic matrix to the outcome labels coarsens them. The
 coarse-grained state is the maximum-ignorance estimate of the input state
-consistent with the observed outcome statistics.
+consistent with the observed outcome statistics. A coarsened basis
+measurement is kept as (basis, post-processing), so its estimate's spectrum
+is vector arithmetic (Lemma 1); a general POVM is kept as dense elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegeneratePovm, DimensionMismatch, PreconditionFailed, ZeroMass
-from .linalg import adjoint, as_matrix, max_abs, require_hermitian
+from .linalg import adjoint, as_matrix, diagonal_in_basis, max_abs, require_hermitian, require_unitary, unchecked
 from .states import DensityMatrix, Hamiltonian, RandomSource
 
 ELEMENT_PSD_TOL = -1e-10
@@ -22,7 +25,6 @@ COMPLETENESS_TOL = 1e-9
 ZERO_ELEMENT_TOL = 1e-12
 COLUMN_SUM_TOL = 1e-12
 ROW_SUM_TOL = 1e-10
-UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +64,7 @@ class StochasticMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Positive operators summing to the identity.
+    """Positive operators summing to the identity, stored densely.
 
     ``labels`` track outcome identity through relabelings: post-processing
     that drops all-zero outcomes records which of the original indices
@@ -74,22 +76,23 @@ class Povm:
     labels: tuple = None
 
     def __post_init__(self):
-        mats = tuple(as_matrix(e) for e in self.elements)
+        mats = tuple(require_hermitian(e, what=f"POVM element {k}") for k, e in enumerate(self.elements))
         if not mats:
             raise DegeneratePovm("a POVM needs at least one element")
         d = mats[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
         for k, e in enumerate(mats):
             if e.shape != (d, d):
                 raise DimensionMismatch(f"element {k} has shape {e.shape}, expected {(d, d)}")
-            require_hermitian(e, what=f"POVM element {k}")
-            lo = float(np.min(np.linalg.eigvalsh((e + adjoint(e)) / 2.0)))
-            if lo < ELEMENT_PSD_TOL:
-                raise ValueError(f"POVM element {k} has eigenvalue {lo:.3e} below {ELEMENT_PSD_TOL:.0e}")
-            if float(np.trace(e).real) < ZERO_ELEMENT_TOL:
-                raise ValueError(f"POVM element {k} is (numerically) the zero operator")
-            total += e
-        defect = max_abs(total - np.eye(d))
+        stacked = np.stack(mats)
+        lows = np.linalg.eigvalsh((stacked + np.conj(np.swapaxes(stacked, 1, 2))) / 2.0)[:, 0]
+        k = int(np.argmin(lows))
+        if float(lows[k]) < ELEMENT_PSD_TOL:
+            raise ValueError(f"POVM element {k} has eigenvalue {float(lows[k]):.3e} below {ELEMENT_PSD_TOL:.0e}")
+        volumes = np.trace(stacked, axis1=1, axis2=2).real
+        k = int(np.argmin(volumes))
+        if float(volumes[k]) < ZERO_ELEMENT_TOL:
+            raise ValueError(f"POVM element {k} is (numerically) the zero operator")
+        defect = max_abs(stacked.sum(axis=0) - np.eye(d))
         if defect > COMPLETENESS_TOL:
             raise ValueError(f"POVM elements sum to identity within {defect:.3e} > {COMPLETENESS_TOL:.0e}")
         labels = self.labels if self.labels is not None else tuple(range(1, len(mats) + 1))
@@ -109,40 +112,73 @@ class Povm:
     @property
     def volumes(self) -> np.ndarray:
         """Trace of each element: the dimension-weight of its maximum-ignorance ensemble."""
-        return np.array([float(np.trace(e).real) for e in self.elements])
+        return np.trace(np.stack(self.elements), axis1=1, axis2=2).real
 
     def is_fine_grained(self, tol: float = 1e-9) -> bool:
         """True when every element is (numerically) a rank-1 projector."""
         if self.n_outcomes != self.dim:
             return False
-        for e in self.elements:
-            w = np.linalg.eigvalsh((e + adjoint(e)) / 2.0)
-            if abs(w[-1] - 1.0) > tol or max_abs(w[:-1]) > tol:
-                return False
-        return True
+        w = np.linalg.eigvalsh(np.stack(self.elements))
+        return bool(max_abs(w[:, -1] - 1.0) <= tol and max_abs(w[:, :-1]) <= tol)
 
 
 @dataclass(frozen=True, eq=False)
-class FineGrainedMeasurement(Povm):
-    """Rank-1 projective measurement onto the columns of an orthonormal basis."""
+class BasisMeasurement:
+    """Projective measurement in an orthonormal basis followed by classical
+    post-processing: element i is U diag(post[i]) U^dag, with U = ``basis``
+    and ``post`` column-stochastic with no all-zero row. Outcomes are
+    labelled 1..n unless post-processing dropped some. Element matrices are
+    built only when ``elements`` is read."""
 
-    basis: np.ndarray = field(default=None, kw_only=True)
+    basis: np.ndarray
+    post: np.ndarray
+    labels: tuple = field(init=False)
 
     def __post_init__(self):
-        b = as_matrix(self.basis)
-        if b.shape[0] != b.shape[1]:
-            raise DimensionMismatch(f"basis must be square, got {b.shape}")
-        defect = max_abs(adjoint(b) @ b - np.eye(b.shape[0]))
-        if defect > UNITARY_TOL:
-            raise ValueError(f"basis is not unitary: max |B^dag B - I| = {defect:.3e} > {UNITARY_TOL:.0e}")
-        object.__setattr__(self, "basis", b)
-        super().__post_init__()
+        basis = require_unitary(self.basis, what="basis")
+        post = StochasticMatrix(self.post).entries
+        if post.shape[1] != basis.shape[0]:
+            raise DimensionMismatch(f"post-processing expects {post.shape[1]} inputs but the basis has {basis.shape[0]} vectors")
+        volumes = post.sum(axis=1)
+        if float(np.min(volumes)) < ZERO_ELEMENT_TOL:
+            raise DegeneratePovm(f"post-processing row {int(np.argmin(volumes))} is (numerically) zero")
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "post", post)
+        object.__setattr__(self, "labels", tuple(range(1, post.shape[0] + 1)))
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def n_outcomes(self) -> int:
+        return self.post.shape[0]
+
+    @property
+    def volumes(self) -> np.ndarray:
+        """Trace of each element: the row sums of the post-processing."""
+        return self.post.sum(axis=1)
+
+    @cached_property
+    def elements(self) -> tuple:
+        """Element matrices, built on first access."""
+        return tuple((self.basis * self.post[:, np.newaxis, :]) @ adjoint(self.basis))
+
+    def is_fine_grained(self, tol: float = 1e-9) -> bool:
+        """True when every element is (numerically) a rank-1 projector: each row of post is a unit vector."""
+        if self.n_outcomes != self.dim:
+            return False
+        rows = np.sort(self.post, axis=1)
+        return bool(max_abs(rows[:, -1] - 1.0) <= tol and max_abs(rows[:, :-1]) <= tol)
+
+
+class FineGrainedMeasurement(BasisMeasurement):
+    """Rank-1 projective measurement onto the columns of an orthonormal
+    basis: the basis with identity post-processing."""
 
     @classmethod
     def from_basis(cls, basis) -> "FineGrainedMeasurement":
-        b = as_matrix(basis)
-        projectors = tuple(np.outer(b[:, k], np.conj(b[:, k])) for k in range(b.shape[1]))
-        return cls(elements=projectors, basis=b)
+        return cls(basis, np.eye(as_matrix(basis).shape[0]))
 
 
 def computational_basis(d: int) -> FineGrainedMeasurement:
@@ -163,70 +199,56 @@ def random_column_stochastic(n_out: int, n_in: int, rng: RandomSource, identity:
     return StochasticMatrix(cols / cols.sum(axis=0))
 
 
-def post_process(p: Povm, d: StochasticMatrix) -> Povm:
+def post_process(p: Povm | BasisMeasurement, d: StochasticMatrix) -> Povm | BasisMeasurement:
     """Coarsen a measurement: output element i is sum_j D[i, j] * P_j.
 
     Outcomes whose operator vanishes (an all-zero row of D) are dropped; the
     surviving original outcome indices are recorded in the result's labels.
+    The result is not validated again: a column-stochastic D keeps
+    positivity and completeness. A basis measurement stays one.
     """
     if d.n_in != p.n_outcomes:
         raise DimensionMismatch(f"post-processing expects {d.n_in} inputs but measurement has {p.n_outcomes} outcomes")
+    kept = np.flatnonzero(d.entries @ p.volumes >= ZERO_ELEMENT_TOL)
+    labels = tuple(int(i) + 1 for i in kept)
+    if isinstance(p, BasisMeasurement):
+        return unchecked(BasisMeasurement, basis=p.basis, post=(d.entries @ p.post)[kept], labels=labels)
     dim = p.dim
-    stacked = np.stack(p.elements)
-    mixed = np.einsum("ij,jkl->ikl", d.entries, stacked)
-    kept_elements = []
-    kept_labels = []
-    for i in range(d.n_out):
-        e = (mixed[i] + adjoint(mixed[i])) / 2.0
-        if float(np.trace(e).real) < ZERO_ELEMENT_TOL:
-            continue
-        kept_elements.append(e)
-        kept_labels.append(i + 1)
-    if not kept_elements:
-        raise DegeneratePovm("post-processing produced only zero outcomes")
-    return Povm(elements=tuple(kept_elements), labels=tuple(kept_labels))
+    mixed = (d.entries[kept] @ np.stack(p.elements).reshape(p.n_outcomes, dim * dim)).reshape(-1, dim, dim)
+    return unchecked(Povm, elements=tuple(mixed), labels=labels)
 
 
-def energy_incoherent(h: Hamiltonian, q: StochasticMatrix) -> Povm:
+def energy_incoherent(h: Hamiltonian, q: StochasticMatrix) -> BasisMeasurement:
     """Measurement diagonal in the energy eigenbasis: element i is
-    sum_j q[i, j] |E_j><E_j| built from the Hamiltonian's tie-broken basis."""
+    sum_j q[i, j] |E_j><E_j| built from the Hamiltonian's tie-broken basis.
+    All-zero rows of q are dropped, as in post_process."""
     if q.n_in != h.dim:
         raise DimensionMismatch(f"post-processing expects {q.n_in} energy levels but Hamiltonian has {h.dim}")
-    v = h.eigenbasis
-    elements = []
-    for i in range(q.n_out):
-        e = (v * q.entries[i]) @ adjoint(v)
-        elements.append((e + adjoint(e)) / 2.0)
-    return Povm(elements=tuple(elements))
+    return post_process(unchecked(BasisMeasurement, basis=h.eigenbasis, post=np.eye(h.dim)), q)
 
 
-def outcome_distribution(rho: DensityMatrix, m: Povm) -> np.ndarray:
+def outcome_distribution(rho: DensityMatrix, m: Povm | BasisMeasurement) -> np.ndarray:
     """Born probabilities p_i = tr(rho M_i), clipped of benign negative roundoff."""
     if rho.dim != m.dim:
         raise DimensionMismatch(f"state is {rho.dim}-dimensional but measurement is {m.dim}-dimensional")
-    p = np.array([float(np.trace(rho.op @ e).real) for e in m.elements])
-    if float(np.min(p)) < -1e-12:
-        raise ValueError(f"outcome probability {float(np.min(p)):.3e} is negative beyond roundoff")
-    p = np.clip(p, 0.0, None)
-    if abs(float(p.sum()) - 1.0) > 1e-10:
-        raise ValueError(f"outcome probabilities sum to {float(p.sum())!r}, expected 1")
-    return p
+    if isinstance(m, BasisMeasurement):
+        p = m.post @ diagonal_in_basis(rho.op, m.basis)
+    else:
+        p = np.einsum("ij,kji->k", rho.op, np.stack(m.elements)).real
+    return np.clip(p, 0.0, None)
 
 
-def coarse_grained_state(rho: DensityMatrix, m: Povm) -> DensityMatrix:
+def coarse_grained_state(rho: DensityMatrix, m: Povm | BasisMeasurement) -> DensityMatrix:
     """Maximum-ignorance estimate sum_i p_i M_i / V_i of rho given one round
-    of outcome statistics from m."""
-    if rho.dim != m.dim:
-        raise DimensionMismatch(f"state is {rho.dim}-dimensional but measurement is {m.dim}-dimensional")
-    out = np.zeros((rho.dim, rho.dim), dtype=complex)
-    for e in m.elements:
-        p_i = float(np.trace(rho.op @ e).real)
-        v_i = float(np.trace(e).real)
-        out += (p_i / v_i) * e
-    return DensityMatrix((out + adjoint(out)) / 2.0)
+    of outcome statistics from m. For a basis measurement (U, D) this is
+    U diag(D^T (p / D 1)) U^dag (Lemma 1), whose spectrum needs no eigensolve."""
+    weights = outcome_distribution(rho, m) / m.volumes
+    if isinstance(m, BasisMeasurement):
+        return DensityMatrix._in_basis(m.basis, m.post.T @ weights)
+    return DensityMatrix(np.tensordot(weights, np.stack(m.elements), axes=1))
 
 
-def refine_distribution(p: Povm, d: StochasticMatrix) -> StochasticMatrix:
+def refine_distribution(p: Povm | BasisMeasurement, d: StochasticMatrix) -> StochasticMatrix:
     """Conditional distribution of the raw outcome given the coarse one.
 
     Column i holds q(j|i) = D[i, j] V_j / sum_k D[i, k] V_k, the probability
@@ -247,6 +269,7 @@ def refine_distribution(p: Povm, d: StochasticMatrix) -> StochasticMatrix:
 
 
 __all__ = [
+    "BasisMeasurement",
     "FineGrainedMeasurement",
     "Povm",
     "StochasticMatrix",

@@ -10,12 +10,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidRank
-from .linalg import EigenDecomposition, adjoint, eig_hermitian, require_hermitian
+from .errors import DimensionMismatch, InvalidRank, NoConvergence, PreconditionFailed
+from .linalg import EigenDecomposition, adjoint, diagonal_in_basis, eig_hermitian, require_hermitian, unchecked
 
 # Eigenvalues of a state may dip this far below zero before it is rejected.
 PSD_TOL = -1e-10
 TRACE_TOL = 1e-10
+# Draws of the levels random_hamiltonian makes before giving up on min_gap;
+# a gap near the feasible limit is met with vanishing probability.
+MAX_GAP_DRAWS = 1000
 
 
 class RandomSource:
@@ -56,9 +59,11 @@ class RandomSource:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Unit-trace positive semidefinite operator; rejected at construction otherwise."""
+    """Unit-trace positive semidefinite operator; rejected at construction
+    otherwise. The ascending eigenvalues that validation computes are kept."""
 
     op: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = require_hermitian(self.op, what="density matrix")
@@ -66,10 +71,17 @@ class DensityMatrix:
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace is {tr!r}, expected 1 within {TRACE_TOL:.0e}")
-        lo = float(np.min(np.linalg.eigvalsh(mat)))
-        if lo < PSD_TOL:
-            raise ValueError(f"density matrix has eigenvalue {lo:.3e} below {PSD_TOL:.0e}")
+        w = np.linalg.eigvalsh(mat)
+        if float(w[0]) < PSD_TOL:
+            raise ValueError(f"density matrix has eigenvalue {float(w[0]):.3e} below {PSD_TOL:.0e}")
         object.__setattr__(self, "op", mat)
+        object.__setattr__(self, "eigenvalues", w)
+
+    @classmethod
+    def _in_basis(cls, basis: np.ndarray, spectrum: np.ndarray) -> "DensityMatrix":
+        """basis diag(spectrum) basis^dag, for a unitary and a probability vector
+        the package computed itself: neither validated nor eigensolved again."""
+        return unchecked(cls, op=(basis * spectrum) @ adjoint(basis), eigenvalues=np.sort(spectrum))
 
     @property
     def dim(self) -> int:
@@ -77,7 +89,7 @@ class DensityMatrix:
 
     def spectrum(self) -> np.ndarray:
         """Ascending eigenvalues, tiny negatives clipped to 0."""
-        return np.clip(np.linalg.eigvalsh(self.op), 0.0, None)
+        return np.clip(self.eigenvalues, 0.0, None)
 
     def eig(self) -> EigenDecomposition:
         return eig_hermitian(self.op)
@@ -125,13 +137,11 @@ def dephase(rho: DensityMatrix, h: Hamiltonian) -> DensityMatrix:
 
     Uses the Hamiltonian's cached (tie-broken) rank-1 eigenbasis, so the
     result is deterministic even for degenerate spectra. Trace and average
-    energy are preserved.
+    energy are preserved; the result's spectrum is rho's energy populations.
     """
     _check_same_dim(rho, h)
     v = h.eigenbasis
-    populations = np.real(np.einsum("ij,jk,ki->i", adjoint(v), rho.op, v))
-    out = (v * populations) @ adjoint(v)
-    return DensityMatrix((out + adjoint(out)) / 2.0)
+    return DensityMatrix._in_basis(v, diagonal_in_basis(rho.op, v))
 
 
 def haar_unitary(d: int, rng: RandomSource) -> np.ndarray:
@@ -159,11 +169,16 @@ def random_density(d: int, rank: int, rng: RandomSource) -> DensityMatrix:
 def random_hamiltonian(d: int, rng: RandomSource, min_gap: float = 0.0) -> Hamiltonian:
     """Random observable: sorted uniform [0,1] eigenvalues conjugated by a
     Haar unitary. With ``min_gap`` > 0, resamples until all level spacings
-    exceed the gap (needed wherever non-degeneracy is assumed)."""
-    while True:
+    exceed the gap (needed wherever non-degeneracy is assumed), at most
+    MAX_GAP_DRAWS times."""
+    if d >= 2 and min_gap > 1.0 / (d - 1):
+        raise PreconditionFailed(f"{d} levels in [0, 1] cannot all be {min_gap!r} apart (at most {1.0 / (d - 1)!r})")
+    for _ in range(MAX_GAP_DRAWS):
         levels = np.sort(rng.uniform(d))
         if min_gap <= 0.0 or d < 2 or float(np.min(np.diff(levels))) >= min_gap:
             break
+    else:
+        raise NoConvergence(f"no level spacing of {min_gap!r} in {MAX_GAP_DRAWS} draws of {d} levels")
     u = haar_unitary(d, rng)
     mat = (u * levels) @ adjoint(u)
     return Hamiltonian((mat + adjoint(mat)) / 2.0)

@@ -1,27 +1,11 @@
 """Independent oracles used by the tests.
 
-These deliberately avoid the package's own code paths: the matrix product
-oracle is a bare triple loop, and the minimum-energy oracle minimizes over
-explicitly sampled unitaries instead of using the sorted closed form.
+These deliberately avoid the package's own code paths: the minimum-energy
+oracle minimizes over explicitly sampled unitaries instead of using the
+sorted closed form.
 """
 
 import numpy as np
-
-
-def naive_matmul(a, b):
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m), dtype=complex)
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0 + 0.0j
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
 
 
 def sampled_min_energy(rho_op, h_op, samples, seed, batch=2000):

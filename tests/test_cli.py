@@ -274,3 +274,38 @@ def test_identical_invocations_are_byte_identical():
 def test_usage_error_exits_2():
     proc = subprocess.run([sys.executable, "-m", "ergokit"], capture_output=True)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4, 7, 9])
+def test_passive_state_at_large_energy_scale(tmp_path, capsys, seed):
+    # a passive state has zero ergotropy; at |E| ~ 1e7 and d = 16 roundoff
+    # makes it ~ -1e-9, which must not read as an inconsistent report
+    import numpy as np
+
+    from ergokit.instances import matrix_to_json
+    from ergokit.linalg import adjoint
+    from ergokit.states import RandomSource, random_hamiltonian
+
+    rng = RandomSource(seed)
+    h = random_hamiltonian(16, rng)
+    populations = np.sort(rng.exponential(16))[::-1]
+    rho = (h.eigenbasis * (populations / populations.sum())) @ adjoint(h.eigenbasis)
+    doc = {"dimension": 16, "hamiltonian": matrix_to_json(1e7 * h.op), "state": matrix_to_json(rho)}
+    code, out, err = run_cli(capsys, "report", write_instance(tmp_path, doc))
+    assert code == 0, err
+    assert abs(json.loads(out)["ergotropy"]) <= 1e-7
+
+
+def test_inconsistent_report_exits_2(qubit_file, capsys, monkeypatch):
+    from ergokit import cli
+    from ergokit.ergotropy import WorkReport
+
+    def broken_report(rho, h, m=None):
+        return WorkReport(dimension=2, mean_energy=1.0, passive_energy=0.25, ergotropy=0.5,
+                          incoherent=0.5, coherent=0.0)
+
+    monkeypatch.setattr(cli, "report", broken_report)
+    code, out, err = run_cli(capsys, "report", qubit_file)
+    assert code == 2
+    assert out == ""
+    assert "ergotropy must equal" in err

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from ergokit import linalg
-from ergokit.errors import DimensionMismatch, NotHermitian
-from ergokit.linalg import adjoint, eig_hermitian, is_unitary, matmul, max_abs, trace
+from ergokit.errors import NotHermitian, NotUnitary
+from ergokit.linalg import adjoint, diagonal_in_basis, eig_hermitian, max_abs, require_unitary
 from ergokit.states import RandomSource, haar_unitary
-
-from _oracles import naive_matmul
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -81,59 +79,29 @@ def test_eig_eigenpairs_satisfy_definition():
         assert max_abs(residual) <= 1e-10 * max(1.0, max_abs(a))
 
 
-def test_matmul_identity():
-    a = RandomSource(1).complex_normal((3, 3))
-    np.testing.assert_allclose(matmul(np.eye(3), a), a, atol=0.0)
-
-
-def test_matmul_involution():
-    np.testing.assert_allclose(matmul(PAULI_X, PAULI_X), np.eye(2), atol=0.0)
-
-
-def test_matmul_matches_naive_oracle():
-    rng = RandomSource(17)
-    a = rng.complex_normal((3, 3))
-    b = rng.complex_normal((3, 3))
-    assert max_abs(matmul(a, b) - naive_matmul(a, b)) <= 1e-12
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        matmul(np.eye(3), np.eye(4))
-
-
 def test_adjoint_involution():
     a = RandomSource(2).complex_normal((4, 2))
     np.testing.assert_allclose(adjoint(adjoint(a)), a, atol=0.0)
 
 
-def test_trace_diagonal():
-    assert trace(np.diag([0.25, 0.75]).astype(complex)) == pytest.approx(1.0)
-
-
-def test_trace_rejects_nonsquare():
-    with pytest.raises(DimensionMismatch):
-        trace(np.ones((2, 3)))
-
-
-def test_trace_cyclic():
-    rng = RandomSource(9)
-    for k in range(10):
-        a = rng.complex_normal((5, 5))
-        b = rng.complex_normal((5, 5))
-        assert abs(trace(a @ b) - trace(b @ a)) <= 1e-10
-
-
-def test_is_unitary_haar_sample():
+def test_require_unitary_haar_sample():
     u = haar_unitary(6, RandomSource(13))
     # the oracle is the explicit residual itself
     assert max_abs(adjoint(u) @ u - np.eye(6)) <= 1e-10
-    assert is_unitary(u, 1e-10)
+    np.testing.assert_array_equal(require_unitary(u), u)
 
 
-def test_is_unitary_rejections():
-    assert not is_unitary(np.ones((2, 3)))
-    assert not is_unitary(2.0 * np.eye(3))
+def test_require_unitary_rejections():
+    with pytest.raises(NotUnitary):
+        require_unitary(np.ones((2, 3)))
+    with pytest.raises(NotUnitary):
+        require_unitary(2.0 * np.eye(3))
+
+
+def test_diagonal_in_basis_matches_explicit_product():
+    a = random_hermitian(5, seed=31)
+    u = haar_unitary(5, RandomSource(32))
+    np.testing.assert_allclose(diagonal_in_basis(a, u), np.real(np.diag(adjoint(u) @ a @ u)), atol=1e-12)
 
 
 def test_as_matrix_rejects_nonfinite():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ergokit.ergotropy import observational_ergotropy
 from ergokit.errors import DimensionMismatch, PreconditionFailed, ZeroMass
 from ergokit.linalg import adjoint, max_abs
 from ergokit.measurement import (
@@ -15,7 +18,15 @@ from ergokit.measurement import (
     random_column_stochastic,
     refine_distribution,
 )
-from ergokit.states import RandomSource, diagonal_state, haar_unitary, maximally_mixed, random_density, random_hamiltonian
+from ergokit.states import (
+    Hamiltonian,
+    RandomSource,
+    diagonal_state,
+    haar_unitary,
+    maximally_mixed,
+    random_density,
+    random_hamiltonian,
+)
 
 RHO = diagonal_state([0.25, 0.75])
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -273,3 +284,63 @@ class TestRefineDistribution:
         halves = Povm(elements=(0.5 * np.eye(2), 0.5 * np.eye(2)))
         with pytest.raises(PreconditionFailed):
             refine_distribution(halves, StochasticMatrix.identity(2))
+
+
+# --- the Lemma 1 kernel of basis measurements against dense elements ----------
+
+def _kernel_instance(d, n_rel, seed, rank_frac, zero_rows, degenerate):
+    rng = RandomSource(seed)
+    rank = max(1, int(round(rank_frac * d)))
+    rho = random_density(d, rank, rng)
+    if degenerate:
+        u = haar_unitary(d, rng)
+        levels = 1.0 + np.floor(3.0 * rng.uniform(d)) / 2.0  # at most three distinct energies
+        h = Hamiltonian(u @ np.diag(levels) @ adjoint(u))
+    else:
+        h = random_hamiltonian(d, rng)
+    n = {"fewer": max(1, d - 1), "equal": d, "more": d + 2}[n_rel]
+    entries = random_column_stochastic(n, d, rng).entries
+    if zero_rows and n > 1:
+        entries[: (n + 1) // 2] = 0.0
+        entries /= entries.sum(axis=0)
+    return rho, h, FineGrainedMeasurement.from_basis(haar_unitary(d, rng)), StochasticMatrix(entries)
+
+
+@given(d=st.sampled_from([1, 2, 3, 8]), n_rel=st.sampled_from(["fewer", "equal", "more"]),
+       seed=st.integers(0, 2**31 - 1), rank_frac=st.floats(0.0, 1.0), zero_rows=st.booleans(),
+       degenerate=st.booleans())
+@settings(deadline=None, max_examples=80)
+def test_kernel_matches_dense_elements(d, n_rel, seed, rank_frac, zero_rows, degenerate):
+    rho, h, fine, dmat = _kernel_instance(d, n_rel, seed, rank_frac, zero_rows, degenerate)
+    scale = float(np.max(np.abs(h.energies)))
+    for structured in (fine, post_process(fine, dmat), energy_incoherent(h, dmat)):
+        dense = Povm(elements=structured.elements, labels=structured.labels)
+        kernel_value = observational_ergotropy(rho, h, structured)
+        assert abs(kernel_value - observational_ergotropy(rho, h, dense)) <= 1e-12 * scale
+        assert max_abs(coarse_grained_state(rho, structured).op - coarse_grained_state(rho, dense).op) <= 1e-12
+        np.testing.assert_allclose(outcome_distribution(rho, structured), outcome_distribution(rho, dense), atol=1e-12)
+
+
+def test_post_processing_drops_zero_rows_of_basis_measurements():
+    dead_rows = StochasticMatrix(np.array([[0.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 1.0]]))
+    coarse = post_process(computational_basis(3), dead_rows)
+    assert coarse.labels == (2, 4)
+    np.testing.assert_allclose(coarse.volumes, [1.5, 1.5], atol=0.0)
+    n = energy_incoherent(random_hamiltonian(3, RandomSource(70)), dead_rows)
+    assert n.labels == (2, 4)
+
+
+def test_basis_measurement_kernel_makes_no_eigensolve(monkeypatch):
+    rng = RandomSource(71)
+    rho = random_density(5, 5, rng)
+    h = random_hamiltonian(5, rng)
+    fine = FineGrainedMeasurement.from_basis(haar_unitary(5, rng))
+    dmat = random_column_stochastic(7, 5, rng)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    q = random_column_stochastic(3, 5, rng)
+    for m in (fine, post_process(fine, dmat), energy_incoherent(h, q)):
+        observational_ergotropy(rho, h, m)
+    assert calls == []

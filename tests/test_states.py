@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ergokit.errors import DimensionMismatch, InvalidRank, NotHermitian
+from ergokit.errors import DimensionMismatch, InvalidRank, NoConvergence, NotHermitian, PreconditionFailed
 from ergokit.linalg import adjoint, max_abs
 from ergokit.states import (
     DensityMatrix,
@@ -164,3 +164,15 @@ def test_random_source_split_streams():
     c = RandomSource(123).split(5).normal(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_random_hamiltonian_rejects_infeasible_gap():
+    # three levels in [0, 1] are at most 0.5 apart
+    with pytest.raises(PreconditionFailed):
+        random_hamiltonian(3, RandomSource(0), min_gap=0.6)
+
+
+def test_random_hamiltonian_resampling_is_bounded():
+    # feasible, but met with probability ~1e-11 per draw
+    with pytest.raises(NoConvergence):
+        random_hamiltonian(3, RandomSource(0), min_gap=0.4999)
