@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatch, InconsistentReport
 from .linalg import adjoint, eig_hermitian
 from .measurement import BasisMeasurement, Povm, coarse_grained_state
-from .states import DensityMatrix, Hamiltonian, dephase, mean_energy
+from .states import DensityMatrix, Hamiltonian, _check_same_dim, dephase, mean_energy
 
 # The identities WorkReport checks hold up to roundoff, which grows with the
 # energy scale and the dimension: they are checked to within
@@ -73,25 +73,20 @@ class WorkReport:
         return ",".join(fields)
 
 
-def _descending(values: np.ndarray) -> np.ndarray:
-    """Descending stable sort: ties keep their ascending-order position."""
-    order = np.argsort(-values, kind="stable")
-    return values[order], order
-
-
-def passive_energy_of_spectrum(h: Hamiltonian, spectrum) -> float:
+def passive_energy_of_spectrum(h: Hamiltonian | np.ndarray, spectrum):
     """Minimal mean energy over all states with the given spectrum: ascending
-    energies paired with descending populations."""
+    energies paired with descending populations. ``h`` is a Hamiltonian or
+    its ascending energies; leading axes of the arrays are a batch."""
+    energies = h.energies if isinstance(h, Hamiltonian) else h
     x = np.asarray(spectrum, dtype=float)
-    if x.shape != (h.dim,):
-        raise DimensionMismatch(f"spectrum has length {x.shape}, Hamiltonian dimension is {h.dim}")
-    desc, _ = _descending(x)
-    return float(h.energies @ desc)
+    if x.shape[-1:] != energies.shape[-1:]:
+        raise DimensionMismatch(f"spectrum has shape {x.shape}, Hamiltonian dimension is {energies.shape[-1]}")
+    out = (energies[..., np.newaxis, :] @ -np.sort(-x, axis=-1)[..., np.newaxis])[..., 0, 0]
+    return out if out.ndim else float(out)
 
 
 def passive_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
-    if rho.dim != h.dim:
-        raise DimensionMismatch(f"state is {rho.dim}-dimensional but Hamiltonian is {h.dim}-dimensional")
+    _check_same_dim(rho, h)
     return passive_energy_of_spectrum(h, rho.eigenvalues)
 
 
@@ -101,15 +96,13 @@ def passive_state(rho: DensityMatrix, h: Hamiltonian) -> tuple[DensityMatrix, np
     Returns (Pi, U) with Pi carrying rho's populations in descending order on
     the ascending energy levels, and U mapping rho's sorted eigenvectors onto
     the energy eigenvectors so that U rho U^dag = Pi. For degenerate spectra
-    the tie-broken representative is returned.
+    the tie-broken representative is returned (ties keep their ascending order).
     """
-    if rho.dim != h.dim:
-        raise DimensionMismatch(f"state is {rho.dim}-dimensional but Hamiltonian is {h.dim}-dimensional")
+    _check_same_dim(rho, h)
     dec = eig_hermitian(rho.op)
-    lam_desc, order = _descending(dec.eigenvalues)
-    sorted_vectors = dec.eigenvectors[:, order]
+    order = np.argsort(-dec.eigenvalues, kind="stable")
     w = h.eigenbasis
-    return DensityMatrix._in_basis(w, lam_desc), w @ adjoint(sorted_vectors)
+    return DensityMatrix._in_basis(w, dec.eigenvalues[order]), w @ adjoint(dec.eigenvectors[:, order])
 
 
 def ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:

@@ -17,6 +17,22 @@ class NotUnitary(ErgokitError):
     """Matrix fails the unitarity tolerance."""
 
 
+class NonFinite(ErgokitError):
+    """Input contains NaN or Inf entries."""
+
+
+class InvalidState(ErgokitError):
+    """Operator or vector is not a (normalisable) quantum state."""
+
+
+class NotStochastic(ErgokitError):
+    """Matrix or vector fails the nonnegativity or unit-sum tolerance."""
+
+
+class InvalidPovm(ErgokitError):
+    """Elements are not positive, do not sum to the identity, or are mislabelled."""
+
+
 class NoConvergence(ErgokitError):
     """An eigensolver or a resampling loop exhausted its iteration budget."""
 

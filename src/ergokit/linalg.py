@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotUnitary
+from .errors import DimensionMismatch, NoConvergence, NonFinite, NotHermitian, NotUnitary
 
-# Max-entry tolerance on |A - A^dag| for an input to count as Hermitian.
+# Max-entry tolerance on |A - A^dag| / max(1, max |A|) for an input to count as Hermitian.
 HERMITICITY_TOL = 1e-10
 # Max-entry tolerance on reconstruction/unitarity residuals of eigendecompositions.
 RESIDUAL_TOL = 1e-9
@@ -21,14 +21,14 @@ RESIDUAL_TOL = 1e-9
 UNITARY_TOL = 1e-10
 
 
-def as_matrix(a, dtype=complex) -> np.ndarray:
-    """Coerce to a 2-D array and reject non-finite entries."""
+def as_matrix(a, dtype=complex, stack: bool = False) -> np.ndarray:
+    """Coerce to a 2-D array (or a stack of them) and reject non-finite entries."""
     m = np.asarray(a, dtype=dtype)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stack and m.ndim > 2):
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
     finite = np.isfinite(m.real) & np.isfinite(m.imag) if np.iscomplexobj(m) else np.isfinite(m)
     if not np.all(finite):
-        raise ValueError("matrix contains NaN or Inf entries")
+        raise NonFinite("matrix contains NaN or Inf entries")
     return m
 
 
@@ -38,26 +38,32 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(a)).T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^dag) / 2, exactly Hermitian; leading axes are a batch."""
+    return (a + adjoint(a)) / 2.0
 
 
 def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL, what: str = "matrix") -> np.ndarray:
+    """Coerce to a square matrix with max |A - A^dag| <= tol * max(1, max |A|)."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got {a.shape}")
     defect = max_abs(a - adjoint(a))
-    if defect > tol:
-        raise NotHermitian(f"{what} is not Hermitian: max |A - A^dag| = {defect:.3e} > {tol:.0e}")
+    if defect > tol and defect > tol * max_abs(a):  # the scale is read only when the defect exceeds tol
+        raise NotHermitian(f"{what} is not Hermitian: max |A - A^dag| = {defect:.3e} > {tol * max(1.0, max_abs(a)):.1e}")
     return a
 
 
-def require_unitary(a, what: str = "matrix") -> np.ndarray:
-    """Coerce to a matrix and check it is square with max |A^dag A - I| <= UNITARY_TOL."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
+def require_unitary(a, what: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Coerce to a matrix (or a stack) and check each is square with max |A^dag A - I| <= UNITARY_TOL."""
+    a = as_matrix(a, stack=stack)
+    if a.shape[-1] != a.shape[-2]:
         raise NotUnitary(f"{what} must be square to be unitary, got {a.shape}")
-    defect = max_abs(adjoint(a) @ a - np.eye(a.shape[0]))
+    defect = max_abs(adjoint(a) @ a - np.eye(a.shape[-1]))
     if defect > UNITARY_TOL:
         raise NotUnitary(f"{what} is not unitary: max |A^dag A - I| = {defect:.3e} > {UNITARY_TOL:.0e}")
     return a
@@ -65,8 +71,14 @@ def require_unitary(a, what: str = "matrix") -> np.ndarray:
 
 def diagonal_in_basis(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Real part of the diagonal of B^dag A B: the populations of A in the
-    columns of B, in O(d^3) with one product."""
-    return np.real(np.sum(np.conj(basis) * (a @ basis), axis=0))
+    columns of B, in O(d^3) with one product. Leading axes are a batch."""
+    return np.real(np.sum(np.conj(basis) * (a @ basis), axis=-2))
+
+
+def operator_in_basis(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """B diag(values) B^dag: the operator with eigenvectors the columns of B
+    and eigenvalues ``values``. Leading axes of both broadcast as a batch."""
+    return (basis * values[..., np.newaxis, :]) @ adjoint(basis)
 
 
 def unchecked(cls, **fields):
@@ -81,32 +93,24 @@ def unchecked(cls, **fields):
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Spectral data of a Hermitian matrix.
-
-    Eigenvalues are real and ascending; column k of `eigenvectors` is the
-    unit eigenvector paired with eigenvalue k. Degenerate eigenvalues keep a
-    deterministic order (stable sort), so downstream sorted quantities are
-    reproducible run to run.
-    """
+    """Spectral data of a Hermitian matrix: real ascending eigenvalues, with
+    column k of `eigenvectors` the unit eigenvector of eigenvalue k. LAPACK
+    orders degenerate eigenvalues deterministically, so sorted quantities
+    are reproducible run to run."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
 def eig_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix.
-
-    The input must be Hermitian within `tol` (max-entry). The numerically
-    exact Hermitian part (A + A^dag)/2 is decomposed so that roundoff in the
-    input cannot leak into complex eigenvalues.
-    """
+    """Full eigendecomposition of a matrix that is Hermitian within `tol`
+    (see require_hermitian). Its exact Hermitian part is decomposed, so that
+    roundoff in the input cannot leak into complex eigenvalues; eigh returns
+    the eigenvalues in ascending order."""
     a = require_hermitian(a, tol=tol)
-    herm = (a + adjoint(a)) / 2.0
     try:
-        w, v = np.linalg.eigh(herm)
+        w, v = np.linalg.eigh(hermitian_part(a))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is pathological
         raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
-    order = np.argsort(w, kind="stable")
-    return EigenDecomposition(eigenvalues=np.ascontiguousarray(w[order]),
-                              eigenvectors=np.ascontiguousarray(v[:, order]))
+    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 

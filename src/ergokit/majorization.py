@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatch, NotUnitary, PreconditionFailed
+from .errors import LengthMismatch, NotStochastic, NotUnitary, PreconditionFailed
 from .ergotropy import passive_energy_of_spectrum
 from .linalg import max_abs, require_unitary
 from .measurement import BasisMeasurement, Povm, StochasticMatrix, refine_distribution
@@ -24,16 +24,16 @@ def prob_vector(x) -> np.ndarray:
     """Validate a probability vector; entries down to -1e-12 are clipped to 0."""
     v = np.asarray(x, dtype=float).reshape(-1)
     if float(np.min(v, initial=0.0)) < -1e-12:
-        raise ValueError(f"probability vector has entry {float(np.min(v)):.3e} below -1e-12")
+        raise NotStochastic(f"probability vector has entry {float(np.min(v)):.3e} below -1e-12")
     v = np.clip(v, 0.0, None)
     total = float(v.sum())
     if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"probability vector sums to {total!r}, expected 1")
+        raise NotStochastic(f"probability vector sums to {total!r}, expected 1")
     return v
 
 
 def _padded_pair(x: np.ndarray, y: np.ndarray, pad: bool) -> tuple[np.ndarray, np.ndarray]:
-    if x.shape[0] == y.shape[0]:
+    if x.shape[-1] == y.shape[-1]:
         return x, y
     if not pad:
         raise LengthMismatch(f"vectors have lengths {x.shape[0]} and {y.shape[0]}; pass pad=True to zero-pad")
@@ -41,18 +41,16 @@ def _padded_pair(x: np.ndarray, y: np.ndarray, pad: bool) -> tuple[np.ndarray, n
     return np.pad(x, (0, n - x.shape[0])), np.pad(y, (0, n - y.shape[0]))
 
 
-def majorization_deficit(x, y, pad: bool = False) -> float:
+def majorization_deficit(x, y, pad: bool = False) -> float | np.ndarray:
     """Largest amount by which a descending partial sum of y exceeds the
     matching partial sum of x (positive means x does not majorize y),
-    including the total-sum disagreement."""
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    xv, yv = _padded_pair(xv, yv, pad)
-    cx = np.cumsum(np.sort(xv)[::-1])
-    cy = np.cumsum(np.sort(yv)[::-1])
-    partial = float(np.max(cy[:-1] - cx[:-1])) if cx.shape[0] > 1 else 0.0
-    total = abs(float(cx[-1] - cy[-1]))
-    return max(partial, total)
+    including the total-sum disagreement. Leading axes of equal-length
+    inputs are a batch."""
+    xv, yv = _padded_pair(np.asarray(x, dtype=float), np.asarray(y, dtype=float), pad)
+    cx = np.cumsum(np.sort(xv, axis=-1)[..., ::-1], axis=-1)
+    cy = np.cumsum(np.sort(yv, axis=-1)[..., ::-1], axis=-1)
+    partial = np.max(cy[..., :-1] - cx[..., :-1], axis=-1, initial=0.0)  # the total term is >= 0 anyway
+    return np.maximum(partial, np.abs(cx[..., -1] - cy[..., -1]))
 
 
 def majorizes(x, y, tol: float = MAJORIZATION_TOL, pad: bool = False) -> bool:
@@ -81,7 +79,7 @@ def refinement_bistochastic(p: Povm | BasisMeasurement, d: StochasticMatrix) -> 
     b = StochasticMatrix(q.entries @ d.entries)
     if not b.bistochastic:
         row_defect = max_abs(b.entries.sum(axis=1) - 1.0)
-        raise ValueError(f"composed matrix has row-sum defect {row_defect:.3e} > {BISTOCHASTIC_TOL:.0e}")
+        raise NotStochastic(f"composed matrix has row-sum defect {row_defect:.3e} > {BISTOCHASTIC_TOL:.0e}")
     return b
 
 

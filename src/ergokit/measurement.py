@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegeneratePovm, DimensionMismatch, PreconditionFailed, ZeroMass
-from .linalg import adjoint, as_matrix, diagonal_in_basis, max_abs, require_hermitian, require_unitary, unchecked
+from .errors import DegeneratePovm, DimensionMismatch, InvalidPovm, NotStochastic, PreconditionFailed, ZeroMass
+from .linalg import as_matrix, diagonal_in_basis, hermitian_part, max_abs, operator_in_basis, require_hermitian, require_unitary, unchecked
 from .states import DensityMatrix, Hamiltonian, RandomSource
 
 ELEMENT_PSD_TOL = -1e-10
@@ -41,10 +41,10 @@ class StochasticMatrix:
         if m.shape[0] < 1 or m.shape[1] < 1:
             raise DimensionMismatch(f"stochastic matrix must be at least 1x1, got {m.shape}")
         if float(np.min(m)) < 0.0:
-            raise ValueError(f"stochastic matrix has negative entry {float(np.min(m)):.3e}")
+            raise NotStochastic(f"stochastic matrix has negative entry {float(np.min(m)):.3e}")
         col_defect = max_abs(m.sum(axis=0) - 1.0)
         if col_defect > COLUMN_SUM_TOL:
-            raise ValueError(f"column sums deviate from 1 by {col_defect:.3e} > {COLUMN_SUM_TOL:.0e}")
+            raise NotStochastic(f"column sums deviate from 1 by {col_defect:.3e} > {COLUMN_SUM_TOL:.0e}")
         row_defect = max_abs(m.sum(axis=1) - 1.0)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "bistochastic", bool(row_defect <= ROW_SUM_TOL))
@@ -84,20 +84,20 @@ class Povm:
             if e.shape != (d, d):
                 raise DimensionMismatch(f"element {k} has shape {e.shape}, expected {(d, d)}")
         stacked = np.stack(mats)
-        lows = np.linalg.eigvalsh((stacked + np.conj(np.swapaxes(stacked, 1, 2))) / 2.0)[:, 0]
+        lows = np.linalg.eigvalsh(hermitian_part(stacked))[:, 0]
         k = int(np.argmin(lows))
         if float(lows[k]) < ELEMENT_PSD_TOL:
-            raise ValueError(f"POVM element {k} has eigenvalue {float(lows[k]):.3e} below {ELEMENT_PSD_TOL:.0e}")
+            raise InvalidPovm(f"POVM element {k} has eigenvalue {float(lows[k]):.3e} below {ELEMENT_PSD_TOL:.0e}")
         volumes = np.trace(stacked, axis1=1, axis2=2).real
         k = int(np.argmin(volumes))
         if float(volumes[k]) < ZERO_ELEMENT_TOL:
-            raise ValueError(f"POVM element {k} is (numerically) the zero operator")
+            raise DegeneratePovm(f"POVM element {k} is (numerically) the zero operator")
         defect = max_abs(stacked.sum(axis=0) - np.eye(d))
         if defect > COMPLETENESS_TOL:
-            raise ValueError(f"POVM elements sum to identity within {defect:.3e} > {COMPLETENESS_TOL:.0e}")
+            raise InvalidPovm(f"POVM elements sum to identity within {defect:.3e} > {COMPLETENESS_TOL:.0e}")
         labels = self.labels if self.labels is not None else tuple(range(1, len(mats) + 1))
         if len(labels) != len(mats):
-            raise ValueError(f"{len(labels)} labels for {len(mats)} elements")
+            raise InvalidPovm(f"{len(labels)} labels for {len(mats)} elements")
         object.__setattr__(self, "elements", mats)
         object.__setattr__(self, "labels", tuple(labels))
 
@@ -162,7 +162,7 @@ class BasisMeasurement:
     @cached_property
     def elements(self) -> tuple:
         """Element matrices, built on first access."""
-        return tuple((self.basis * self.post[:, np.newaxis, :]) @ adjoint(self.basis))
+        return tuple(operator_in_basis(self.basis, self.post))
 
     def is_fine_grained(self, tol: float = 1e-9) -> bool:
         """True when every element is (numerically) a rank-1 projector: each row of post is a unit vector."""
@@ -213,8 +213,7 @@ def post_process(p: Povm | BasisMeasurement, d: StochasticMatrix) -> Povm | Basi
     labels = tuple(int(i) + 1 for i in kept)
     if isinstance(p, BasisMeasurement):
         return unchecked(BasisMeasurement, basis=p.basis, post=(d.entries @ p.post)[kept], labels=labels)
-    dim = p.dim
-    mixed = (d.entries[kept] @ np.stack(p.elements).reshape(p.n_outcomes, dim * dim)).reshape(-1, dim, dim)
+    mixed = (d.entries[kept] @ np.stack(p.elements).reshape(p.n_outcomes, -1)).reshape(-1, p.dim, p.dim)
     return unchecked(Povm, elements=tuple(mixed), labels=labels)
 
 
@@ -232,19 +231,30 @@ def outcome_distribution(rho: DensityMatrix, m: Povm | BasisMeasurement) -> np.n
     if rho.dim != m.dim:
         raise DimensionMismatch(f"state is {rho.dim}-dimensional but measurement is {m.dim}-dimensional")
     if isinstance(m, BasisMeasurement):
-        p = m.post @ diagonal_in_basis(rho.op, m.basis)
-    else:
-        p = np.einsum("ij,kji->k", rho.op, np.stack(m.elements)).real
-    return np.clip(p, 0.0, None)
+        return np.clip(m.post @ diagonal_in_basis(rho.op, m.basis), 0.0, None)
+    return born_probabilities(rho.op, np.stack(m.elements))
+
+
+def born_probabilities(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """tr(rho M_k), clipped of negative roundoff, for elements stacked as (..., k, d, d); leading axes are a batch."""
+    flat = elements.reshape(*elements.shape[:-2], -1)
+    return np.clip((flat @ np.swapaxes(rho, -1, -2).reshape(*flat.shape[:-2], -1, 1))[..., 0].real, 0.0, None)
+
+
+def estimate_spectrum(post: np.ndarray, populations: np.ndarray) -> np.ndarray:
+    """Spectrum D^T (D p / D 1) of the estimate from a basis measurement (U, D) given
+    p = diag(U^dag rho U), with D p clipped of negative roundoff (Lemma 1). Leading axes are a batch."""
+    probs = np.clip((post @ populations[..., np.newaxis])[..., 0], 0.0, None)
+    return (np.swapaxes(post, -1, -2) @ (probs / post.sum(axis=-1))[..., np.newaxis])[..., 0]
 
 
 def coarse_grained_state(rho: DensityMatrix, m: Povm | BasisMeasurement) -> DensityMatrix:
     """Maximum-ignorance estimate sum_i p_i M_i / V_i of rho given one round
     of outcome statistics from m. For a basis measurement (U, D) this is
-    U diag(D^T (p / D 1)) U^dag (Lemma 1), whose spectrum needs no eigensolve."""
+    U diag(estimate_spectrum(D, p)) U^dag, whose spectrum needs no eigensolve."""
+    if isinstance(m, BasisMeasurement) and rho.dim == m.dim:  # a mismatch raises below
+        return DensityMatrix._in_basis(m.basis, estimate_spectrum(m.post, diagonal_in_basis(rho.op, m.basis)))
     weights = outcome_distribution(rho, m) / m.volumes
-    if isinstance(m, BasisMeasurement):
-        return DensityMatrix._in_basis(m.basis, m.post.T @ weights)
     return DensityMatrix(np.tensordot(weights, np.stack(m.elements), axes=1))
 
 

@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidRank, NoConvergence, PreconditionFailed
-from .linalg import EigenDecomposition, adjoint, diagonal_in_basis, eig_hermitian, require_hermitian, unchecked
+from .errors import DimensionMismatch, InvalidRank, InvalidState, NoConvergence, PreconditionFailed
+from .linalg import EigenDecomposition, adjoint, diagonal_in_basis, eig_hermitian, hermitian_part
+from .linalg import operator_in_basis, require_hermitian, unchecked
 
 # Eigenvalues of a state may dip this far below zero before it is rejected.
 PSD_TOL = -1e-10
@@ -25,9 +26,9 @@ class RandomSource:
     """Deterministic, splittable random stream.
 
     The same (seed, path of splits) yields the same samples on every
-    platform. ``split(i)`` derives an independent child stream, so audits can
-    hand stream i to trial i and get identical results whether the trials run
-    serially or in parallel.
+    platform. ``split(i)`` derives an independent child stream, so audits
+    hand stream i to trial i and get identical results for any chunking of
+    the trials.
     """
 
     def __init__(self, seed: int, _key: tuple[int, ...] = ()):
@@ -66,22 +67,15 @@ class DensityMatrix:
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = require_hermitian(self.op, what="density matrix")
-        mat = (mat + adjoint(mat)) / 2.0
-        tr = float(np.trace(mat).real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace is {tr!r}, expected 1 within {TRACE_TOL:.0e}")
-        w = np.linalg.eigvalsh(mat)
-        if float(w[0]) < PSD_TOL:
-            raise ValueError(f"density matrix has eigenvalue {float(w[0]):.3e} below {PSD_TOL:.0e}")
+        mat = hermitian_part(require_hermitian(self.op, what="density matrix"))
+        object.__setattr__(self, "eigenvalues", state_spectrum(mat))
         object.__setattr__(self, "op", mat)
-        object.__setattr__(self, "eigenvalues", w)
 
     @classmethod
     def _in_basis(cls, basis: np.ndarray, spectrum: np.ndarray) -> "DensityMatrix":
         """basis diag(spectrum) basis^dag, for a unitary and a probability vector
         the package computed itself: neither validated nor eigensolved again."""
-        return unchecked(cls, op=(basis * spectrum) @ adjoint(basis), eigenvalues=np.sort(spectrum))
+        return unchecked(cls, op=operator_in_basis(basis, spectrum), eigenvalues=np.sort(spectrum))
 
     @property
     def dim(self) -> int:
@@ -93,6 +87,17 @@ class DensityMatrix:
 
     def eig(self) -> EigenDecomposition:
         return eig_hermitian(self.op)
+
+
+def state_spectrum(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix (or each in a stack); InvalidState unless unit trace and PSD."""
+    defect = float(np.max(np.abs(np.trace(mat, axis1=-2, axis2=-1).real - 1.0)))
+    if defect > TRACE_TOL:
+        raise InvalidState(f"density matrix trace deviates from 1 by {defect:.3e} > {TRACE_TOL:.0e}")
+    w = np.linalg.eigvalsh(mat)
+    if float(np.min(w[..., 0])) < PSD_TOL:
+        raise InvalidState(f"density matrix has eigenvalue {float(np.min(w[..., 0])):.3e} below {PSD_TOL:.0e}")
+    return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,43 +150,48 @@ def dephase(rho: DensityMatrix, h: Hamiltonian) -> DensityMatrix:
 
 
 def haar_unitary(d: int, rng: RandomSource) -> np.ndarray:
-    """Haar-distributed d x d unitary (complex Ginibre, then QR with the
-    R-diagonal phases absorbed into Q)."""
+    """Haar-distributed d x d unitary from a complex Ginibre draw."""
     if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    z = rng.complex_normal((d, d))
+        raise PreconditionFailed(f"dimension must be positive, got {d}")
+    return haar_from_ginibre(rng.complex_normal((d, d)))
+
+
+def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Q of z = QR with R's diagonal phases absorbed: Haar for a Ginibre z. Leading axes are a batch."""
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    phases = diag / np.abs(diag)
-    return q * phases
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., np.newaxis, :]
+
+
+def ginibre_state(g: np.ndarray) -> np.ndarray:
+    """Hermitian part of G G^dag / tr(G G^dag) for a d x rank matrix G, or each in a stack."""
+    rho = g @ adjoint(g)
+    return hermitian_part(rho / np.trace(rho, axis1=-2, axis2=-1).real[..., np.newaxis, np.newaxis])
 
 
 def random_density(d: int, rank: int, rng: RandomSource) -> DensityMatrix:
-    """Hilbert-Schmidt-style random state: G G^dag / tr(G G^dag) with G a
-    d x rank complex Gaussian matrix."""
+    """Hilbert-Schmidt-style random state: ``ginibre_state`` of a d x rank complex Gaussian matrix."""
     if not 1 <= rank <= d:
         raise InvalidRank(f"rank must satisfy 1 <= rank <= {d}, got {rank}")
-    g = rng.complex_normal((d, rank))
-    rho = g @ adjoint(g)
-    return DensityMatrix(rho / np.trace(rho).real)
+    return DensityMatrix(ginibre_state(rng.complex_normal((d, rank))))
 
 
-def random_hamiltonian(d: int, rng: RandomSource, min_gap: float = 0.0) -> Hamiltonian:
-    """Random observable: sorted uniform [0,1] eigenvalues conjugated by a
-    Haar unitary. With ``min_gap`` > 0, resamples until all level spacings
-    exceed the gap (needed wherever non-degeneracy is assumed), at most
-    MAX_GAP_DRAWS times."""
+def random_levels(d: int, rng: RandomSource, min_gap: float = 0.0) -> np.ndarray:
+    """Sorted uniform [0,1] energy levels. With ``min_gap`` > 0, resamples until all spacings
+    reach the gap (needed wherever non-degeneracy is assumed), at most MAX_GAP_DRAWS times."""
     if d >= 2 and min_gap > 1.0 / (d - 1):
         raise PreconditionFailed(f"{d} levels in [0, 1] cannot all be {min_gap!r} apart (at most {1.0 / (d - 1)!r})")
     for _ in range(MAX_GAP_DRAWS):
         levels = np.sort(rng.uniform(d))
         if min_gap <= 0.0 or d < 2 or float(np.min(np.diff(levels))) >= min_gap:
-            break
-    else:
-        raise NoConvergence(f"no level spacing of {min_gap!r} in {MAX_GAP_DRAWS} draws of {d} levels")
-    u = haar_unitary(d, rng)
-    mat = (u * levels) @ adjoint(u)
-    return Hamiltonian((mat + adjoint(mat)) / 2.0)
+            return levels
+    raise NoConvergence(f"no level spacing of {min_gap!r} in {MAX_GAP_DRAWS} draws of {d} levels")
+
+
+def random_hamiltonian(d: int, rng: RandomSource, min_gap: float = 0.0) -> Hamiltonian:
+    """Random observable: ``random_levels`` conjugated by a Haar unitary."""
+    levels = random_levels(d, rng, min_gap)
+    return Hamiltonian(hermitian_part(operator_in_basis(haar_unitary(d, rng), levels)))
 
 
 def pure_state(vec) -> DensityMatrix:
@@ -189,7 +199,7 @@ def pure_state(vec) -> DensityMatrix:
     v = np.asarray(vec, dtype=complex).reshape(-1)
     norm = np.linalg.norm(v)
     if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
+        raise InvalidState("cannot normalize the zero vector")
     v = v / norm
     return DensityMatrix(np.outer(v, np.conj(v)))
 

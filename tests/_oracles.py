@@ -1,11 +1,29 @@
 """Independent oracles used by the tests.
 
-These deliberately avoid the package's own code paths: the minimum-energy
-oracle minimizes over explicitly sampled unitaries instead of using the
-sorted closed form.
+The minimum-energy oracle deliberately avoids the package's own code paths:
+it minimizes over explicitly sampled unitaries instead of using the sorted
+closed form. The per-trial audit oracles are the reference implementation
+of each claim: one trial at a time through the public object API
+(validated states, Hamiltonians and measurements), against which the
+batched audit engine is checked trial by trial.
 """
 
 import numpy as np
+
+from ergokit.audits import IDENTITY_TOL, MIN_ENERGY_GAP
+from ergokit.ergotropy import ergotropy, incoherent_ergotropy, observational_ergotropy, passive_energy_of_spectrum
+from ergokit.linalg import eig_hermitian, max_abs, unchecked
+from ergokit.majorization import bistochastic_from_unitary, majorization_deficit, refinement_bistochastic
+from ergokit.measurement import (
+    FineGrainedMeasurement,
+    Povm,
+    coarse_grained_state,
+    energy_incoherent,
+    outcome_distribution,
+    post_process,
+    random_column_stochastic,
+)
+from ergokit.states import haar_unitary, random_density, random_hamiltonian
 
 
 def sampled_min_energy(rho_op, h_op, samples, seed, batch=2000):
@@ -32,3 +50,98 @@ def qubit_sweep_closed_form(b):
     """Observational ergotropy of the diag(1/4, 3/4) / diag(0, 1) instance
     after folding the two computational outcomes together at rate b."""
     return ((3.0 + b) / 4.0) * (1.0 / (1.0 + b)) - 0.25
+
+
+# --- per-trial audit oracles ----------------------------------------------
+# Each takes the audit configuration and the trial's own random stream and
+# returns (margin, violated, ratio); ratio is the sampled share of full
+# ergotropy for theorem3 (None when undefined or for other claims).
+
+def monotonicity_trial(cfg, rng):
+    """Coarsening a fine-grained measurement must not raise observational
+    ergotropy."""
+    d = cfg.dimension
+    rho = random_density(d, cfg.effective_rank, rng)
+    h = random_hamiltonian(d, rng)
+    fine = FineGrainedMeasurement.from_basis(haar_unitary(d, rng))
+    dmat = random_column_stochastic(cfg.outcomes, d, rng)
+    coarse = post_process(fine, dmat)
+    margin = observational_ergotropy(rho, h, coarse) - observational_ergotropy(rho, h, fine)
+    return margin, margin > cfg.tolerance, None
+
+
+def incoherent_limit_trial(cfg, rng):
+    """The projective energy measurement attains exactly the incoherent
+    ergotropy, and no energy-incoherent measurement beats it."""
+    d = cfg.dimension
+    h = random_hamiltonian(d, rng, min_gap=MIN_ENERGY_GAP)
+    rho = random_density(d, cfg.effective_rank, rng)
+    r_inc = incoherent_ergotropy(rho, h)
+    energy_basis = FineGrainedMeasurement.from_basis(h.eigenbasis)
+    equality_gap = abs(observational_ergotropy(rho, h, energy_basis) - r_inc)
+    q = random_column_stochastic(cfg.outcomes, d, rng)
+    bound_margin = observational_ergotropy(rho, h, energy_incoherent(h, q)) - r_inc
+    margin = max(equality_gap, bound_margin)
+    return margin, margin > cfg.tolerance, None
+
+
+def fine_grained_optimum_trial(cfg, rng):
+    """Measuring in the state's own eigenbasis attains full ergotropy; no
+    fine-grained measurement exceeds it."""
+    d = cfg.dimension
+    rho = random_density(d, cfg.effective_rank, rng)
+    h = random_hamiltonian(d, rng)
+    r_full = ergotropy(rho, h)
+    own_basis = FineGrainedMeasurement.from_basis(eig_hermitian(rho.op).eigenvectors)
+    equality_gap = abs(observational_ergotropy(rho, h, own_basis) - r_full)
+    sampled = FineGrainedMeasurement.from_basis(haar_unitary(d, rng))
+    r_sampled = observational_ergotropy(rho, h, sampled)
+    bound_margin = r_sampled - r_full
+    ratio = r_sampled / r_full if r_full > 1e-12 else None
+    margin = max(equality_gap, bound_margin)
+    return margin, margin > cfg.tolerance, ratio
+
+
+def spectrum_majorization_trial(cfg, rng):
+    """Coarse-graining only mixes the estimate's spectrum: the fine spectrum
+    majorizes the coarse one, the linking matrix is bistochastic, and it maps
+    the fine outcome distribution onto the coarse spectrum."""
+    d = cfg.dimension
+    rho = random_density(d, cfg.effective_rank, rng)
+    fine = FineGrainedMeasurement.from_basis(haar_unitary(d, rng))
+    dmat = random_column_stochastic(cfg.outcomes, d, rng)
+    coarse = post_process(fine, dmat)
+    spec_fine = coarse_grained_state(rho, fine).spectrum()
+    # Checked against the element matrices' estimate, not the Lemma 1 kernel.
+    dense = unchecked(Povm, elements=coarse.elements, labels=coarse.labels)
+    spec_coarse = coarse_grained_state(rho, dense).spectrum()
+    deficit = majorization_deficit(spec_fine, spec_coarse, pad=True)
+    b = refinement_bistochastic(fine, dmat)
+    bisto_residual = max(max_abs(b.entries.sum(axis=0) - 1.0), max_abs(b.entries.sum(axis=1) - 1.0))
+    mu = np.sort(b.entries @ outcome_distribution(rho, fine))
+    mapped_residual = max_abs(mu - np.sort(spec_coarse))
+    margin = max(deficit, bisto_residual, mapped_residual)
+    violated = deficit > cfg.tolerance or bisto_residual > IDENTITY_TOL or mapped_residual > IDENTITY_TOL
+    return margin, violated, None
+
+
+def schur_concavity_trial(cfg, rng):
+    """Mixing a spectrum with a bistochastic matrix cannot lower its passive
+    energy."""
+    d = cfg.dimension
+    h = random_hamiltonian(d, rng)
+    x = rng.exponential(d)
+    x = x / x.sum()
+    b = bistochastic_from_unitary(haar_unitary(d, rng))
+    y = b.entries @ x
+    margin = passive_energy_of_spectrum(h, x) - passive_energy_of_spectrum(h, y)
+    return margin, margin > cfg.tolerance, None
+
+
+TRIAL_ORACLES = {
+    "theorem1": monotonicity_trial,
+    "theorem2": incoherent_limit_trial,
+    "theorem3": fine_grained_optimum_trial,
+    "lemma1": spectrum_majorization_trial,
+    "schur": schur_concavity_trial,
+}

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ergokit import audits, states
 from ergokit.audits import (
     CLAIM_AUDITS,
     AuditConfig,
@@ -15,10 +16,12 @@ from ergokit.audits import (
     run_all,
     run_audit,
 )
-from ergokit.errors import InvalidClaim, InvalidConfig
+from ergokit.errors import InvalidClaim, InvalidConfig, InvalidState, NotUnitary
 from ergokit.ergotropy import observational_ergotropy
 from ergokit.measurement import StochasticMatrix, computational_basis, post_process
-from ergokit.states import diagonal_hamiltonian, diagonal_state
+from ergokit.states import RandomSource, diagonal_hamiltonian, diagonal_state
+
+from _oracles import TRIAL_ORACLES
 
 CFG_SMALL = AuditConfig(dimension=3, outcomes=4, trials=100, seed=7)
 
@@ -167,3 +170,86 @@ def test_result_serialization():
     assert doc["max_sampled_ratio"] == 0.9
     assert "wall_time_s" not in doc
     assert result.to_csv_row() == "schur,10,0,-0.0015"
+
+
+# --- batched engine against the per-trial oracles ----------------------------
+
+EVALUATORS = {
+    "theorem1": audits._monotonicity,
+    "theorem2": audits._incoherent_limit,
+    "theorem3": audits._fine_grained_optimum,
+    "lemma1": audits._spectrum_majorization,
+    "schur": audits._schur_concavity,
+}
+EPS = np.finfo(float).eps
+# (d, rank, n): rank 1 and full rank, n below and above d (n = d = 1 at d = 1)
+ENGINE_CASES = [(d, rank, n) for d in (1, 2, 3, 8) for rank in sorted({1, d})
+                for n in sorted({max(1, d - 1), d + 2})]
+
+
+def per_trial_bytes(cfg):
+    """The engine's byte count of one trial (see audits.CHUNK_BYTES)."""
+    return 16 * cfg.dimension ** 2 * (cfg.outcomes + 8)
+
+
+def engine_trials(claim, cfg):
+    """Chunk starts and per-trial margins, violation flags and extras."""
+    chunks = list(audits._chunks(claim, cfg, EVALUATORS[claim]))
+    columns = [np.concatenate(column) for column in zip(*(chunk[1:] for chunk in chunks))]
+    return [chunk[0] for chunk in chunks], columns
+
+
+def oracle_trials(claim, cfg, trials=None):
+    root = RandomSource(cfg.seed).split(audits._CLAIM_INDEX[claim])
+    return [TRIAL_ORACLES[claim](cfg, root.split(t)) for t in (trials if trials is not None else range(cfg.trials))]
+
+
+@pytest.mark.parametrize("claim", list(CLAIM_AUDITS))
+@pytest.mark.parametrize("d, rank, n", ENGINE_CASES)
+def test_engine_matches_oracle_for_any_chunking(monkeypatch, claim, d, rank, n):
+    cfg = AuditConfig(dimension=d, outcomes=n, rank=rank, trials=16, seed=100 * d + 10 * rank + n)
+    runs = {}
+    for size in (1, 7, cfg.trials):
+        monkeypatch.setattr(audits, "CHUNK_BYTES", size * per_trial_bytes(cfg))
+        starts, runs[size] = engine_trials(claim, cfg)
+        assert starts == list(range(0, cfg.trials, size))
+    for size in (7, cfg.trials):
+        for column, reference in zip(runs[size], runs[1]):
+            assert np.array_equal(column, reference)  # bitwise, whatever the chunking
+    margins, violated, *extras = runs[1]
+    expected = oracle_trials(claim, cfg)
+    tol = 16 * d * EPS  # times max(1, max|E|), which is 1: random_levels lie in [0, 1]
+    np.testing.assert_allclose(margins, [m for m, _, _ in expected], rtol=0.0, atol=tol)
+    assert int(np.count_nonzero(violated)) == sum(bool(v) for _, v, _ in expected)
+    if claim == "theorem3":
+        ratios = [r for _, _, r in expected if r is not None]
+        np.testing.assert_allclose(extras[0], ratios, rtol=tol, atol=0.0)
+
+
+@pytest.mark.parametrize("claim", list(CLAIM_AUDITS))
+def test_worst_trial_replays_through_the_oracle(claim):
+    cfg = AuditConfig(dimension=3, outcomes=4, trials=60, seed=21)
+    result = run_audit(claim, cfg)
+    _, (margins, _, *_) = engine_trials(claim, cfg)
+    assert result.worst_trial == int(np.argmax(margins))  # the first trial attaining the maximum
+    (replayed, _, _), = oracle_trials(claim, cfg, [result.worst_trial])
+    assert replayed == pytest.approx(result.worst_margin, rel=0.0, abs=16 * 3 * EPS)
+    assert json.loads(json.dumps(result.to_json_dict()))["worst_trial"] == result.worst_trial
+
+
+def test_large_dimension_runs_one_trial_per_chunk():
+    cfg = AuditConfig(dimension=64, outcomes=64, trials=2, seed=0)
+    starts, _ = engine_trials("theorem1", cfg)
+    assert starts == [0, 1]
+
+
+def test_sampled_states_are_validated(monkeypatch):
+    monkeypatch.setattr(audits, "ginibre_state", lambda g: 2.0 * states.ginibre_state(g))
+    with pytest.raises(InvalidState):
+        run_audit("theorem1", CFG_SMALL)
+
+
+def test_sampled_haar_stacks_are_checked(monkeypatch):
+    monkeypatch.setattr(audits, "haar_from_ginibre", lambda z: 2.0 * states.haar_from_ginibre(z))
+    with pytest.raises(NotUnitary):
+        run_audit("lemma1", CFG_SMALL)

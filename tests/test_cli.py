@@ -309,3 +309,33 @@ def test_inconsistent_report_exits_2(qubit_file, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "ergotropy must equal" in err
+
+
+def large_scale_instance(seed, asymmetry=0.0):
+    """d = 16 instance whose Hamiltonian 1e7 U diag(E) U^dag is written
+    without symmetrising, plus ``asymmetry`` in one off-diagonal entry."""
+    import numpy as np
+
+    from ergokit.instances import matrix_to_json
+    from ergokit.linalg import adjoint, max_abs
+    from ergokit.states import RandomSource, haar_unitary, random_density
+
+    rng = RandomSource(seed)
+    u = haar_unitary(16, rng)
+    h = (u * (1e7 * np.sort(rng.uniform(16)))) @ adjoint(u)
+    assert max_abs(h - adjoint(h)) > 1e-10  # roundoff alone exceeds an absolute 1e-10
+    h[0, 1] += asymmetry
+    return {"dimension": 16, "hamiltonian": matrix_to_json(h), "state": matrix_to_json(random_density(16, 16, rng).op)}
+
+
+def test_large_scale_hamiltonian_with_roundoff_asymmetry_loads(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "report", write_instance(tmp_path, large_scale_instance(0)))
+    assert code == 0, err
+    assert json.loads(out)["d"] == 16
+
+
+def test_large_scale_non_hermitian_hamiltonian_is_rejected(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "report", write_instance(tmp_path, large_scale_instance(0, asymmetry=10.0)))
+    assert code == 2
+    assert out == ""
+    assert "hamiltonian" in err and "not Hermitian" in err

@@ -3,7 +3,16 @@ import pytest
 
 from ergokit import linalg
 from ergokit.errors import NotHermitian, NotUnitary
-from ergokit.linalg import adjoint, diagonal_in_basis, eig_hermitian, max_abs, require_unitary
+from ergokit.linalg import (
+    adjoint,
+    diagonal_in_basis,
+    eig_hermitian,
+    hermitian_part,
+    max_abs,
+    operator_in_basis,
+    require_hermitian,
+    require_unitary,
+)
 from ergokit.states import RandomSource, haar_unitary
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -107,3 +116,33 @@ def test_diagonal_in_basis_matches_explicit_product():
 def test_as_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         linalg.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_hermiticity_tolerance_is_relative_to_scale():
+    # max |A - A^dag| is compared with HERMITICITY_TOL * max(1, max |A|)
+    unit = PAULI_X.copy()
+    unit[0, 1] += 5e-10
+    with pytest.raises(NotHermitian):
+        require_hermitian(unit)
+    large = 1e7 * PAULI_X
+    large[0, 1] += 5e-10  # roundoff-sized at this scale
+    np.testing.assert_array_equal(require_hermitian(large), large)
+    large[0, 1] += 10.0  # a relative asymmetry of 1e-6
+    with pytest.raises(NotHermitian):
+        require_hermitian(large)
+
+
+def test_batched_helpers_match_one_matrix_at_a_time():
+    rng = RandomSource(6)
+    basis = np.stack([haar_unitary(3, rng.split(k)) for k in range(5)])
+    values = rng.uniform((5, 3))
+    ops = operator_in_basis(basis, values)
+    for k in range(5):
+        np.testing.assert_array_equal(ops[k], operator_in_basis(basis[k], values[k]))
+        np.testing.assert_array_equal(adjoint(ops)[k], adjoint(ops[k]))
+        np.testing.assert_array_equal(hermitian_part(ops)[k], hermitian_part(ops[k]))
+        np.testing.assert_array_equal(diagonal_in_basis(ops, basis)[k], diagonal_in_basis(ops[k], basis[k]))
+    np.testing.assert_allclose(diagonal_in_basis(ops, basis), values, atol=1e-14)
+    np.testing.assert_array_equal(require_unitary(basis, stack=True), basis)
+    with pytest.raises(NotUnitary):
+        require_unitary(2.0 * basis, stack=True)
