@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentReport
-from .linalg import adjoint, eig_hermitian
+from .linalg import adjoint
 from .measurement import BasisMeasurement, Povm, coarse_grained_state
 from .states import DensityMatrix, Hamiltonian, _check_same_dim, dephase, mean_energy
 
@@ -99,10 +99,10 @@ def passive_state(rho: DensityMatrix, h: Hamiltonian) -> tuple[DensityMatrix, np
     the tie-broken representative is returned (ties keep their ascending order).
     """
     _check_same_dim(rho, h)
-    dec = eig_hermitian(rho.op)
-    order = np.argsort(-dec.eigenvalues, kind="stable")
+    values, vectors = rho.eig()
+    order = np.argsort(-values, kind="stable")
     w = h.eigenbasis
-    return DensityMatrix._in_basis(w, dec.eigenvalues[order]), w @ adjoint(dec.eigenvectors[:, order])
+    return DensityMatrix._in_basis(w, values[order]), w @ adjoint(vectors[:, order])
 
 
 def ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:

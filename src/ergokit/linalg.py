@@ -1,13 +1,12 @@
 """Dense complex linear algebra for operators up to a few hundred dimensions.
 
 Everything downstream (states, measurements, work quantities) goes through
-the handful of primitives here, so the tolerances are centralized in this
-module and treated as read-only constants.
+the handful of primitives here. Each module keeps the tolerances of the
+objects it validates as read-only constants; the Hermiticity and unitarity
+tolerances live here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,8 +14,6 @@ from .errors import DimensionMismatch, NoConvergence, NonFinite, NotHermitian, N
 
 # Max-entry tolerance on |A - A^dag| / max(1, max |A|) for an input to count as Hermitian.
 HERMITICITY_TOL = 1e-10
-# Max-entry tolerance on reconstruction/unitarity residuals of eigendecompositions.
-RESIDUAL_TOL = 1e-9
 # Max-entry tolerance on |A^dag A - I| for an input to count as unitary.
 UNITARY_TOL = 1e-10
 
@@ -47,12 +44,12 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + adjoint(a)) / 2.0
 
 
-def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL, what: str = "matrix") -> np.ndarray:
-    """Coerce to a square matrix with max |A - A^dag| <= tol * max(1, max |A|)."""
+def require_hermitian(a: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Coerce to a square matrix with max |A - A^dag| <= HERMITICITY_TOL * max(1, max |A|)."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got {a.shape}")
-    defect = max_abs(a - adjoint(a))
+    defect, tol = max_abs(a - adjoint(a)), HERMITICITY_TOL
     if defect > tol and defect > tol * max_abs(a):  # the scale is read only when the defect exceeds tol
         raise NotHermitian(f"{what} is not Hermitian: max |A - A^dag| = {defect:.3e} > {tol * max(1.0, max_abs(a)):.1e}")
     return a
@@ -91,26 +88,12 @@ def unchecked(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Spectral data of a Hermitian matrix: real ascending eigenvalues, with
-    column k of `eigenvectors` the unit eigenvector of eigenvalue k. LAPACK
-    orders degenerate eigenvalues deterministically, so sorted quantities
-    are reproducible run to run."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eig_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
-    """Full eigendecomposition of a matrix that is Hermitian within `tol`
-    (see require_hermitian). Its exact Hermitian part is decomposed, so that
-    roundoff in the input cannot leak into complex eigenvalues; eigh returns
-    the eigenvalues in ascending order."""
-    a = require_hermitian(a, tol=tol)
+def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a Hermitian matrix the package has
+    already validated, as np.linalg.eigh returns them: ascending, with
+    column k the unit eigenvector of eigenvalue k. LAPACK orders degenerate
+    eigenvalues deterministically, so sorted quantities repeat run to run."""
     try:
-        w, v = np.linalg.eigh(hermitian_part(a))
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is pathological
         raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
-

@@ -13,11 +13,10 @@ import numpy as np
 from .errors import LengthMismatch, NotStochastic, NotUnitary, PreconditionFailed
 from .ergotropy import passive_energy_of_spectrum
 from .linalg import max_abs, require_unitary
-from .measurement import BasisMeasurement, Povm, StochasticMatrix, refine_distribution
+from .measurement import ROW_SUM_TOL, BasisMeasurement, Povm, StochasticMatrix, refine_distribution
 from .states import Hamiltonian
 
 MAJORIZATION_TOL = 1e-9
-BISTOCHASTIC_TOL = 1e-10
 
 
 def prob_vector(x) -> np.ndarray:
@@ -36,16 +35,16 @@ def _padded_pair(x: np.ndarray, y: np.ndarray, pad: bool) -> tuple[np.ndarray, n
     if x.shape[-1] == y.shape[-1]:
         return x, y
     if not pad:
-        raise LengthMismatch(f"vectors have lengths {x.shape[0]} and {y.shape[0]}; pass pad=True to zero-pad")
-    n = max(x.shape[0], y.shape[0])
-    return np.pad(x, (0, n - x.shape[0])), np.pad(y, (0, n - y.shape[0]))
+        raise LengthMismatch(f"vectors have lengths {x.shape[-1]} and {y.shape[-1]}; pass pad=True to zero-pad")
+    n = max(x.shape[-1], y.shape[-1])
+    return tuple(np.pad(v, [(0, 0)] * (v.ndim - 1) + [(0, n - v.shape[-1])]) for v in (x, y))
 
 
 def majorization_deficit(x, y, pad: bool = False) -> float | np.ndarray:
     """Largest amount by which a descending partial sum of y exceeds the
     matching partial sum of x (positive means x does not majorize y),
-    including the total-sum disagreement. Leading axes of equal-length
-    inputs are a batch."""
+    including the total-sum disagreement. Leading axes are a batch; with
+    pad=True the shorter last axis is zero-padded."""
     xv, yv = _padded_pair(np.asarray(x, dtype=float), np.asarray(y, dtype=float), pad)
     cx = np.cumsum(np.sort(xv, axis=-1)[..., ::-1], axis=-1)
     cy = np.cumsum(np.sort(yv, axis=-1)[..., ::-1], axis=-1)
@@ -79,7 +78,7 @@ def refinement_bistochastic(p: Povm | BasisMeasurement, d: StochasticMatrix) -> 
     b = StochasticMatrix(q.entries @ d.entries)
     if not b.bistochastic:
         row_defect = max_abs(b.entries.sum(axis=1) - 1.0)
-        raise NotStochastic(f"composed matrix has row-sum defect {row_defect:.3e} > {BISTOCHASTIC_TOL:.0e}")
+        raise NotStochastic(f"composed matrix has row-sum defect {row_defect:.3e} > {ROW_SUM_TOL:.0e}")
     return b
 
 

@@ -25,6 +25,8 @@ COMPLETENESS_TOL = 1e-9
 ZERO_ELEMENT_TOL = 1e-12
 COLUMN_SUM_TOL = 1e-12
 ROW_SUM_TOL = 1e-10
+# Max-entry distance from a rank-1 projector for an element to count as fine-grained.
+FINE_GRAINED_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,12 +116,12 @@ class Povm:
         """Trace of each element: the dimension-weight of its maximum-ignorance ensemble."""
         return np.trace(np.stack(self.elements), axis1=1, axis2=2).real
 
-    def is_fine_grained(self, tol: float = 1e-9) -> bool:
+    def is_fine_grained(self) -> bool:
         """True when every element is (numerically) a rank-1 projector."""
         if self.n_outcomes != self.dim:
             return False
         w = np.linalg.eigvalsh(np.stack(self.elements))
-        return bool(max_abs(w[:, -1] - 1.0) <= tol and max_abs(w[:, :-1]) <= tol)
+        return bool(max_abs(w[:, -1] - 1.0) <= FINE_GRAINED_TOL and max_abs(w[:, :-1]) <= FINE_GRAINED_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,12 +166,12 @@ class BasisMeasurement:
         """Element matrices, built on first access."""
         return tuple(operator_in_basis(self.basis, self.post))
 
-    def is_fine_grained(self, tol: float = 1e-9) -> bool:
+    def is_fine_grained(self) -> bool:
         """True when every element is (numerically) a rank-1 projector: each row of post is a unit vector."""
         if self.n_outcomes != self.dim:
             return False
         rows = np.sort(self.post, axis=1)
-        return bool(max_abs(rows[:, -1] - 1.0) <= tol and max_abs(rows[:, :-1]) <= tol)
+        return bool(max_abs(rows[:, -1] - 1.0) <= FINE_GRAINED_TOL and max_abs(rows[:, :-1]) <= FINE_GRAINED_TOL)
 
 
 class FineGrainedMeasurement(BasisMeasurement):
@@ -185,16 +187,11 @@ def computational_basis(d: int) -> FineGrainedMeasurement:
     return FineGrainedMeasurement.from_basis(np.eye(d))
 
 
-def random_column_stochastic(n_out: int, n_in: int, rng: RandomSource, identity: bool = False) -> StochasticMatrix:
+def random_column_stochastic(n_out: int, n_in: int, rng: RandomSource) -> StochasticMatrix:
     """Sample each column uniformly on the probability simplex (normalized
-    exponential variates). ``identity=True`` short-circuits to the trivial
-    post-processing, which requires n_out == n_in."""
+    exponential variates)."""
     if n_out < 1 or n_in < 1:
         raise DimensionMismatch(f"stochastic matrix sizes must be positive, got {n_out}x{n_in}")
-    if identity:
-        if n_out != n_in:
-            raise DimensionMismatch(f"identity post-processing needs n_out == n_in, got {n_out}x{n_in}")
-        return StochasticMatrix.identity(n_out)
     cols = rng.exponential((n_out, n_in))
     return StochasticMatrix(cols / cols.sum(axis=0))
 

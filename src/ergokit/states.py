@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidRank, InvalidState, NoConvergence, PreconditionFailed
-from .linalg import EigenDecomposition, adjoint, diagonal_in_basis, eig_hermitian, hermitian_part
-from .linalg import operator_in_basis, require_hermitian, unchecked
+from .linalg import adjoint, diagonal_in_basis, eig_hermitian, hermitian_part, operator_in_basis, require_hermitian, unchecked
 
 # Eigenvalues of a state may dip this far below zero before it is rejected.
 PSD_TOL = -1e-10
@@ -85,7 +84,8 @@ class DensityMatrix:
         """Ascending eigenvalues, tiny negatives clipped to 0."""
         return np.clip(self.eigenvalues, 0.0, None)
 
-    def eig(self) -> EigenDecomposition:
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and the matching eigenvectors as columns."""
         return eig_hermitian(self.op)
 
 
@@ -102,29 +102,23 @@ def state_spectrum(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Hermitian observable with a cached ascending eigendecomposition."""
+    """Hermitian observable. Construction validates it and keeps its energies
+    (ascending) and eigenbasis (column k the eigenvector of energy k)."""
 
     op: np.ndarray
-    eig: EigenDecomposition = field(init=False, repr=False)
+    energies: np.ndarray = field(init=False, repr=False)
+    eigenbasis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = require_hermitian(self.op, what="Hamiltonian")
+        energies, basis = eig_hermitian(hermitian_part(mat))
         object.__setattr__(self, "op", mat)
-        object.__setattr__(self, "eig", eig_hermitian(mat))
+        object.__setattr__(self, "energies", energies)
+        object.__setattr__(self, "eigenbasis", basis)
 
     @property
     def dim(self) -> int:
         return self.op.shape[0]
-
-    @property
-    def energies(self) -> np.ndarray:
-        """Eigenvalues in ascending order."""
-        return self.eig.eigenvalues
-
-    @property
-    def eigenbasis(self) -> np.ndarray:
-        """Unitary whose column k is the eigenvector of the k-th smallest energy."""
-        return self.eig.eigenvectors
 
 
 def _check_same_dim(rho: DensityMatrix, h: Hamiltonian) -> None:
@@ -189,9 +183,11 @@ def random_levels(d: int, rng: RandomSource, min_gap: float = 0.0) -> np.ndarray
 
 
 def random_hamiltonian(d: int, rng: RandomSource, min_gap: float = 0.0) -> Hamiltonian:
-    """Random observable: ``random_levels`` conjugated by a Haar unitary."""
+    """Random observable: ``random_levels`` conjugated by a Haar unitary. It is
+    built from the levels and basis it drew, neither validated nor eigensolved."""
     levels = random_levels(d, rng, min_gap)
-    return Hamiltonian(hermitian_part(operator_in_basis(haar_unitary(d, rng), levels)))
+    basis = haar_unitary(d, rng)
+    return unchecked(Hamiltonian, op=hermitian_part(operator_in_basis(basis, levels)), energies=levels, eigenbasis=basis)
 
 
 def pure_state(vec) -> DensityMatrix:

@@ -92,7 +92,7 @@ def fine_grained_optimum_trial(cfg, rng):
     rho = random_density(d, cfg.effective_rank, rng)
     h = random_hamiltonian(d, rng)
     r_full = ergotropy(rho, h)
-    own_basis = FineGrainedMeasurement.from_basis(eig_hermitian(rho.op).eigenvectors)
+    own_basis = FineGrainedMeasurement.from_basis(eig_hermitian(rho.op)[1])
     equality_gap = abs(observational_ergotropy(rho, h, own_basis) - r_full)
     sampled = FineGrainedMeasurement.from_basis(haar_unitary(d, rng))
     r_sampled = observational_ergotropy(rho, h, sampled)

@@ -12,14 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from ergokit.audits import (
-    AuditConfig,
-    audit_energy_incoherent_limit,
-    audit_fine_grained_optimum,
-    audit_postprocessing_monotonicity,
-    audit_schur_concavity,
-    audit_spectrum_majorization,
-)
+from ergokit.audits import AuditConfig, run_audit
 from ergokit.cli import main
 from ergokit.ergotropy import observational_ergotropy, passive_energy, report
 from ergokit.measurement import FineGrainedMeasurement, computational_basis
@@ -101,7 +94,7 @@ def test_criterion_4_postprocessing_monotonicity_audit():
     for d in (2, 3, 4, 6):
         for n in range(2, 9):
             cfg = AuditConfig(dimension=d, outcomes=n, trials=36, seed=1000 * d + n, tolerance=1e-9)
-            result = audit_postprocessing_monotonicity(cfg)
+            result = run_audit("theorem1", cfg)
             trials += result.trials
             violations += result.violations
     elapsed = time.perf_counter() - start
@@ -113,7 +106,7 @@ def test_criterion_4_postprocessing_monotonicity_audit():
 
 
 def test_criterion_5_energy_incoherent_audit():
-    result = audit_energy_incoherent_limit(
+    result = run_audit("theorem2",
         AuditConfig(dimension=3, outcomes=4, trials=1000, seed=5, tolerance=1e-9))
     _criterion(5, "energy-incoherent limit audit", {
         "trials": result.trials == 1000,
@@ -122,7 +115,7 @@ def test_criterion_5_energy_incoherent_audit():
 
 
 def test_criterion_6_fine_grained_optimum_audit():
-    result = audit_fine_grained_optimum(
+    result = run_audit("theorem3",
         AuditConfig(dimension=3, outcomes=4, trials=1000, seed=6, tolerance=1e-9))
     _criterion(6, "fine-grained optimum audit", {
         "trials": result.trials == 1000,
@@ -131,9 +124,9 @@ def test_criterion_6_fine_grained_optimum_audit():
 
 
 def test_criterion_7_majorization_and_schur_audits():
-    spectra = audit_spectrum_majorization(
+    spectra = run_audit("lemma1",
         AuditConfig(dimension=5, outcomes=3, trials=1000, seed=7, tolerance=1e-9))
-    schur = audit_schur_concavity(
+    schur = run_audit("schur",
         AuditConfig(dimension=6, outcomes=4, trials=1000, seed=7, tolerance=1e-9))
     _criterion(7, "spectrum majorization + Schur concavity audits", {
         "majorization_trials": spectra.trials == 1000,

@@ -8,11 +8,6 @@ from ergokit.audits import (
     CLAIM_AUDITS,
     AuditConfig,
     AuditResult,
-    audit_energy_incoherent_limit,
-    audit_fine_grained_optimum,
-    audit_postprocessing_monotonicity,
-    audit_schur_concavity,
-    audit_spectrum_majorization,
     run_all,
     run_audit,
 )
@@ -66,47 +61,48 @@ def test_identity_post_processing_gives_zero_margin():
     assert abs(gap) <= 1e-12
 
 
-@pytest.mark.parametrize("audit", [
-    audit_postprocessing_monotonicity,
-    audit_energy_incoherent_limit,
-    audit_fine_grained_optimum,
-    audit_spectrum_majorization,
-    audit_schur_concavity,
+# The case ids name what each claim audits.
+@pytest.mark.parametrize("claim", [
+    pytest.param("theorem1", id="audit_postprocessing_monotonicity"),
+    pytest.param("theorem2", id="audit_energy_incoherent_limit"),
+    pytest.param("theorem3", id="audit_fine_grained_optimum"),
+    pytest.param("lemma1", id="audit_spectrum_majorization"),
+    pytest.param("schur", id="audit_schur_concavity"),
 ])
-def test_audits_pass_on_random_instances(audit):
-    result = audit(CFG_SMALL)
+def test_audits_pass_on_random_instances(claim):
+    result = run_audit(claim, CFG_SMALL)
     assert result.trials == 100
     assert result.violations == 0
     assert np.isfinite(result.worst_margin)
 
 
 def test_audits_deterministic():
-    a = audit_postprocessing_monotonicity(CFG_SMALL)
-    b = audit_postprocessing_monotonicity(CFG_SMALL)
+    a = run_audit("theorem1", CFG_SMALL)
+    b = run_audit("theorem1", CFG_SMALL)
     assert (a.claim, a.trials, a.violations, a.worst_margin) == (b.claim, b.trials, b.violations, b.worst_margin)
     assert a.details == b.details
 
 
 def test_audits_differ_across_seeds():
-    a = audit_schur_concavity(AuditConfig(dimension=3, trials=10, seed=1))
-    b = audit_schur_concavity(AuditConfig(dimension=3, trials=10, seed=2))
+    a = run_audit("schur", AuditConfig(dimension=3, trials=10, seed=1))
+    b = run_audit("schur", AuditConfig(dimension=3, trials=10, seed=2))
     assert a.worst_margin != b.worst_margin
 
 
 def test_pure_state_rank_config():
-    result = audit_postprocessing_monotonicity(AuditConfig(dimension=3, outcomes=3, rank=1, trials=50, seed=3))
+    result = run_audit("theorem1", AuditConfig(dimension=3, outcomes=3, rank=1, trials=50, seed=3))
     assert result.violations == 0
 
 
 def test_degenerate_one_dimensional_space():
     # everything is zero in a 1-dim space, but the audits still run cleanly
     cfg = AuditConfig(dimension=1, outcomes=2, trials=10, seed=19)
-    for audit in CLAIM_AUDITS.values():
-        assert audit(cfg).violations == 0
+    for claim in CLAIM_AUDITS:
+        assert run_audit(claim, cfg).violations == 0
 
 
 def test_fine_grained_optimum_reports_sampled_ratio():
-    result = audit_fine_grained_optimum(CFG_SMALL)
+    result = run_audit("theorem3", CFG_SMALL)
     assert 0.0 < result.details["max_sampled_ratio"] <= 1.0 + 1e-9
 
 
@@ -132,7 +128,7 @@ def test_sampled_supremum_close_for_fixed_instance():
 def test_impossible_tolerance_counts_violations():
     # equality checks carry ~1e-16 float error, so an absurd tolerance trips them
     cfg = AuditConfig(dimension=3, outcomes=4, trials=50, seed=11, tolerance=1e-300)
-    result = audit_energy_incoherent_limit(cfg)
+    result = run_audit("theorem2", cfg)
     assert result.violations > 0
     assert result.violations <= result.trials
     assert result.worst_margin > 0.0
@@ -174,13 +170,6 @@ def test_result_serialization():
 
 # --- batched engine against the per-trial oracles ----------------------------
 
-EVALUATORS = {
-    "theorem1": audits._monotonicity,
-    "theorem2": audits._incoherent_limit,
-    "theorem3": audits._fine_grained_optimum,
-    "lemma1": audits._spectrum_majorization,
-    "schur": audits._schur_concavity,
-}
 EPS = np.finfo(float).eps
 # (d, rank, n): rank 1 and full rank, n below and above d (n = d = 1 at d = 1)
 ENGINE_CASES = [(d, rank, n) for d in (1, 2, 3, 8) for rank in sorted({1, d})
@@ -194,13 +183,13 @@ def per_trial_bytes(cfg):
 
 def engine_trials(claim, cfg):
     """Chunk starts and per-trial margins, violation flags and extras."""
-    chunks = list(audits._chunks(claim, cfg, EVALUATORS[claim]))
+    chunks = list(audits._chunks(claim, cfg, CLAIM_AUDITS[claim]))
     columns = [np.concatenate(column) for column in zip(*(chunk[1:] for chunk in chunks))]
     return [chunk[0] for chunk in chunks], columns
 
 
 def oracle_trials(claim, cfg, trials=None):
-    root = RandomSource(cfg.seed).split(audits._CLAIM_INDEX[claim])
+    root = RandomSource(cfg.seed).split(list(CLAIM_AUDITS).index(claim) + 1)
     return [TRIAL_ORACLES[claim](cfg, root.split(t)) for t in (trials if trials is not None else range(cfg.trials))]
 
 

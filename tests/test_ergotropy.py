@@ -138,7 +138,7 @@ def test_observational_ergotropy_eigenbasis_recovers_full():
     rng = RandomSource(36)
     rho = random_density(4, 4, rng)
     h = random_hamiltonian(4, rng)
-    basis = FineGrainedMeasurement.from_basis(rho.eig().eigenvectors)
+    basis = FineGrainedMeasurement.from_basis(rho.eig()[1])
     assert observational_ergotropy(rho, h, basis) == pytest.approx(ergotropy(rho, h), abs=1e-10)
 
 
@@ -175,7 +175,7 @@ def test_observational_pure_state_in_own_basis():
     rng = RandomSource(44)
     rho = random_density(3, 1, rng)
     h = random_hamiltonian(3, rng)
-    basis = FineGrainedMeasurement.from_basis(rho.eig().eigenvectors)
+    basis = FineGrainedMeasurement.from_basis(rho.eig()[1])
     expected = mean_energy(rho, h) - float(h.energies[0])
     assert observational_ergotropy(rho, h, basis) == pytest.approx(expected, abs=1e-10)
 
@@ -249,7 +249,7 @@ def test_report_with_own_eigenbasis_measurement():
     rng = RandomSource(42)
     rho = random_density(3, 3, rng)
     h = random_hamiltonian(3, rng)
-    basis = FineGrainedMeasurement.from_basis(rho.eig().eigenvectors)
+    basis = FineGrainedMeasurement.from_basis(rho.eig()[1])
     rep = report(rho, h, basis)
     assert rep.observational == pytest.approx(rep.ergotropy, abs=1e-10)
 

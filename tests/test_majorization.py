@@ -40,6 +40,16 @@ def test_majorizes_zero_padding():
     assert not majorizes([0.5, 0.5], [1.0], pad=True)
 
 
+def test_majorization_deficit_pads_the_last_axis_of_stacks():
+    rng = RandomSource(31)
+    x, y = rng.exponential((5, 3)), rng.exponential((5, 4))
+    x, y = x / x.sum(axis=-1, keepdims=True), y / y.sum(axis=-1, keepdims=True)
+    with pytest.raises(LengthMismatch, match="lengths 3 and 4"):
+        majorization_deficit(x, y)
+    expected = [majorization_deficit(a, b, pad=True) for a, b in zip(x, y)]
+    np.testing.assert_array_equal(majorization_deficit(x, y, pad=True), expected)
+
+
 @given(positive_weights)
 @settings(deadline=None)
 def test_majorizes_reflexive(weights):
@@ -137,9 +147,9 @@ class TestBistochasticFromUnitary:
         # |<k|V|i>|^2 applied to the eigenvalues recovers the matrix diagonal
         # when V's columns are the eigenvectors
         rho = random_density(4, 4, RandomSource(53))
-        dec = rho.eig()
-        b = bistochastic_from_unitary(dec.eigenvectors)
-        np.testing.assert_allclose(b.entries @ dec.eigenvalues, np.real(np.diag(rho.op)), atol=1e-10)
+        w, v = rho.eig()
+        b = bistochastic_from_unitary(v)
+        np.testing.assert_allclose(b.entries @ w, np.real(np.diag(rho.op)), atol=1e-10)
 
 
 class TestRefinementBistochastic:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ergokit.errors import DimensionMismatch, InvalidRank, NoConvergence, NotHermitian, PreconditionFailed
-from ergokit.linalg import adjoint, max_abs
+from ergokit.linalg import adjoint, max_abs, require_unitary
 from ergokit.states import (
     DensityMatrix,
     Hamiltonian,
@@ -55,6 +55,22 @@ class TestHamiltonian:
     def test_min_gap_resampling(self):
         h = random_hamiltonian(4, RandomSource(1), min_gap=1e-3)
         assert float(np.min(np.diff(h.energies))) >= 1e-3
+
+    def test_random_hamiltonian_makes_no_eigensolve(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+        random_hamiltonian(8, RandomSource(9), min_gap=1e-3)
+        assert calls == []
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 64])
+    def test_random_hamiltonian_keeps_the_decomposition_it_drew(self, d):
+        h = random_hamiltonian(d, RandomSource(d))
+        tol = 16 * d * np.finfo(float).eps * float(np.max(np.abs(h.energies)))
+        np.testing.assert_allclose(h.energies, Hamiltonian(h.op).energies, rtol=0.0, atol=tol)
+        v = require_unitary(h.eigenbasis)
+        assert max_abs(adjoint(v) @ h.op @ v - np.diag(h.energies)) <= tol
 
 
 def test_dephase_plus_state():
