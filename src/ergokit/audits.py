@@ -20,7 +20,7 @@ from .errors import InvalidClaim, InvalidConfig
 from .ergotropy import passive_energy_of_spectrum
 from .linalg import diagonal_in_basis, hermitian_part, operator_in_basis, require_unitary
 from .majorization import majorization_deficit
-from .measurement import born_probabilities, estimate_spectrum
+from .measurement import dense_estimate, estimate_spectrum
 from .states import RandomSource, ginibre_state, haar_from_ginibre, random_levels, state_spectrum
 
 # Fixed tolerance for the exact linear-algebra identities inside the spectrum-
@@ -163,10 +163,7 @@ def _spectrum_majorization(cfg: AuditConfig, rngs):
     (rho, _), u, post = _sample(cfg, rngs, ("state", "haar", "post"))
     fine = estimate_spectrum(np.eye(cfg.dimension), diagonal_in_basis(rho, u))
     # Checked against the estimate built from the element matrices, not the kernel.
-    elements = operator_in_basis(u[:, np.newaxis], post)
-    weights = born_probabilities(rho, elements) / np.trace(elements, axis1=-2, axis2=-1).real
-    estimate = (weights[:, np.newaxis, :] @ elements.reshape(*weights.shape, -1)).reshape(rho.shape)
-    spec_coarse = np.clip(state_spectrum(hermitian_part(estimate)), 0.0, None)
+    spec_coarse = np.clip(state_spectrum(dense_estimate(rho, operator_in_basis(u[:, np.newaxis], post))), 0.0, None)
     deficit = majorization_deficit(np.sort(fine), spec_coarse)
     link = np.swapaxes(post / post.sum(axis=-1, keepdims=True), -1, -2) @ post
     bisto_residual = np.maximum(np.abs(link.sum(axis=-2) - 1.0).max(axis=-1), np.abs(link.sum(axis=-1) - 1.0).max(axis=-1))

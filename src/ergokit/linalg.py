@@ -20,7 +20,10 @@ UNITARY_TOL = 1e-10
 
 def as_matrix(a, dtype=complex, stack: bool = False) -> np.ndarray:
     """Coerce to a 2-D array (or a stack of them) and reject non-finite entries."""
-    m = np.asarray(a, dtype=dtype)
+    try:
+        m = np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError) as exc:  # ragged rows or non-numeric entries
+        raise DimensionMismatch(f"cannot read input as a numeric array: {exc}") from exc
     if m.ndim != 2 and not (stack and m.ndim > 2):
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
     finite = np.isfinite(m.real) & np.isfinite(m.imag) if np.iscomplexobj(m) else np.isfinite(m)

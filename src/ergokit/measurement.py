@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import DegeneratePovm, DimensionMismatch, InvalidPovm, NotStochastic, PreconditionFailed, ZeroMass
 from .linalg import as_matrix, diagonal_in_basis, hermitian_part, max_abs, operator_in_basis, require_hermitian, require_unitary, unchecked
-from .states import DensityMatrix, Hamiltonian, RandomSource
+from .states import PSD_TOL, DensityMatrix, Hamiltonian, RandomSource
 
-ELEMENT_PSD_TOL = -1e-10
 COMPLETENESS_TOL = 1e-9
 ZERO_ELEMENT_TOL = 1e-12
 COLUMN_SUM_TOL = 1e-12
@@ -52,10 +51,6 @@ class StochasticMatrix:
         object.__setattr__(self, "bistochastic", bool(row_defect <= ROW_SUM_TOL))
 
     @property
-    def n_out(self) -> int:
-        return self.entries.shape[0]
-
-    @property
     def n_in(self) -> int:
         return self.entries.shape[1]
 
@@ -66,7 +61,7 @@ class StochasticMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Positive operators summing to the identity, stored densely.
+    """Positive operators summing to the identity, stored as one (k, d, d) array.
 
     ``labels`` track outcome identity through relabelings: post-processing
     that drops all-zero outcomes records which of the original indices
@@ -74,27 +69,22 @@ class Povm:
     by each element's volume (trace).
     """
 
-    elements: tuple
+    elements: np.ndarray
     labels: tuple = None
 
     def __post_init__(self):
-        mats = tuple(require_hermitian(e, what=f"POVM element {k}") for k, e in enumerate(self.elements))
-        if not mats:
+        if not len(self.elements):
             raise DegeneratePovm("a POVM needs at least one element")
-        d = mats[0].shape[0]
-        for k, e in enumerate(mats):
-            if e.shape != (d, d):
-                raise DimensionMismatch(f"element {k} has shape {e.shape}, expected {(d, d)}")
-        stacked = np.stack(mats)
-        lows = np.linalg.eigvalsh(hermitian_part(stacked))[:, 0]
+        mats = as_matrix([require_hermitian(e, what=f"POVM element {k}") for k, e in enumerate(self.elements)], stack=True)
+        lows = np.linalg.eigvalsh(hermitian_part(mats))[:, 0]
         k = int(np.argmin(lows))
-        if float(lows[k]) < ELEMENT_PSD_TOL:
-            raise InvalidPovm(f"POVM element {k} has eigenvalue {float(lows[k]):.3e} below {ELEMENT_PSD_TOL:.0e}")
-        volumes = np.trace(stacked, axis1=1, axis2=2).real
+        if float(lows[k]) < PSD_TOL:
+            raise InvalidPovm(f"POVM element {k} has eigenvalue {float(lows[k]):.3e} below {PSD_TOL:.0e}")
+        volumes = np.trace(mats, axis1=1, axis2=2).real
         k = int(np.argmin(volumes))
         if float(volumes[k]) < ZERO_ELEMENT_TOL:
             raise DegeneratePovm(f"POVM element {k} is (numerically) the zero operator")
-        defect = max_abs(stacked.sum(axis=0) - np.eye(d))
+        defect = max_abs(mats.sum(axis=0) - np.eye(mats.shape[-1]))
         if defect > COMPLETENESS_TOL:
             raise InvalidPovm(f"POVM elements sum to identity within {defect:.3e} > {COMPLETENESS_TOL:.0e}")
         labels = self.labels if self.labels is not None else tuple(range(1, len(mats) + 1))
@@ -105,7 +95,7 @@ class Povm:
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[-1]
 
     @property
     def n_outcomes(self) -> int:
@@ -114,13 +104,13 @@ class Povm:
     @property
     def volumes(self) -> np.ndarray:
         """Trace of each element: the dimension-weight of its maximum-ignorance ensemble."""
-        return np.trace(np.stack(self.elements), axis1=1, axis2=2).real
+        return np.trace(self.elements, axis1=1, axis2=2).real
 
     def is_fine_grained(self) -> bool:
         """True when every element is (numerically) a rank-1 projector."""
         if self.n_outcomes != self.dim:
             return False
-        w = np.linalg.eigvalsh(np.stack(self.elements))
+        w = np.linalg.eigvalsh(self.elements)
         return bool(max_abs(w[:, -1] - 1.0) <= FINE_GRAINED_TOL and max_abs(w[:, :-1]) <= FINE_GRAINED_TOL)
 
 
@@ -162,9 +152,9 @@ class BasisMeasurement:
         return self.post.sum(axis=1)
 
     @cached_property
-    def elements(self) -> tuple:
-        """Element matrices, built on first access."""
-        return tuple(operator_in_basis(self.basis, self.post))
+    def elements(self) -> np.ndarray:
+        """Element matrices as one (k, d, d) array, built on first access."""
+        return operator_in_basis(self.basis, self.post)
 
     def is_fine_grained(self) -> bool:
         """True when every element is (numerically) a rank-1 projector: each row of post is a unit vector."""
@@ -210,8 +200,8 @@ def post_process(p: Povm | BasisMeasurement, d: StochasticMatrix) -> Povm | Basi
     labels = tuple(int(i) + 1 for i in kept)
     if isinstance(p, BasisMeasurement):
         return unchecked(BasisMeasurement, basis=p.basis, post=(d.entries @ p.post)[kept], labels=labels)
-    mixed = (d.entries[kept] @ np.stack(p.elements).reshape(p.n_outcomes, -1)).reshape(-1, p.dim, p.dim)
-    return unchecked(Povm, elements=tuple(mixed), labels=labels)
+    mixed = (d.entries[kept] @ p.elements.reshape(p.n_outcomes, -1)).reshape(-1, p.dim, p.dim)
+    return unchecked(Povm, elements=mixed, labels=labels)
 
 
 def energy_incoherent(h: Hamiltonian, q: StochasticMatrix) -> BasisMeasurement:
@@ -229,7 +219,7 @@ def outcome_distribution(rho: DensityMatrix, m: Povm | BasisMeasurement) -> np.n
         raise DimensionMismatch(f"state is {rho.dim}-dimensional but measurement is {m.dim}-dimensional")
     if isinstance(m, BasisMeasurement):
         return np.clip(m.post @ diagonal_in_basis(rho.op, m.basis), 0.0, None)
-    return born_probabilities(rho.op, np.stack(m.elements))
+    return born_probabilities(rho.op, m.elements)
 
 
 def born_probabilities(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -245,14 +235,23 @@ def estimate_spectrum(post: np.ndarray, populations: np.ndarray) -> np.ndarray:
     return (np.swapaxes(post, -1, -2) @ (probs / post.sum(axis=-1))[..., np.newaxis])[..., 0]
 
 
+def dense_estimate(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Hermitian part of sum_i p_i M_i / tr M_i, p_i = tr(rho M_i), for elements (..., k, d, d); leading axes are a batch."""
+    weights = born_probabilities(rho, elements) / np.trace(elements, axis1=-2, axis2=-1).real
+    return hermitian_part((weights[..., np.newaxis, :] @ elements.reshape(*weights.shape, -1)).reshape(rho.shape))
+
+
 def coarse_grained_state(rho: DensityMatrix, m: Povm | BasisMeasurement) -> DensityMatrix:
     """Maximum-ignorance estimate sum_i p_i M_i / V_i of rho given one round
     of outcome statistics from m. For a basis measurement (U, D) this is
-    U diag(estimate_spectrum(D, p)) U^dag, whose spectrum needs no eigensolve."""
-    if isinstance(m, BasisMeasurement) and rho.dim == m.dim:  # a mismatch raises below
+    U diag(estimate_spectrum(D, p)) U^dag, whose spectrum needs no eigensolve. A dense
+    estimate is not validated again: it is a nonnegative mix of PSD elements of trace sum_i p_i."""
+    if rho.dim != m.dim:
+        raise DimensionMismatch(f"state is {rho.dim}-dimensional but measurement is {m.dim}-dimensional")
+    if isinstance(m, BasisMeasurement):
         return DensityMatrix._in_basis(m.basis, estimate_spectrum(m.post, diagonal_in_basis(rho.op, m.basis)))
-    weights = outcome_distribution(rho, m) / m.volumes
-    return DensityMatrix(np.tensordot(weights, np.stack(m.elements), axes=1))
+    estimate = dense_estimate(rho.op, m.elements)
+    return unchecked(DensityMatrix, op=estimate, eigenvalues=np.linalg.eigvalsh(estimate))
 
 
 def refine_distribution(p: Povm | BasisMeasurement, d: StochasticMatrix) -> StochasticMatrix:

@@ -109,6 +109,15 @@ class TestReport:
         assert out == ""
         assert json.loads(target.read_text())["ergotropy"] == 0.5
 
+    def test_estimate_within_povm_completeness_is_not_revalidated(self, tmp_path, capsys):
+        # the elements sum to diag(1, 1 + 8e-10), inside the POVM completeness
+        # tolerance, so the estimate of |1><1| has trace 1 + 8e-10
+        half = [[[0.5, 0], [0, 0]], [[0, 0], [0.5 + 4e-10, 0]]]
+        doc = dict(QUBIT_INSTANCE, state=[[[0, 0], [0, 0]], [[0, 0], [1, 0]]], measurements={"m": [half, half]})
+        code, out, err = run_cli(capsys, "report", write_instance(tmp_path, doc), "--measurement", "m")
+        assert code == 0, err
+        assert abs(json.loads(out)["observational"] - 0.5) <= 1e-9
+
 
 class TestReportErrors:
     def test_missing_file(self, tmp_path, capsys):

@@ -26,6 +26,10 @@ BAD_INPUTS = {
     "povm labels": lambda: Povm(elements=(KET0, KET1), labels=(1,)),
     "matrix with NaN": lambda: as_matrix([[np.nan, 0.0], [0.0, 1.0]]),
     "matrix with Inf": lambda: as_matrix([[np.inf, 0.0], [0.0, 1.0]]),
+    "ragged state rows": lambda: DensityMatrix([[1, 0], [0]]),
+    "ragged stochastic rows": lambda: StochasticMatrix([[1.0], [0.0, 1.0]]),
+    "non-numeric state entries": lambda: DensityMatrix([["a", "b"], ["c", "d"]]),
+    "povm of 2x2 and 3x3 elements": lambda: Povm(elements=(np.eye(2), np.eye(3))),
     "haar dimension": lambda: haar_unitary(0, RandomSource(0)),
     "pure zero vector": lambda: pure_state([0.0, 0.0]),
     "probability vector negative": lambda: prob_vector([1.1, -0.1]),

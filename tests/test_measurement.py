@@ -19,6 +19,7 @@ from ergokit.measurement import (
     refine_distribution,
 )
 from ergokit.states import (
+    DensityMatrix,
     Hamiltonian,
     RandomSource,
     diagonal_state,
@@ -336,3 +337,18 @@ def test_basis_measurement_kernel_makes_no_eigensolve(monkeypatch):
     for m in (fine, post_process(fine, dmat), energy_incoherent(h, q)):
         observational_ergotropy(rho, h, m)
     assert calls == []
+
+
+def test_dense_estimate_makes_one_eigensolve_and_no_validation(monkeypatch):
+    rng = RandomSource(72)
+    rho = random_density(4, 4, rng)
+    fine = FineGrainedMeasurement.from_basis(haar_unitary(4, rng))
+    dense = Povm(elements=post_process(fine, random_column_stochastic(6, 4, rng)).elements)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: calls.append("DensityMatrix.__post_init__"))
+    estimate = coarse_grained_state(rho, dense)
+    assert calls == ["eigvalsh"]
+    np.testing.assert_allclose(estimate.eigenvalues, np.linalg.eigvalsh(estimate.op), atol=0.0)
