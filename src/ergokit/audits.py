@@ -49,8 +49,10 @@ class AuditConfig:
             raise InvalidConfig(f"outcome count must be positive, got {self.outcomes}")
         if not 1 <= rank <= d:
             raise InvalidConfig(f"rank must satisfy 1 <= rank <= {d}, got {rank}")
-        if self.trials < 1:
-            raise InvalidConfig(f"trials must be at least 1, got {self.trials}")
+        if not 1 <= self.trials < 1 << 32:  # a trial index enters its stream's key as one uint32 word
+            raise InvalidConfig(f"trials must lie in [1, 2^32), got {self.trials}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be a non-negative integer, got {self.seed}")
         if not self.tolerance > 0.0:
             raise InvalidConfig(f"tolerance must be positive, got {self.tolerance}")
 
@@ -88,18 +90,26 @@ class AuditResult:
         return f"{self.claim},{self.trials},{self.violations},{repr(float(self.worst_margin))}"
 
 
-def _sample(cfg: AuditConfig, rngs, kinds: tuple, min_gap: float = 0.0) -> list:
-    """Draw each trial from its own stream in the order of ``kinds``; build one stack per kind: "state" (states,
-    eigenvalues), "hamiltonian" (observables, levels, eigenbases: built from the drawn levels and Haar bases),
-    "haar", "post" (n x d stochastic), "simplex"."""
+def _draw(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple, min_gap: float = 0.0) -> list:
+    """Row i of each stack is what root.split(trials[i]) draws alone in the order of ``kinds``: complex Gaussians for
+    "state", "haar" and "hamiltonian" after its ``random_levels``, standard exponentials for "post" and "simplex"."""
     d, n = cfg.dimension, cfg.outcomes
-    draws = {"state": lambda rng: [rng.complex_normal((d, cfg.effective_rank))],
-             "hamiltonian": lambda rng: [random_levels(d, rng, min_gap), rng.complex_normal((d, d))],
-             "haar": lambda rng: [rng.complex_normal((d, d))],
-             "post": lambda rng: [rng.exponential((n, d))],
-             "simplex": lambda rng: [rng.exponential(d)]}
-    per_trial = [[x for kind in kinds for x in draws[kind](rng)] for rng in rngs]
-    stacks, built = iter([np.stack(column) for column in zip(*per_trial)]), []
+    draws = {"state": [("normal", (2, d, cfg.effective_rank))], "hamiltonian": [("uniform", (d,)), ("normal", (2, d, d))],
+             "haar": [("normal", (2, d, d))], "post": [("exponential", (n, d))], "simplex": [("exponential", (d,))]}
+    plan = [(name, np.empty((len(trials), *shape))) for kind in kinds for name, shape in draws[kind]]
+    root.fill(trials, plan)
+    for levels in (out for name, out in plan if name == "uniform"):
+        levels.sort(axis=-1)
+        for i in np.flatnonzero(np.diff(levels, axis=-1).min(axis=-1, initial=np.inf) < min_gap):
+            rng = root.split(trials[i])
+            for name, out in plan:
+                out[i] = random_levels(d, rng, min_gap) if out is levels else getattr(rng, name)(out.shape[1:])
+    return [(z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0) if name == "normal" else z for name, z in plan]
+
+
+def _sample(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple, min_gap: float = 0.0) -> list:
+    """Build ``_draw``'s stacks: "state" (states, spectra), "hamiltonian" (observables, levels, bases), "haar", "post", "simplex"."""
+    stacks, built = iter(_draw(cfg, root, trials, kinds, min_gap)), []
     for kind in kinds:
         x = next(stacks)
         if kind == "state":
@@ -124,19 +134,19 @@ def _observational(mean: np.ndarray, energies: np.ndarray, post: np.ndarray, pop
     return mean - passive_energy_of_spectrum(energies, estimate_spectrum(post, populations))
 
 
-def _monotonicity(cfg: AuditConfig, rngs):
+def _monotonicity(cfg: AuditConfig, root: RandomSource, trials: range):
     """Coarsening a fine-grained measurement must not raise observational
     ergotropy."""
-    (rho, _), (h, energies, _), u, post = _sample(cfg, rngs, ("state", "hamiltonian", "haar", "post"))
+    (rho, _), (h, energies, _), u, post = _sample(cfg, root, trials, ("state", "hamiltonian", "haar", "post"))
     p, mean = diagonal_in_basis(rho, u), _mean_energy(h, rho)
     margin = _observational(mean, energies, post, p) - _observational(mean, energies, np.eye(cfg.dimension), p)
     return margin, margin > cfg.tolerance
 
 
-def _incoherent_limit(cfg: AuditConfig, rngs):
+def _incoherent_limit(cfg: AuditConfig, root: RandomSource, trials: range):
     """The projective energy measurement attains exactly the incoherent
     ergotropy, and no energy-incoherent measurement beats it."""
-    (h, energies, v), (rho, _), q = _sample(cfg, rngs, ("hamiltonian", "state", "post"), MIN_ENERGY_GAP)
+    (h, energies, v), (rho, _), q = _sample(cfg, root, trials, ("hamiltonian", "state", "post"), MIN_ENERGY_GAP)
     p, mean = diagonal_in_basis(rho, v), _mean_energy(h, rho)
     r_inc = _mean_energy(h, operator_in_basis(v, p)) - passive_energy_of_spectrum(energies, p)
     equality_gap = np.abs(_observational(mean, energies, np.eye(cfg.dimension), p) - r_inc)
@@ -144,10 +154,10 @@ def _incoherent_limit(cfg: AuditConfig, rngs):
     return margin, margin > cfg.tolerance
 
 
-def _fine_grained_optimum(cfg: AuditConfig, rngs):
+def _fine_grained_optimum(cfg: AuditConfig, root: RandomSource, trials: range):
     """Measuring in the state's own eigenbasis attains full ergotropy; no
     fine-grained measurement exceeds it. Also gives sampled / full ergotropy."""
-    (rho, w), (h, energies, _), u = _sample(cfg, rngs, ("state", "hamiltonian", "haar"))
+    (rho, w), (h, energies, _), u = _sample(cfg, root, trials, ("state", "hamiltonian", "haar"))
     eye, mean = np.eye(cfg.dimension), _mean_energy(h, rho)
     r_full = mean - passive_energy_of_spectrum(energies, w)
     equality_gap = np.abs(_observational(mean, energies, eye, diagonal_in_basis(rho, np.linalg.eigh(rho)[1])) - r_full)
@@ -156,11 +166,11 @@ def _fine_grained_optimum(cfg: AuditConfig, rngs):
     return margin, margin > cfg.tolerance, r_sampled[positive] / r_full[positive]
 
 
-def _spectrum_majorization(cfg: AuditConfig, rngs):
+def _spectrum_majorization(cfg: AuditConfig, root: RandomSource, trials: range):
     """Coarse-graining only mixes the estimate's spectrum: the fine spectrum
     majorizes the coarse one, the linking matrix is bistochastic, and it maps
     the fine outcome distribution onto the coarse spectrum."""
-    (rho, _), u, post = _sample(cfg, rngs, ("state", "haar", "post"))
+    (rho, _), u, post = _sample(cfg, root, trials, ("state", "haar", "post"))
     fine = estimate_spectrum(np.eye(cfg.dimension), diagonal_in_basis(rho, u))
     # Checked against the estimate built from the element matrices, not the kernel.
     spec_coarse = np.clip(state_spectrum(dense_estimate(rho, operator_in_basis(u[:, np.newaxis], post))), 0.0, None)
@@ -173,22 +183,22 @@ def _spectrum_majorization(cfg: AuditConfig, rngs):
     return margin, violated
 
 
-def _schur_concavity(cfg: AuditConfig, rngs):
+def _schur_concavity(cfg: AuditConfig, root: RandomSource, trials: range):
     """Mixing a spectrum with a bistochastic matrix cannot lower its passive
     energy."""
-    (_, energies, _), x, u = _sample(cfg, rngs, ("hamiltonian", "simplex", "haar"))
+    (_, energies, _), x, u = _sample(cfg, root, trials, ("hamiltonian", "simplex", "haar"))
     y = (np.abs(u) ** 2 @ x[..., np.newaxis])[..., 0]
     margin = passive_energy_of_spectrum(energies, x) - passive_energy_of_spectrum(energies, y)
     return margin, margin > cfg.tolerance
 
 
 def _chunks(claim: str, cfg: AuditConfig, evaluate):
-    """Yield (first trial index, *evaluate(cfg, streams)) per chunk of at most CHUNK_BYTES.
-    Trial t draws from stream t in any chunk, so per-trial results do not depend on the chunking."""
+    """Yield (first trial index, *evaluate(cfg, root, trials)) per chunk of at most CHUNK_BYTES.
+    Trial t draws from stream root.split(t) in any chunk, so per-trial results do not depend on the chunking."""
     root = RandomSource(cfg.seed).split(list(CLAIM_AUDITS).index(claim) + 1)
     size = max(1, CHUNK_BYTES // (16 * cfg.dimension ** 2 * (cfg.outcomes + 8)))
     for first in range(0, cfg.trials, size):
-        yield (first, *evaluate(cfg, map(root.split, range(first, min(first + size, cfg.trials)))))
+        yield (first, *evaluate(cfg, root, range(first, min(first + size, cfg.trials))))
 
 
 def _run(claim: str, cfg: AuditConfig) -> AuditResult:

@@ -21,31 +21,71 @@ TRACE_TOL = 1e-10
 MAX_GAP_DRAWS = 1000
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its k-th step xors INIT·MULT^k and multiplies
+# by INIT·MULT^(k+1) mod 2^32, whatever the data. fill's names map to the Generator methods that take out=.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, 0x4973F715
+_FILL = {"normal": "standard_normal", "uniform": "random", "exponential": "standard_exponential"}
+
+
+def _philox_keys(seq: np.random.SeedSequence, trials: range) -> np.ndarray:
+    """``SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (t,)).generate_state(2, np.uint64)`` for each t < 2^32
+    in trials: seq.pool has mixed max(4, seed words) + spawn-key words, four hash steps per uint32 word; the
+    steps of word t and of the output run over uint32 arrays (a row per pool word)."""
+    words = [(max(n.bit_length(), 1) + 31) // 32 for n in (seq.entropy, *seq.spawn_key)]
+    steps = 4 * (max(4, words[0]) + sum(words[1:]))
+    a, b = (np.array([c * pow(m, k, 1 << 32) % (1 << 32) for k in ks], np.uint32)[:, np.newaxis]
+            for c, m, ks in ((_INIT_A, _MULT_A, range(steps, steps + 5)), (_INIT_B, _MULT_B, range(5))))
+    h = (np.arange(trials.start, trials.stop, trials.step, dtype=np.uint32) ^ a[:-1]) * a[1:]  # hashmix(t)
+    h ^= h >> 16
+    h = seq.pool[:, np.newaxis] * _MIX_L - h * _MIX_R  # mix(pool word, hashmix(t))
+    h ^= h >> 16
+    h = (h ^ b[:-1]) * b[1:]  # the output hash
+    h = (h ^ h >> 16).astype(np.uint64)
+    return np.stack([h[0] | h[1] << 32, h[2] | h[3] << 32], axis=-1)
+
+
 class RandomSource:
     """Deterministic, splittable random stream.
 
     The same (seed, path of splits) yields the same samples on every
     platform. ``split(i)`` derives an independent child stream, so audits
     hand stream i to trial i and get identical results for any chunking of
-    the trials.
+    the trials. ``fill`` draws many children bitwise as ``split`` would, re-keying
+    one generator per child with SeedSequence's hash vectorised over the indices.
     """
 
     def __init__(self, seed: int, _key: tuple[int, ...] = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise PreconditionFailed(f"seed must be a non-negative integer, got {self.seed}")
         self._key = _key
-        seq = np.random.SeedSequence(self.seed, spawn_key=_key)
-        self._gen = np.random.Generator(np.random.Philox(seq))
+        self._seq = np.random.SeedSequence(self.seed, spawn_key=_key)
+        self._gen = np.random.Generator(np.random.Philox(self._seq))
 
     def split(self, index: int) -> "RandomSource":
         return RandomSource(self.seed, self._key + (int(index),))
 
+    def fill(self, trials: range, plan) -> None:
+        """For (name, out) pairs in plan order, set ``out[i]`` to ``getattr(self.split(t), name)(out.shape[1:])``
+        for the i-th t of trials (0 <= t < 2^32), name one of "normal", "uniform", "exponential"."""
+        if trials and not all(0 <= t < 1 << 32 for t in (trials[0], trials[-1])):
+            raise PreconditionFailed(f"trial indices must lie in [0, 2^32), got {trials}")
+        gen = np.random.Generator(np.random.Philox(key=0))
+        draws = [(getattr(gen, _FILL[name]), out) for name, out in plan]
+        for i, key in enumerate(_philox_keys(self._seq, trials).tolist()):
+            gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+                                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            for draw, out in draws:
+                draw(out=out[i])
+
     def normal(self, shape) -> np.ndarray:
         return self._gen.standard_normal(shape)
 
-    def complex_normal(self, shape) -> np.ndarray:
+    def complex_normal(self, shape: tuple[int, ...]) -> np.ndarray:
         """Standard complex Gaussian: independent N(0, 1/2) real and imaginary parts."""
-        z = self._gen.standard_normal((2,) + tuple(np.atleast_1d(shape)))
-        return (z[0] + 1j * z[1]) / np.sqrt(2.0)
+        z = self._gen.standard_normal((2, *shape))
+        out = z[1] * 1j  # then in place: bitwise (z[0] + 1j * z[1]) / sqrt(2) without its temporaries
+        return np.divide(np.add(out, z[0], out=out), np.sqrt(2.0), out=out)
 
     def uniform(self, shape=None) -> np.ndarray:
         return self._gen.uniform(size=shape)

@@ -23,7 +23,7 @@ from ergokit.measurement import (
     post_process,
     random_column_stochastic,
 )
-from ergokit.states import haar_unitary, random_density, random_hamiltonian
+from ergokit.states import haar_unitary, random_density, random_hamiltonian, random_levels
 
 
 def sampled_min_energy(rho_op, h_op, samples, seed, batch=2000):
@@ -50,6 +50,18 @@ def qubit_sweep_closed_form(b):
     """Observational ergotropy of the diag(1/4, 3/4) / diag(0, 1) instance
     after folding the two computational outcomes together at rate b."""
     return ((3.0 + b) / 4.0) * (1.0 / (1.0 + b)) - 0.25
+
+
+def trial_draws(cfg, rng, kinds, min_gap=0.0):
+    """One audit trial's raw draws from its own stream, one call per draw, in
+    the order of ``kinds`` (the reference for the chunked sampler's rows)."""
+    d, n = cfg.dimension, cfg.outcomes
+    draws = {"state": lambda: [rng.complex_normal((d, cfg.effective_rank))],
+             "hamiltonian": lambda: [random_levels(d, rng, min_gap), rng.complex_normal((d, d))],
+             "haar": lambda: [rng.complex_normal((d, d))],
+             "post": lambda: [rng.exponential((n, d))],
+             "simplex": lambda: [rng.exponential(d)]}
+    return [x for kind in kinds for x in draws[kind]()]
 
 
 # --- per-trial audit oracles ----------------------------------------------

@@ -11,12 +11,12 @@ from ergokit.audits import (
     run_all,
     run_audit,
 )
-from ergokit.errors import InvalidClaim, InvalidConfig, InvalidState, NotUnitary
+from ergokit.errors import InvalidClaim, InvalidConfig, InvalidState, NotUnitary, PreconditionFailed
 from ergokit.ergotropy import observational_ergotropy
 from ergokit.measurement import StochasticMatrix, computational_basis, post_process
-from ergokit.states import RandomSource, diagonal_hamiltonian, diagonal_state
+from ergokit.states import RandomSource, diagonal_hamiltonian, diagonal_state, random_levels
 
-from _oracles import TRIAL_ORACLES
+from _oracles import TRIAL_ORACLES, trial_draws
 
 CFG_SMALL = AuditConfig(dimension=3, outcomes=4, trials=100, seed=7)
 
@@ -33,6 +33,8 @@ class TestAuditConfig:
         {"rank": 5, "dimension": 3},
         {"rank": 0},
         {"outcomes": 0},
+        {"seed": -1},
+        {"trials": 2 ** 32},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidConfig):
@@ -242,3 +244,45 @@ def test_sampled_haar_stacks_are_checked(monkeypatch):
     monkeypatch.setattr(audits, "haar_from_ginibre", lambda z: 2.0 * states.haar_from_ginibre(z))
     with pytest.raises(NotUnitary):
         run_audit("lemma1", CFG_SMALL)
+
+
+# --- chunk draws against one stream per trial ---------------------------------
+
+DRAW_KINDS = ("state", "hamiltonian", "haar", "post", "simplex")
+
+
+def assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kinds", [(kind,) for kind in DRAW_KINDS] + [DRAW_KINDS, ("hamiltonian", "state", "post")])
+@pytest.mark.parametrize("first, size", [(0, 1), (0, 7), (0, 16), (5, 1), (5, 7), (5, 16)])
+def test_chunk_draws_equal_per_trial_streams(kinds, first, size):
+    # a two-word seed; trial t of any chunk draws what root.split(t) draws alone
+    cfg = AuditConfig(dimension=3, outcomes=4, rank=2, trials=16, seed=2 ** 32 + 3)
+    root = RandomSource(cfg.seed).split(3)
+    trials = range(first, min(first + size, cfg.trials))
+    stacks = audits._draw(cfg, root, trials, kinds)
+    for i, t in enumerate(trials):
+        expected = trial_draws(cfg, root.split(t), kinds)
+        assert len(stacks) == len(expected)
+        for stack, reference in zip(stacks, expected):
+            assert_bitwise(stack[i], reference)
+
+
+def test_gap_resampling_redraws_a_trial_from_its_own_stream():
+    cfg = AuditConfig(dimension=3, outcomes=4, trials=40, seed=8)
+    root, trials, min_gap = RandomSource(cfg.seed).split(2), range(3, 40), 0.2
+    # three levels are 0.2 apart with probability 0.6^3, so most trials are drawn again
+    first_gaps = [np.diff(np.sort(root.split(t).uniform(3))).min() for t in trials]
+    assert sum(gap < min_gap for gap in first_gaps) > len(trials) // 2
+    (_, levels, _), _ = audits._sample(cfg, root, trials, ("hamiltonian", "state"), min_gap)
+    kinds = ("state", "hamiltonian", "post")
+    stacks = audits._draw(cfg, root, trials, kinds, min_gap)
+    for i, t in enumerate(trials):
+        assert_bitwise(levels[i], random_levels(3, root.split(t), min_gap))
+        for stack, reference in zip(stacks, trial_draws(cfg, root.split(t), kinds, min_gap)):
+            assert_bitwise(stack[i], reference)
+    with pytest.raises(PreconditionFailed):
+        audits._sample(cfg, root, trials, ("hamiltonian",), 0.6)

@@ -238,6 +238,12 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "schur", "--trials", "0")
         assert code == 2
 
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "all", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed must be a non-negative integer, got -1" in err
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "audit.jsonl"
         code, out, _ = run_cli(capsys, "verify", "schur", "--trials", "5", "--seed", "4",

@@ -31,6 +31,8 @@ BAD_INPUTS = {
     "non-numeric state entries": lambda: DensityMatrix([["a", "b"], ["c", "d"]]),
     "povm of 2x2 and 3x3 elements": lambda: Povm(elements=(np.eye(2), np.eye(3))),
     "haar dimension": lambda: haar_unitary(0, RandomSource(0)),
+    "negative seed": lambda: RandomSource(-1),
+    "trial index past 2^32": lambda: RandomSource(0).fill(range(2 ** 32 - 1, 2 ** 32 + 1), []),
     "pure zero vector": lambda: pure_state([0.0, 0.0]),
     "probability vector negative": lambda: prob_vector([1.1, -0.1]),
     "probability vector sum": lambda: prob_vector([0.9, 0.2]),

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ergokit import states
 from ergokit.errors import DimensionMismatch, InvalidRank, NoConvergence, NotHermitian, PreconditionFailed
 from ergokit.linalg import adjoint, max_abs, require_unitary
 from ergokit.states import (
@@ -180,6 +183,40 @@ def test_random_source_split_streams():
     c = RandomSource(123).split(5).normal(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@given(seed=st.integers(0, 2 ** 128),
+       key=st.sampled_from([(), (1,), (2,), (3,), (4,), (5,), (2 ** 33 + 5,), (3, 7)]),
+       first=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 4))
+@example(seed=0, key=(1,), first=0, count=4)
+@example(seed=2 ** 32, key=(5,), first=2 ** 32 - 3, count=4)
+@example(seed=2 ** 64 + 1, key=(2 ** 33 + 5,), first=7, count=2)
+@example(seed=2 ** 100 + 17, key=(1,), first=2 ** 32 - 1, count=1)
+@example(seed=2 ** 128, key=(3,), first=123, count=3)
+@settings(deadline=None, max_examples=300)
+def test_vectorised_keys_equal_seed_sequence(seed, key, first, count):
+    trials = range(first, min(first + count, 2 ** 32))
+    expected = [np.random.SeedSequence(seed, spawn_key=key + (t,)).generate_state(2, np.uint64) for t in trials]
+    keys = states._philox_keys(np.random.SeedSequence(seed, spawn_key=key), trials)
+    assert keys.dtype == np.uint64
+    assert np.array_equal(keys, np.array(expected))
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2 ** 32, 2 ** 64 + 1])
+def test_fill_equals_split_draws(seed):
+    root = RandomSource(seed).split(4)
+    plan = [("uniform", np.empty((5, 3))), ("normal", np.empty((5, 2, 3, 2))), ("exponential", np.empty((5, 4, 3)))]
+    root.fill(range(2, 7), plan)
+    for i, t in enumerate(range(2, 7)):
+        rng = root.split(t)
+        for name, out in plan:
+            assert out[i].tobytes() == getattr(rng, name)(out.shape[1:]).tobytes()
+
+
+def test_complex_normal_pairs_two_real_draws():
+    z = RandomSource(11).normal((2, 3, 2))
+    expected = (z[0] + 1j * z[1]) / np.sqrt(2.0)
+    assert RandomSource(11).complex_normal((3, 2)).tobytes() == expected.tobytes()
 
 
 def test_random_hamiltonian_rejects_infeasible_gap():
