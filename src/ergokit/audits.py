@@ -20,7 +20,7 @@ from .errors import InvalidClaim, InvalidConfig
 from .ergotropy import passive_energy_of_spectrum
 from .linalg import diagonal_in_basis, hermitian_part, operator_in_basis, require_unitary
 from .majorization import majorization_deficit
-from .measurement import dense_estimate, estimate_spectrum
+from .measurement import born_probabilities, estimate_spectrum
 from .states import RandomSource, ginibre_state, haar_from_ginibre, random_levels, state_spectrum
 
 # Fixed tolerance for the exact linear-algebra identities inside the spectrum-
@@ -131,7 +131,7 @@ def _mean_energy(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _observational(mean: np.ndarray, energies: np.ndarray, post: np.ndarray, populations: np.ndarray) -> np.ndarray:
     """Observational ergotropy of (U, post) from the populations diag(U^dag rho U)."""
-    return mean - passive_energy_of_spectrum(energies, estimate_spectrum(post, populations))
+    return mean - passive_energy_of_spectrum(energies, estimate_spectrum(post, populations, 1.0))
 
 
 def _monotonicity(cfg: AuditConfig, root: RandomSource, trials: range):
@@ -166,14 +166,20 @@ def _fine_grained_optimum(cfg: AuditConfig, root: RandomSource, trials: range):
     return margin, margin > cfg.tolerance, r_sampled[positive] / r_full[positive]
 
 
+def _dense_estimate(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Hermitian part of sum_i p_i M_i / tr M_i, p_i = tr(rho M_i), for elements (..., k, d, d); leading axes are a batch."""
+    weights = born_probabilities(rho, elements) / np.trace(elements, axis1=-2, axis2=-1).real
+    return hermitian_part((weights[..., np.newaxis, :] @ elements.reshape(*weights.shape, -1)).reshape(rho.shape))
+
+
 def _spectrum_majorization(cfg: AuditConfig, root: RandomSource, trials: range):
     """Coarse-graining only mixes the estimate's spectrum: the fine spectrum
     majorizes the coarse one, the linking matrix is bistochastic, and it maps
     the fine outcome distribution onto the coarse spectrum."""
     (rho, _), u, post = _sample(cfg, root, trials, ("state", "haar", "post"))
-    fine = estimate_spectrum(np.eye(cfg.dimension), diagonal_in_basis(rho, u))
+    fine = estimate_spectrum(np.eye(cfg.dimension), diagonal_in_basis(rho, u), 1.0)
     # Checked against the estimate built from the element matrices, not the kernel.
-    spec_coarse = np.clip(state_spectrum(dense_estimate(rho, operator_in_basis(u[:, np.newaxis], post))), 0.0, None)
+    spec_coarse = np.clip(state_spectrum(_dense_estimate(rho, operator_in_basis(u[:, np.newaxis], post))), 0.0, None)
     deficit = majorization_deficit(np.sort(fine), spec_coarse)
     link = np.swapaxes(post / post.sum(axis=-1, keepdims=True), -1, -2) @ post
     bisto_residual = np.maximum(np.abs(link.sum(axis=-2) - 1.0).max(axis=-1), np.abs(link.sum(axis=-1) - 1.0).max(axis=-1))

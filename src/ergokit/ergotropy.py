@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InconsistentReport
 from .linalg import adjoint
-from .measurement import BasisMeasurement, Povm, coarse_grained_state
+from .measurement import Povm, coarse_grained_spectrum
 from .states import DensityMatrix, Hamiltonian, _check_same_dim, dephase, mean_energy
 
 # The identities WorkReport checks hold up to roundoff, which grows with the
@@ -110,13 +110,12 @@ def ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
     return mean_energy(rho, h) - passive_energy(rho, h)
 
 
-def observational_ergotropy(rho: DensityMatrix, h: Hamiltonian, m: Povm | BasisMeasurement) -> float:
+def observational_ergotropy(rho: DensityMatrix, h: Hamiltonian, m: Povm) -> float:
     """Work extractable when the state is known only through one round of
     outcome statistics of m: mean energy of rho minus the passive energy of
     the coarse-grained estimate. Can be negative when the estimate misranks
     the populations."""
-    estimate = coarse_grained_state(rho, m)
-    return mean_energy(rho, h) - passive_energy(estimate, h)
+    return mean_energy(rho, h) - passive_energy_of_spectrum(h, coarse_grained_spectrum(rho, m))
 
 
 def incoherent_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
@@ -130,7 +129,7 @@ def coherent_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
     return ergotropy(rho, h) - incoherent_ergotropy(rho, h)
 
 
-def report(rho: DensityMatrix, h: Hamiltonian, m: Povm | BasisMeasurement | None = None) -> WorkReport:
+def report(rho: DensityMatrix, h: Hamiltonian, m: Povm | None = None) -> WorkReport:
     """Bundle every work quantity for one instance."""
     mean = mean_energy(rho, h)
     passive = passive_energy(rho, h)

@@ -102,7 +102,7 @@ def instance_from_dict(doc, source: str = "instance") -> Instance:
         if not isinstance(node, list) or not node:
             raise ValidationError(f"{path}: expected a non-empty list of POVM elements")
         elements = tuple(_complex_matrix(el, f"{path}[{k}]", dim) for k, el in enumerate(node))
-        measurements[name] = _domain(path, lambda els=elements: Povm(elements=els))
+        measurements[name] = _domain(path, lambda els=elements: Povm(els))
 
     post_processing = {}
     for name, node in _named_section(doc, "post_processing").items():

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import LengthMismatch, NotStochastic, NotUnitary, PreconditionFailed
 from .ergotropy import passive_energy_of_spectrum
 from .linalg import max_abs, require_unitary
-from .measurement import ROW_SUM_TOL, BasisMeasurement, Povm, StochasticMatrix, refine_distribution
+from .measurement import ROW_SUM_TOL, Povm, StochasticMatrix, refine_distribution
 from .states import Hamiltonian
 
 MAJORIZATION_TOL = 1e-9
@@ -66,7 +66,7 @@ def bistochastic_from_unitary(v) -> StochasticMatrix:
     return b
 
 
-def refinement_bistochastic(p: Povm | BasisMeasurement, d: StochasticMatrix) -> StochasticMatrix:
+def refinement_bistochastic(p: Povm, d: StochasticMatrix) -> StochasticMatrix:
     """Bistochastic matrix linking the outcome spectra of a fine-grained
     measurement and its post-processed coarsening.
 

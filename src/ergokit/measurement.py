@@ -4,9 +4,10 @@ A measurement here is a finite POVM. Fine-grained measurements (rank-1
 projective) are the informationally sharpest ones; applying a
 column-stochastic matrix to the outcome labels coarsens them. The
 coarse-grained state is the maximum-ignorance estimate of the input state
-consistent with the observed outcome statistics. A coarsened basis
-measurement is kept as (basis, post-processing), so its estimate's spectrum
-is vector arithmetic (Lemma 1); a general POVM is kept as dense elements.
+consistent with the observed outcome statistics. Every measurement is kept
+as (base, post-processing D), the base a unitary or a dense element stack,
+and every estimate comes from one Lemma 1 formula over the base; over a
+unitary base the estimate's spectrum is vector arithmetic.
 """
 
 from __future__ import annotations
@@ -61,21 +62,28 @@ class StochasticMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Positive operators summing to the identity, stored as one (k, d, d) array.
+    """Finite POVM kept as a base and a post-processing: element i is
+    sum_j D[i, j] M_j, with D = ``post`` column-stochastic and free of
+    all-zero rows.
 
-    ``labels`` track outcome identity through relabelings: post-processing
-    that drops all-zero outcomes records which of the original indices
-    survive. Zero elements are forbidden because coarse-grained states divide
-    by each element's volume (trace).
+    The base is a unitary U, whose elements M_j = U e_j e_j^dag U^dag are
+    rank-1 projectors of volume 1, or a dense (k, d, d) stack of positive
+    operators summing to the identity. ``Povm(base)`` validates a dense stack
+    once and sets D = I; zero elements are forbidden because coarse-grained
+    states divide by each element's volume (trace). ``labels`` track outcome
+    identity through relabelings: post-processing that drops all-zero
+    outcomes records which of the original indices survive. Element matrices
+    are built only when ``elements`` is read.
     """
 
-    elements: np.ndarray
+    base: np.ndarray
     labels: tuple = None
+    post: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not len(self.elements):
+        if not len(self.base):
             raise DegeneratePovm("a POVM needs at least one element")
-        mats = as_matrix([require_hermitian(e, what=f"POVM element {k}") for k, e in enumerate(self.elements)], stack=True)
+        mats = as_matrix([require_hermitian(e, what=f"POVM element {k}") for k, e in enumerate(self.base)], stack=True)
         lows = np.linalg.eigvalsh(hermitian_part(mats))[:, 0]
         k = int(np.argmin(lows))
         if float(lows[k]) < PSD_TOL:
@@ -90,87 +98,52 @@ class Povm:
         labels = self.labels if self.labels is not None else tuple(range(1, len(mats) + 1))
         if len(labels) != len(mats):
             raise InvalidPovm(f"{len(labels)} labels for {len(mats)} elements")
-        object.__setattr__(self, "elements", mats)
+        object.__setattr__(self, "base", mats)
+        object.__setattr__(self, "post", np.eye(len(mats)))
         object.__setattr__(self, "labels", tuple(labels))
 
     @property
     def dim(self) -> int:
-        return self.elements.shape[-1]
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.elements)
-
-    @property
-    def volumes(self) -> np.ndarray:
-        """Trace of each element: the dimension-weight of its maximum-ignorance ensemble."""
-        return np.trace(self.elements, axis1=1, axis2=2).real
-
-    def is_fine_grained(self) -> bool:
-        """True when every element is (numerically) a rank-1 projector."""
-        if self.n_outcomes != self.dim:
-            return False
-        w = np.linalg.eigvalsh(self.elements)
-        return bool(max_abs(w[:, -1] - 1.0) <= FINE_GRAINED_TOL and max_abs(w[:, :-1]) <= FINE_GRAINED_TOL)
-
-
-@dataclass(frozen=True, eq=False)
-class BasisMeasurement:
-    """Projective measurement in an orthonormal basis followed by classical
-    post-processing: element i is U diag(post[i]) U^dag, with U = ``basis``
-    and ``post`` column-stochastic with no all-zero row. Outcomes are
-    labelled 1..n unless post-processing dropped some. Element matrices are
-    built only when ``elements`` is read."""
-
-    basis: np.ndarray
-    post: np.ndarray
-    labels: tuple = field(init=False)
-
-    def __post_init__(self):
-        basis = require_unitary(self.basis, what="basis")
-        post = StochasticMatrix(self.post).entries
-        if post.shape[1] != basis.shape[0]:
-            raise DimensionMismatch(f"post-processing expects {post.shape[1]} inputs but the basis has {basis.shape[0]} vectors")
-        volumes = post.sum(axis=1)
-        if float(np.min(volumes)) < ZERO_ELEMENT_TOL:
-            raise DegeneratePovm(f"post-processing row {int(np.argmin(volumes))} is (numerically) zero")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "post", post)
-        object.__setattr__(self, "labels", tuple(range(1, post.shape[0] + 1)))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.base.shape[-1]
 
     @property
     def n_outcomes(self) -> int:
         return self.post.shape[0]
 
     @property
+    def _base_volumes(self) -> np.ndarray | float:
+        """V_j = tr M_j of the base elements: 1 for a unitary base."""
+        return 1.0 if self.base.ndim == 2 else np.trace(self.base, axis1=1, axis2=2).real
+
+    @property
     def volumes(self) -> np.ndarray:
-        """Trace of each element: the row sums of the post-processing."""
-        return self.post.sum(axis=1)
+        """Trace D V of each element: the dimension-weight of its maximum-ignorance ensemble."""
+        return (self.post * self._base_volumes).sum(axis=-1)
 
     @cached_property
     def elements(self) -> np.ndarray:
         """Element matrices as one (k, d, d) array, built on first access."""
-        return operator_in_basis(self.basis, self.post)
+        if self.base.ndim == 2:
+            return operator_in_basis(self.base, self.post)
+        return (self.post @ self.base.reshape(len(self.base), -1)).reshape(-1, self.dim, self.dim)
 
     def is_fine_grained(self) -> bool:
-        """True when every element is (numerically) a rank-1 projector: each row of post is a unit vector."""
+        """True when every element is (numerically) a rank-1 projector; over a
+        unitary base, row i of post is element i's spectrum."""
         if self.n_outcomes != self.dim:
             return False
-        rows = np.sort(self.post, axis=1)
-        return bool(max_abs(rows[:, -1] - 1.0) <= FINE_GRAINED_TOL and max_abs(rows[:, :-1]) <= FINE_GRAINED_TOL)
+        w = np.sort(self.post, axis=1) if self.base.ndim == 2 else np.linalg.eigvalsh(self.elements)
+        return bool(max_abs(w[:, -1] - 1.0) <= FINE_GRAINED_TOL and max_abs(w[:, :-1]) <= FINE_GRAINED_TOL)
 
 
-class FineGrainedMeasurement(BasisMeasurement):
+class FineGrainedMeasurement(Povm):
     """Rank-1 projective measurement onto the columns of an orthonormal
-    basis: the basis with identity post-processing."""
+    basis: the unitary base with identity post-processing."""
 
     @classmethod
     def from_basis(cls, basis) -> "FineGrainedMeasurement":
-        return cls(basis, np.eye(as_matrix(basis).shape[0]))
+        u = require_unitary(basis, what="basis")
+        return unchecked(cls, base=u, post=np.eye(len(u)), labels=tuple(range(1, len(u) + 1)))
 
 
 def computational_basis(d: int) -> FineGrainedMeasurement:
@@ -186,40 +159,28 @@ def random_column_stochastic(n_out: int, n_in: int, rng: RandomSource) -> Stocha
     return StochasticMatrix(cols / cols.sum(axis=0))
 
 
-def post_process(p: Povm | BasisMeasurement, d: StochasticMatrix) -> Povm | BasisMeasurement:
-    """Coarsen a measurement: output element i is sum_j D[i, j] * P_j.
+def post_process(p: Povm, d: StochasticMatrix) -> Povm:
+    """Coarsen a measurement: output element i is sum_j D[i, j] * P_j, kept
+    as the same base with post-processing D @ p.post; no element is mixed.
 
     Outcomes whose operator vanishes (an all-zero row of D) are dropped; the
     surviving original outcome indices are recorded in the result's labels.
     The result is not validated again: a column-stochastic D keeps
-    positivity and completeness. A basis measurement stays one.
+    positivity and completeness.
     """
     if d.n_in != p.n_outcomes:
         raise DimensionMismatch(f"post-processing expects {d.n_in} inputs but measurement has {p.n_outcomes} outcomes")
     kept = np.flatnonzero(d.entries @ p.volumes >= ZERO_ELEMENT_TOL)
-    labels = tuple(int(i) + 1 for i in kept)
-    if isinstance(p, BasisMeasurement):
-        return unchecked(BasisMeasurement, basis=p.basis, post=(d.entries @ p.post)[kept], labels=labels)
-    mixed = (d.entries[kept] @ p.elements.reshape(p.n_outcomes, -1)).reshape(-1, p.dim, p.dim)
-    return unchecked(Povm, elements=mixed, labels=labels)
+    return unchecked(Povm, base=p.base, post=(d.entries @ p.post)[kept], labels=tuple(int(i) + 1 for i in kept))
 
 
-def energy_incoherent(h: Hamiltonian, q: StochasticMatrix) -> BasisMeasurement:
+def energy_incoherent(h: Hamiltonian, q: StochasticMatrix) -> Povm:
     """Measurement diagonal in the energy eigenbasis: element i is
     sum_j q[i, j] |E_j><E_j| built from the Hamiltonian's tie-broken basis.
     All-zero rows of q are dropped, as in post_process."""
     if q.n_in != h.dim:
         raise DimensionMismatch(f"post-processing expects {q.n_in} energy levels but Hamiltonian has {h.dim}")
-    return post_process(unchecked(BasisMeasurement, basis=h.eigenbasis, post=np.eye(h.dim)), q)
-
-
-def outcome_distribution(rho: DensityMatrix, m: Povm | BasisMeasurement) -> np.ndarray:
-    """Born probabilities p_i = tr(rho M_i), clipped of benign negative roundoff."""
-    if rho.dim != m.dim:
-        raise DimensionMismatch(f"state is {rho.dim}-dimensional but measurement is {m.dim}-dimensional")
-    if isinstance(m, BasisMeasurement):
-        return np.clip(m.post @ diagonal_in_basis(rho.op, m.basis), 0.0, None)
-    return born_probabilities(rho.op, m.elements)
+    return post_process(unchecked(Povm, base=h.eigenbasis, post=np.eye(h.dim), labels=None), q)
 
 
 def born_probabilities(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -228,45 +189,58 @@ def born_probabilities(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return np.clip((flat @ np.swapaxes(rho, -1, -2).reshape(*flat.shape[:-2], -1, 1))[..., 0].real, 0.0, None)
 
 
-def estimate_spectrum(post: np.ndarray, populations: np.ndarray) -> np.ndarray:
-    """Spectrum D^T (D p / D 1) of the estimate from a basis measurement (U, D) given
-    p = diag(U^dag rho U), with D p clipped of negative roundoff (Lemma 1). Leading axes are a batch."""
-    probs = np.clip((post @ populations[..., np.newaxis])[..., 0], 0.0, None)
-    return (np.swapaxes(post, -1, -2) @ (probs / post.sum(axis=-1))[..., np.newaxis])[..., 0]
-
-
-def dense_estimate(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """Hermitian part of sum_i p_i M_i / tr M_i, p_i = tr(rho M_i), for elements (..., k, d, d); leading axes are a batch."""
-    weights = born_probabilities(rho, elements) / np.trace(elements, axis1=-2, axis2=-1).real
-    return hermitian_part((weights[..., np.newaxis, :] @ elements.reshape(*weights.shape, -1)).reshape(rho.shape))
-
-
-def coarse_grained_state(rho: DensityMatrix, m: Povm | BasisMeasurement) -> DensityMatrix:
-    """Maximum-ignorance estimate sum_i p_i M_i / V_i of rho given one round
-    of outcome statistics from m. For a basis measurement (U, D) this is
-    U diag(estimate_spectrum(D, p)) U^dag, whose spectrum needs no eigensolve. A dense
-    estimate is not validated again: it is a nonnegative mix of PSD elements of trace sum_i p_i."""
+def _base_probabilities(rho: DensityMatrix, m: Povm) -> np.ndarray:
+    """p_j = tr(rho M_j) of the base elements: populations in a unitary base, Born's rule on a dense one."""
     if rho.dim != m.dim:
         raise DimensionMismatch(f"state is {rho.dim}-dimensional but measurement is {m.dim}-dimensional")
-    if isinstance(m, BasisMeasurement):
-        return DensityMatrix._in_basis(m.basis, estimate_spectrum(m.post, diagonal_in_basis(rho.op, m.basis)))
-    estimate = dense_estimate(rho.op, m.elements)
+    return diagonal_in_basis(rho.op, m.base) if m.base.ndim == 2 else born_probabilities(rho.op, m.base)
+
+
+def outcome_distribution(rho: DensityMatrix, m: Povm) -> np.ndarray:
+    """Born probabilities tr(rho M_i) = (D p)_i, clipped of benign negative roundoff."""
+    return np.clip(m.post @ _base_probabilities(rho, m), 0.0, None)
+
+
+def estimate_spectrum(post: np.ndarray, populations: np.ndarray, volumes: np.ndarray | float) -> np.ndarray:
+    """Lemma 1: the coarse estimate sum_i q_i N_i / tr N_i, N_i = sum_j D_ij M_j, is sum_j w_j M_j with
+    w = D^T (D p / D V) for base probabilities p and volumes V, D p clipped of negative roundoff. Over a
+    unitary base (V = 1) w is the estimate's spectrum. Leading axes of post and populations are a batch."""
+    probs = np.clip((post @ populations[..., np.newaxis])[..., 0], 0.0, None)
+    return (np.swapaxes(post, -1, -2) @ (probs / (post * volumes).sum(axis=-1))[..., np.newaxis])[..., 0]
+
+
+def coarse_grained_state(rho: DensityMatrix, m: Povm) -> DensityMatrix:
+    """Maximum-ignorance estimate sum_i q_i N_i / tr N_i of rho given one round
+    of outcome statistics q from m: sum_j w_j M_j over the base (estimate_spectrum).
+    Over a unitary base this is U diag(w) U^dag, whose spectrum needs no eigensolve. A dense
+    estimate is not validated again: it is a nonnegative mix of PSD elements of trace sum_i q_i."""
+    w = estimate_spectrum(m.post, _base_probabilities(rho, m), m._base_volumes)
+    if m.base.ndim == 2:
+        return DensityMatrix._in_basis(m.base, w)
+    estimate = hermitian_part((w[np.newaxis, :] @ m.base.reshape(len(w), -1)).reshape(m.dim, m.dim))
     return unchecked(DensityMatrix, op=estimate, eigenvalues=np.linalg.eigvalsh(estimate))
 
 
-def refine_distribution(p: Povm | BasisMeasurement, d: StochasticMatrix) -> StochasticMatrix:
+def coarse_grained_spectrum(rho: DensityMatrix, m: Povm) -> np.ndarray:
+    """Eigenvalues of coarse_grained_state(rho, m) in no set order; over a unitary base
+    they are the kernel's w, and no operator is built."""
+    if m.base.ndim == 2:
+        return estimate_spectrum(m.post, _base_probabilities(rho, m), 1.0)
+    return coarse_grained_state(rho, m).eigenvalues
+
+
+def refine_distribution(p: Povm, d: StochasticMatrix) -> StochasticMatrix:
     """Conditional distribution of the raw outcome given the coarse one.
 
     Column i holds q(j|i) = D[i, j] V_j / sum_k D[i, k] V_k, the probability
     that coarse outcome i originated from raw outcome j. Requires a
-    fine-grained parent measurement (all volumes 1).
+    fine-grained parent measurement (rank-1 projectors, so all volumes 1).
     """
     if d.n_in != p.n_outcomes:
         raise DimensionMismatch(f"post-processing expects {d.n_in} inputs but measurement has {p.n_outcomes} outcomes")
-    vols = p.volumes
-    if max_abs(vols - 1.0) > 1e-9 or not p.is_fine_grained():
+    if not p.is_fine_grained():
         raise PreconditionFailed("refinement is defined for fine-grained (rank-1 projective) measurements")
-    weighted = d.entries * vols[np.newaxis, :]
+    weighted = d.entries * p.volumes[np.newaxis, :]
     mass = weighted.sum(axis=1)
     if float(np.min(mass)) < 1e-15:
         bad = int(np.argmin(mass))
@@ -275,10 +249,10 @@ def refine_distribution(p: Povm | BasisMeasurement, d: StochasticMatrix) -> Stoc
 
 
 __all__ = [
-    "BasisMeasurement",
     "FineGrainedMeasurement",
     "Povm",
     "StochasticMatrix",
+    "coarse_grained_spectrum",
     "coarse_grained_state",
     "computational_basis",
     "energy_incoherent",

@@ -63,6 +63,8 @@ class RandomSource:
         self._gen = np.random.Generator(np.random.Philox(self._seq))
 
     def split(self, index: int) -> "RandomSource":
+        if index < 0:
+            raise PreconditionFailed(f"split index must be a non-negative integer, got {index}")
         return RandomSource(self.seed, self._key + (int(index),))
 
     def fill(self, trials: range, plan) -> None:

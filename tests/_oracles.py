@@ -125,7 +125,7 @@ def spectrum_majorization_trial(cfg, rng):
     coarse = post_process(fine, dmat)
     spec_fine = coarse_grained_state(rho, fine).spectrum()
     # Checked against the element matrices' estimate, not the Lemma 1 kernel.
-    dense = unchecked(Povm, elements=coarse.elements, labels=coarse.labels)
+    dense = unchecked(Povm, base=coarse.elements, post=np.eye(coarse.n_outcomes), labels=coarse.labels)
     spec_coarse = coarse_grained_state(rho, dense).spectrum()
     deficit = majorization_deficit(spec_fine, spec_coarse, pad=True)
     b = refinement_bistochastic(fine, dmat)

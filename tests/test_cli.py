@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +253,33 @@ class TestVerify:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["claim"] == "schur"
+
+
+def _bench_oracle():
+    """The benchmark's plain-numpy oracle (bench/oracle.py), which does not import ergokit."""
+    spec = importlib.util.spec_from_file_location("bench_oracle", Path(__file__).resolve().parents[1] / "bench" / "oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("d", [2, 5, 16])
+def test_dense_report_and_sweep_match_bench_oracle(d, tmp_path, capsys):
+    oracle = _bench_oracle()
+    inst = oracle.make_instance(0, 0, d)
+    path = write_instance(tmp_path, oracle.instance_document(inst))
+    tol = oracle.tolerance(inst)
+    code, out, _ = run_cli(capsys, "report", path, "--measurement", "general")
+    assert code == 0
+    doc = json.loads(out)
+    for key, expected in oracle.report_values(inst).items():
+        assert abs(doc[key] - expected) <= tol, key
+    code, out, _ = run_cli(capsys, "sweep", path, "--family", "mix", "--grid", "0:1:11", "--measurement", "general")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 11
+    expected = oracle.mix_sweep_values(inst, [float(t) for t, _ in rows])
+    assert max(abs(float(r) - e) for (_, r), e in zip(rows, expected)) <= tol
 
 
 def test_povm_json_round_trip(tmp_path, capsys):

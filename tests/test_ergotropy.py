@@ -57,7 +57,7 @@ def qubit_sic_povm():
     for s in directions:
         bloch = sum(c * p for c, p in zip(s, paulis))
         elements.append(0.25 * (np.eye(2) + bloch))
-    return Povm(elements=tuple(elements))
+    return Povm(tuple(elements))
 
 
 def test_passive_energy_hand_value():

@@ -20,18 +20,19 @@ BAD_INPUTS = {
     "state not PSD": lambda: DensityMatrix(np.diag([1.2, -0.2]).astype(complex)),
     "stochastic negative entry": lambda: StochasticMatrix(np.array([[1.2], [-0.2]])),
     "stochastic column sum": lambda: StochasticMatrix(np.array([[0.5], [0.4]])),
-    "povm not positive": lambda: Povm(elements=(BUMP, np.eye(2) - BUMP)),
-    "povm zero element": lambda: Povm(elements=(KET0 + KET1, np.zeros((2, 2), dtype=complex))),
-    "povm incomplete": lambda: Povm(elements=(KET0, 0.5 * KET1)),
-    "povm labels": lambda: Povm(elements=(KET0, KET1), labels=(1,)),
+    "povm not positive": lambda: Povm((BUMP, np.eye(2) - BUMP)),
+    "povm zero element": lambda: Povm((KET0 + KET1, np.zeros((2, 2), dtype=complex))),
+    "povm incomplete": lambda: Povm((KET0, 0.5 * KET1)),
+    "povm labels": lambda: Povm((KET0, KET1), labels=(1,)),
     "matrix with NaN": lambda: as_matrix([[np.nan, 0.0], [0.0, 1.0]]),
     "matrix with Inf": lambda: as_matrix([[np.inf, 0.0], [0.0, 1.0]]),
     "ragged state rows": lambda: DensityMatrix([[1, 0], [0]]),
     "ragged stochastic rows": lambda: StochasticMatrix([[1.0], [0.0, 1.0]]),
     "non-numeric state entries": lambda: DensityMatrix([["a", "b"], ["c", "d"]]),
-    "povm of 2x2 and 3x3 elements": lambda: Povm(elements=(np.eye(2), np.eye(3))),
+    "povm of 2x2 and 3x3 elements": lambda: Povm((np.eye(2), np.eye(3))),
     "haar dimension": lambda: haar_unitary(0, RandomSource(0)),
     "negative seed": lambda: RandomSource(-1),
+    "negative split index": lambda: RandomSource(0).split(-1),
     "trial index past 2^32": lambda: RandomSource(0).fill(range(2 ** 32 - 1, 2 ** 32 + 1), []),
     "pure zero vector": lambda: pure_state([0.0, 0.0]),
     "probability vector negative": lambda: prob_vector([1.1, -0.1]),

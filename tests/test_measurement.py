@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergokit import linalg, measurement, states
 from ergokit.ergotropy import observational_ergotropy
 from ergokit.errors import DimensionMismatch, PreconditionFailed, ZeroMass
 from ergokit.linalg import adjoint, max_abs
@@ -55,24 +56,24 @@ class TestStochasticMatrix:
 class TestPovm:
     def test_rejects_incomplete(self):
         with pytest.raises(ValueError):
-            Povm(elements=(KET0, 0.5 * KET1))
+            Povm((KET0, 0.5 * KET1))
 
     def test_rejects_zero_element(self):
         with pytest.raises(ValueError):
-            Povm(elements=(KET0 + KET1, np.zeros((2, 2), dtype=complex)))
+            Povm((KET0 + KET1, np.zeros((2, 2), dtype=complex)))
 
     def test_rejects_non_positive_element(self):
         bump = np.array([[1.2, 0.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError):
-            Povm(elements=(bump, np.eye(2) - bump))
+            Povm((bump, np.eye(2) - bump))
 
     def test_default_labels(self):
-        p = Povm(elements=(KET0, KET1))
+        p = Povm((KET0, KET1))
         assert p.labels == (1, 2)
         assert p.n_outcomes == 2 and p.dim == 2
 
     def test_volumes(self):
-        p = Povm(elements=(0.5 * np.eye(2), 0.5 * np.eye(2)))
+        p = Povm((0.5 * np.eye(2), 0.5 * np.eye(2)))
         np.testing.assert_allclose(p.volumes, [1.0, 1.0])
         assert not p.is_fine_grained()
 
@@ -210,7 +211,7 @@ class TestCoarseGrainedState:
         assert out.op[1, 1].real == pytest.approx(expected, abs=1e-12)
 
     def test_trivial_measurement_gives_maximally_mixed(self):
-        trivial = Povm(elements=(np.eye(3, dtype=complex),))
+        trivial = Povm((np.eye(3, dtype=complex),))
         rho = random_density(3, 3, RandomSource(19))
         assert max_abs(coarse_grained_state(rho, trivial).op - np.eye(3) / 3.0) <= 1e-12
 
@@ -274,7 +275,7 @@ class TestRefineDistribution:
             refine_distribution(computational_basis(2), dead_row)
 
     def test_requires_fine_grained_parent(self):
-        halves = Povm(elements=(0.5 * np.eye(2), 0.5 * np.eye(2)))
+        halves = Povm((0.5 * np.eye(2), 0.5 * np.eye(2)))
         with pytest.raises(PreconditionFailed):
             refine_distribution(halves, StochasticMatrix.identity(2))
 
@@ -306,12 +307,18 @@ def _kernel_instance(d, n_rel, seed, rank_frac, zero_rows, degenerate):
 def test_kernel_matches_dense_elements(d, n_rel, seed, rank_frac, zero_rows, degenerate):
     rho, h, fine, dmat = _kernel_instance(d, n_rel, seed, rank_frac, zero_rows, degenerate)
     scale = float(np.max(np.abs(h.energies)))
-    for structured in (fine, post_process(fine, dmat), energy_incoherent(h, dmat)):
-        dense = Povm(elements=structured.elements, labels=structured.labels)
+    # A general (non-projective) dense base coarsened by D, against its explicitly mixed elements.
+    general = Povm(post_process(fine, random_column_stochastic(d, d, RandomSource(seed).split(1))).elements)
+    coarse = post_process(general, dmat)
+    mixed = np.tensordot(dmat.entries, general.base, axes=1)[np.array(coarse.labels) - 1]
+    cases = [(m, m.elements) for m in (fine, post_process(fine, dmat), energy_incoherent(h, dmat))]
+    for structured, elements in [*cases, (coarse, mixed)]:
+        dense = Povm(elements, labels=structured.labels)
         kernel_value = observational_ergotropy(rho, h, structured)
         assert abs(kernel_value - observational_ergotropy(rho, h, dense)) <= 1e-12 * scale
         assert max_abs(coarse_grained_state(rho, structured).op - coarse_grained_state(rho, dense).op) <= 1e-12
         np.testing.assert_allclose(outcome_distribution(rho, structured), outcome_distribution(rho, dense), atol=1e-12)
+    assert "elements" not in coarse.__dict__  # coarsening a dense base mixes no element matrices
 
 
 def test_post_processing_drops_zero_rows_of_basis_measurements():
@@ -333,6 +340,9 @@ def test_basis_measurement_kernel_makes_no_eigensolve(monkeypatch):
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    for module in (linalg, measurement, states):  # the estimate operator U diag(w) U^dag is not built either
+        original = module.operator_in_basis
+        monkeypatch.setattr(module, "operator_in_basis", lambda *a, _f=original, **k: calls.append("operator_in_basis") or _f(*a, **k))
     q = random_column_stochastic(3, 5, rng)
     for m in (fine, post_process(fine, dmat), energy_incoherent(h, q)):
         observational_ergotropy(rho, h, m)
@@ -343,7 +353,7 @@ def test_dense_estimate_makes_one_eigensolve_and_no_validation(monkeypatch):
     rng = RandomSource(72)
     rho = random_density(4, 4, rng)
     fine = FineGrainedMeasurement.from_basis(haar_unitary(4, rng))
-    dense = Povm(elements=post_process(fine, random_column_stochastic(6, 4, rng)).elements)
+    dense = Povm(post_process(fine, random_column_stochastic(6, 4, rng)).elements)
     calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
