@@ -21,12 +21,11 @@ from .ergotropy import passive_energy_of_spectrum
 from .linalg import diagonal_in_basis, hermitian_part, operator_in_basis, require_unitary
 from .majorization import majorization_deficit
 from .measurement import born_probabilities, estimate_spectrum
-from .states import RandomSource, ginibre_state, haar_from_ginibre, random_levels, state_spectrum
+from .states import RandomSource, ginibre_state, haar_from_ginibre, state_spectrum
 
 # Fixed tolerance for the exact linear-algebra identities inside the spectrum-
 # majorization audit; the configurable tolerance governs the inequalities.
 IDENTITY_TOL = 1e-10
-MIN_ENERGY_GAP = 1e-8
 # Bytes of stacked arrays one chunk of trials may hold, a trial counting as
 # 16 d^2 (n + 8): its complex d x d stacks plus lemma1's n dense elements.
 CHUNK_BYTES = 4 << 20
@@ -90,9 +89,9 @@ class AuditResult:
         return f"{self.claim},{self.trials},{self.violations},{repr(float(self.worst_margin))}"
 
 
-def _draw(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple, min_gap: float = 0.0) -> list:
+def _draw(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -> list:
     """Row i of each stack is what root.split(trials[i]) draws alone in the order of ``kinds``: complex Gaussians for
-    "state", "haar" and "hamiltonian" after its ``random_levels``, standard exponentials for "post" and "simplex"."""
+    "state", "haar" and "hamiltonian" after its sorted uniform levels, standard exponentials for "post" and "simplex"."""
     d, n = cfg.dimension, cfg.outcomes
     draws = {"state": [("normal", (2, d, cfg.effective_rank))], "hamiltonian": [("uniform", (d,)), ("normal", (2, d, d))],
              "haar": [("normal", (2, d, d))], "post": [("exponential", (n, d))], "simplex": [("exponential", (d,))]}
@@ -100,16 +99,12 @@ def _draw(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple, min
     root.fill(trials, plan)
     for levels in (out for name, out in plan if name == "uniform"):
         levels.sort(axis=-1)
-        for i in np.flatnonzero(np.diff(levels, axis=-1).min(axis=-1, initial=np.inf) < min_gap):
-            rng = root.split(trials[i])
-            for name, out in plan:
-                out[i] = random_levels(d, rng, min_gap) if out is levels else getattr(rng, name)(out.shape[1:])
     return [(z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0) if name == "normal" else z for name, z in plan]
 
 
-def _sample(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple, min_gap: float = 0.0) -> list:
+def _sample(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -> list:
     """Build ``_draw``'s stacks: "state" (states, spectra), "hamiltonian" (observables, levels, bases), "haar", "post", "simplex"."""
-    stacks, built = iter(_draw(cfg, root, trials, kinds, min_gap)), []
+    stacks, built = iter(_draw(cfg, root, trials, kinds)), []
     for kind in kinds:
         x = next(stacks)
         if kind == "state":
@@ -146,7 +141,7 @@ def _monotonicity(cfg: AuditConfig, root: RandomSource, trials: range):
 def _incoherent_limit(cfg: AuditConfig, root: RandomSource, trials: range):
     """The projective energy measurement attains exactly the incoherent
     ergotropy, and no energy-incoherent measurement beats it."""
-    (h, energies, v), (rho, _), q = _sample(cfg, root, trials, ("hamiltonian", "state", "post"), MIN_ENERGY_GAP)
+    (h, energies, v), (rho, _), q = _sample(cfg, root, trials, ("hamiltonian", "state", "post"))
     p, mean = diagonal_in_basis(rho, v), _mean_energy(h, rho)
     r_inc = _mean_energy(h, operator_in_basis(v, p)) - passive_energy_of_spectrum(energies, p)
     equality_gap = np.abs(_observational(mean, energies, np.eye(cfg.dimension), p) - r_inc)

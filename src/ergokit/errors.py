@@ -34,7 +34,7 @@ class InvalidPovm(ErgokitError):
 
 
 class NoConvergence(ErgokitError):
-    """An eigensolver or a resampling loop exhausted its iteration budget."""
+    """The eigensolver did not converge."""
 
 
 class InvalidRank(ErgokitError):

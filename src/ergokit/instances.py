@@ -28,13 +28,22 @@ class Instance:
     post_processing: dict
 
 
+def _real_entry(node, path: str) -> float:
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        raise ValidationError(f"{path}: expected a real number, got {node!r}")
+    try:
+        return float(node)
+    except OverflowError:  # a JSON integer past the float range
+        raise ValidationError(f"{path}: integer too large for a float") from None
+
+
 def _complex_entry(node, path: str) -> complex:
     if isinstance(node, bool):
         raise ValidationError(f"{path}: expected a number or [re, im] pair, got a boolean")
     if isinstance(node, (int, float)):
-        return complex(node)
+        return complex(_real_entry(node, path))
     if isinstance(node, list) and len(node) == 2 and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node):
-        return complex(node[0], node[1])
+        return complex(_real_entry(node[0], path), _real_entry(node[1], path))
     raise ValidationError(f"{path}: expected a number or [re, im] pair, got {node!r}")
 
 
@@ -62,17 +71,14 @@ def _real_matrix(node, path: str) -> np.ndarray:
             width = len(row)
         elif len(row) != width:
             raise ValidationError(f"{path}[{r}]: expected {width} entries, got {len(row)}")
-        for c, entry in enumerate(row):
-            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                raise ValidationError(f"{path}[{r}][{c}]: expected a real number, got {entry!r}")
-        rows.append([float(v) for v in row])
+        rows.append([_real_entry(v, f"{path}[{r}][{c}]") for c, v in enumerate(row)])
     return np.array(rows)
 
 
-def _domain(path: str, build):
-    """Run a domain constructor, re-tagging its invariant errors with the field path."""
+def _domain(path: str, build, parsed):
+    """Run a domain constructor on parsed input, re-tagging its invariant errors with the field path."""
     try:
-        return build()
+        return build(parsed)
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -93,8 +99,8 @@ def instance_from_dict(doc, source: str = "instance") -> Instance:
         if key not in known:
             raise ValidationError(f"{key}: unknown field")
 
-    hamiltonian = _domain("hamiltonian", lambda: Hamiltonian(_complex_matrix(doc["hamiltonian"], "hamiltonian", dim)))
-    state = _domain("state", lambda: DensityMatrix(_complex_matrix(doc["state"], "state", dim)))
+    hamiltonian = _domain("hamiltonian", Hamiltonian, _complex_matrix(doc["hamiltonian"], "hamiltonian", dim))
+    state = _domain("state", DensityMatrix, _complex_matrix(doc["state"], "state", dim))
 
     measurements = {}
     for name, node in _named_section(doc, "measurements").items():
@@ -102,12 +108,12 @@ def instance_from_dict(doc, source: str = "instance") -> Instance:
         if not isinstance(node, list) or not node:
             raise ValidationError(f"{path}: expected a non-empty list of POVM elements")
         elements = tuple(_complex_matrix(el, f"{path}[{k}]", dim) for k, el in enumerate(node))
-        measurements[name] = _domain(path, lambda els=elements: Povm(els))
+        measurements[name] = _domain(path, Povm, elements)
 
     post_processing = {}
     for name, node in _named_section(doc, "post_processing").items():
         path = f"post_processing.{name}"
-        post_processing[name] = _domain(path, lambda n=node, p=path: StochasticMatrix(_real_matrix(n, p)))
+        post_processing[name] = _domain(path, StochasticMatrix, _real_matrix(node, path))
 
     return Instance(dimension=dim, hamiltonian=hamiltonian, state=state,
                     measurements=measurements, post_processing=post_processing)
@@ -124,11 +130,12 @@ def _named_section(doc: dict, key: str) -> dict:
 
 def load_instance(path) -> Instance:
     path = Path(path)
-    text = path.read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer past Python's digit limit
+        raise ParseError(f"{path}: {exc}") from exc
     return instance_from_dict(doc, source=str(path))
 
 

@@ -17,6 +17,7 @@ from .measurement import ROW_SUM_TOL, Povm, StochasticMatrix, refine_distributio
 from .states import Hamiltonian
 
 MAJORIZATION_TOL = 1e-9
+SCHUR_TOL = 1e-10
 
 
 def prob_vector(x) -> np.ndarray:
@@ -52,10 +53,10 @@ def majorization_deficit(x, y, pad: bool = False) -> float | np.ndarray:
     return np.maximum(partial, np.abs(cx[..., -1] - cy[..., -1]))
 
 
-def majorizes(x, y, tol: float = MAJORIZATION_TOL, pad: bool = False) -> bool:
+def majorizes(x, y, pad: bool = False) -> bool:
     """True when x majorizes y: x's descending partial sums dominate y's
-    within tol and the totals agree within tol."""
-    return majorization_deficit(x, y, pad=pad) <= tol
+    within MAJORIZATION_TOL and the totals agree within it."""
+    return majorization_deficit(x, y, pad=pad) <= MAJORIZATION_TOL
 
 
 def bistochastic_from_unitary(v) -> StochasticMatrix:
@@ -82,17 +83,17 @@ def refinement_bistochastic(p: Povm, d: StochasticMatrix) -> StochasticMatrix:
     return b
 
 
-def schur_concavity_check(h: Hamiltonian, x, y, tol: float = 1e-10) -> bool:
+def schur_concavity_check(h: Hamiltonian, x, y) -> bool:
     """Verify that the more-mixed spectrum has the larger passive energy.
 
     Requires x to majorize y; then checks
-    passive_energy(x) <= passive_energy(y) + tol.
+    passive_energy(x) <= passive_energy(y) + SCHUR_TOL.
     """
     xv = prob_vector(x)
     yv = prob_vector(y)
     if not majorizes(xv, yv):
         raise PreconditionFailed("x does not majorize y; Schur-concavity comparison undefined")
-    return passive_energy_of_spectrum(h, xv) <= passive_energy_of_spectrum(h, yv) + tol
+    return passive_energy_of_spectrum(h, xv) <= passive_energy_of_spectrum(h, yv) + SCHUR_TOL
 
 
 __all__ = [

@@ -10,15 +10,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidRank, InvalidState, NoConvergence, PreconditionFailed
+from .errors import DimensionMismatch, InvalidRank, InvalidState, PreconditionFailed
 from .linalg import adjoint, diagonal_in_basis, eig_hermitian, hermitian_part, operator_in_basis, require_hermitian, unchecked
 
 # Eigenvalues of a state may dip this far below zero before it is rejected.
 PSD_TOL = -1e-10
 TRACE_TOL = 1e-10
-# Draws of the levels random_hamiltonian makes before giving up on min_gap;
-# a gap near the feasible limit is met with vanishing probability.
-MAX_GAP_DRAWS = 1000
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its k-th step xors INIT·MULT^k and multiplies
@@ -212,22 +209,10 @@ def random_density(d: int, rank: int, rng: RandomSource) -> DensityMatrix:
     return DensityMatrix(ginibre_state(rng.complex_normal((d, rank))))
 
 
-def random_levels(d: int, rng: RandomSource, min_gap: float = 0.0) -> np.ndarray:
-    """Sorted uniform [0,1] energy levels. With ``min_gap`` > 0, resamples until all spacings
-    reach the gap (needed wherever non-degeneracy is assumed), at most MAX_GAP_DRAWS times."""
-    if d >= 2 and min_gap > 1.0 / (d - 1):
-        raise PreconditionFailed(f"{d} levels in [0, 1] cannot all be {min_gap!r} apart (at most {1.0 / (d - 1)!r})")
-    for _ in range(MAX_GAP_DRAWS):
-        levels = np.sort(rng.uniform(d))
-        if min_gap <= 0.0 or d < 2 or float(np.min(np.diff(levels))) >= min_gap:
-            return levels
-    raise NoConvergence(f"no level spacing of {min_gap!r} in {MAX_GAP_DRAWS} draws of {d} levels")
-
-
-def random_hamiltonian(d: int, rng: RandomSource, min_gap: float = 0.0) -> Hamiltonian:
-    """Random observable: ``random_levels`` conjugated by a Haar unitary. It is
-    built from the levels and basis it drew, neither validated nor eigensolved."""
-    levels = random_levels(d, rng, min_gap)
+def random_hamiltonian(d: int, rng: RandomSource) -> Hamiltonian:
+    """Random observable: sorted uniform [0, 1] levels conjugated by a Haar unitary. It
+    is built from the levels and basis it drew, neither validated nor eigensolved."""
+    levels = np.sort(rng.uniform(d))
     basis = haar_unitary(d, rng)
     return unchecked(Hamiltonian, op=hermitian_part(operator_in_basis(basis, levels)), energies=levels, eigenbasis=basis)
 

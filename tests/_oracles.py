@@ -10,7 +10,7 @@ batched audit engine is checked trial by trial.
 
 import numpy as np
 
-from ergokit.audits import IDENTITY_TOL, MIN_ENERGY_GAP
+from ergokit.audits import IDENTITY_TOL
 from ergokit.ergotropy import ergotropy, incoherent_ergotropy, observational_ergotropy, passive_energy_of_spectrum
 from ergokit.linalg import eig_hermitian, max_abs, unchecked
 from ergokit.majorization import bistochastic_from_unitary, majorization_deficit, refinement_bistochastic
@@ -23,7 +23,7 @@ from ergokit.measurement import (
     post_process,
     random_column_stochastic,
 )
-from ergokit.states import haar_unitary, random_density, random_hamiltonian, random_levels
+from ergokit.states import haar_unitary, random_density, random_hamiltonian
 
 
 def sampled_min_energy(rho_op, h_op, samples, seed, batch=2000):
@@ -52,12 +52,12 @@ def qubit_sweep_closed_form(b):
     return ((3.0 + b) / 4.0) * (1.0 / (1.0 + b)) - 0.25
 
 
-def trial_draws(cfg, rng, kinds, min_gap=0.0):
+def trial_draws(cfg, rng, kinds):
     """One audit trial's raw draws from its own stream, one call per draw, in
     the order of ``kinds`` (the reference for the chunked sampler's rows)."""
     d, n = cfg.dimension, cfg.outcomes
     draws = {"state": lambda: [rng.complex_normal((d, cfg.effective_rank))],
-             "hamiltonian": lambda: [random_levels(d, rng, min_gap), rng.complex_normal((d, d))],
+             "hamiltonian": lambda: [np.sort(rng.uniform(d)), rng.complex_normal((d, d))],
              "haar": lambda: [rng.complex_normal((d, d))],
              "post": lambda: [rng.exponential((n, d))],
              "simplex": lambda: [rng.exponential(d)]}
@@ -86,7 +86,7 @@ def incoherent_limit_trial(cfg, rng):
     """The projective energy measurement attains exactly the incoherent
     ergotropy, and no energy-incoherent measurement beats it."""
     d = cfg.dimension
-    h = random_hamiltonian(d, rng, min_gap=MIN_ENERGY_GAP)
+    h = random_hamiltonian(d, rng)
     rho = random_density(d, cfg.effective_rank, rng)
     r_inc = incoherent_ergotropy(rho, h)
     energy_basis = FineGrainedMeasurement.from_basis(h.eigenbasis)

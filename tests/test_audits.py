@@ -11,10 +11,10 @@ from ergokit.audits import (
     run_all,
     run_audit,
 )
-from ergokit.errors import InvalidClaim, InvalidConfig, InvalidState, NotUnitary, PreconditionFailed
+from ergokit.errors import InvalidClaim, InvalidConfig, InvalidState, NotUnitary
 from ergokit.ergotropy import observational_ergotropy
 from ergokit.measurement import StochasticMatrix, computational_basis, post_process
-from ergokit.states import RandomSource, diagonal_hamiltonian, diagonal_state, random_levels
+from ergokit.states import RandomSource, diagonal_hamiltonian, diagonal_state
 
 from _oracles import TRIAL_ORACLES, trial_draws
 
@@ -209,7 +209,7 @@ def test_engine_matches_oracle_for_any_chunking(monkeypatch, claim, d, rank, n):
             assert np.array_equal(column, reference)  # bitwise, whatever the chunking
     margins, violated, *extras = runs[1]
     expected = oracle_trials(claim, cfg)
-    tol = 16 * d * EPS  # times max(1, max|E|), which is 1: random_levels lie in [0, 1]
+    tol = 16 * d * EPS  # times max(1, max|E|), which is 1: the drawn levels lie in [0, 1]
     np.testing.assert_allclose(margins, [m for m, _, _ in expected], rtol=0.0, atol=tol)
     assert int(np.count_nonzero(violated)) == sum(bool(v) for _, v, _ in expected)
     if claim == "theorem3":
@@ -232,6 +232,31 @@ def test_large_dimension_runs_one_trial_per_chunk():
     cfg = AuditConfig(dimension=64, outcomes=64, trials=2, seed=0)
     starts, _ = engine_trials("theorem1", cfg)
     assert starts == [0, 1]
+
+
+def test_theorem2_holds_on_tied_levels(monkeypatch):
+    # levels rounded onto {0, 0.5, 1}: most trials carry exactly equal energies
+    fill, sample, levels = RandomSource.fill, audits._sample, []
+
+    def tied_fill(self, trials, plan):
+        fill(self, trials, plan)
+        for name, out in plan:
+            if name == "uniform":
+                np.round(2.0 * out, out=out)
+                out /= 2.0
+
+    def spy(cfg, root, trials, kinds):
+        built = sample(cfg, root, trials, kinds)
+        levels.append(built[kinds.index("hamiltonian")][1])
+        return built
+
+    monkeypatch.setattr(RandomSource, "fill", tied_fill)
+    monkeypatch.setattr(audits, "_sample", spy)
+    cfg = AuditConfig(dimension=3, outcomes=4, trials=500, seed=3)
+    result = run_audit("theorem2", cfg)
+    tied = np.count_nonzero((np.diff(np.concatenate(levels), axis=-1) == 0.0).any(axis=-1))
+    assert tied > cfg.trials // 2  # the evaluator sees the ties as drawn
+    assert result.violations == 0
 
 
 def test_sampled_states_are_validated(monkeypatch):
@@ -269,20 +294,3 @@ def test_chunk_draws_equal_per_trial_streams(kinds, first, size):
         assert len(stacks) == len(expected)
         for stack, reference in zip(stacks, expected):
             assert_bitwise(stack[i], reference)
-
-
-def test_gap_resampling_redraws_a_trial_from_its_own_stream():
-    cfg = AuditConfig(dimension=3, outcomes=4, trials=40, seed=8)
-    root, trials, min_gap = RandomSource(cfg.seed).split(2), range(3, 40), 0.2
-    # three levels are 0.2 apart with probability 0.6^3, so most trials are drawn again
-    first_gaps = [np.diff(np.sort(root.split(t).uniform(3))).min() for t in trials]
-    assert sum(gap < min_gap for gap in first_gaps) > len(trials) // 2
-    (_, levels, _), _ = audits._sample(cfg, root, trials, ("hamiltonian", "state"), min_gap)
-    kinds = ("state", "hamiltonian", "post")
-    stacks = audits._draw(cfg, root, trials, kinds, min_gap)
-    for i, t in enumerate(trials):
-        assert_bitwise(levels[i], random_levels(3, root.split(t), min_gap))
-        for stack, reference in zip(stacks, trial_draws(cfg, root.split(t), kinds, min_gap)):
-            assert_bitwise(stack[i], reference)
-    with pytest.raises(PreconditionFailed):
-        audits._sample(cfg, root, trials, ("hamiltonian",), 0.6)

@@ -140,6 +140,35 @@ class TestReportErrors:
         assert code == 2
         assert "state:" in err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("state", [[[1, 0], [0, 0]]], "state: expected 2 rows"),
+        ("post_processing", {"x": [[0.5, "a"], [0.5, 0.0]]}, "post_processing.x[0][1]: expected a real number, got 'a'"),
+    ])
+    def test_parse_error_path_is_printed_once(self, tmp_path, capsys, field, value, message):
+        code, _, err = run_cli(capsys, "report", write_instance(tmp_path, dict(QUBIT_INSTANCE, **{field: value})))
+        assert (code, err) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize("field, value, path", [
+        ("state", [[[1, 0], [10 ** 400, 0]], [[0, 0], [0, 0]]], "state[0][1]"),
+        ("hamiltonian", [[0, 0], [0, -10 ** 400]], "hamiltonian[1][1]"),
+        ("post_processing", {"x": [[10 ** 400]]}, "post_processing.x[0][0]"),
+    ])
+    def test_integer_past_the_float_range_exits_2(self, tmp_path, capsys, field, value, path):
+        code, out, err = run_cli(capsys, "report", write_instance(tmp_path, dict(QUBIT_INSTANCE, **{field: value})))
+        assert (code, out) == (2, "")
+        assert f"error: {path}: integer too large for a float" in err
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"\xff\xfe", "utf-8"),  # not UTF-8
+        (json.dumps(QUBIT_INSTANCE).replace("0.75", "7" * 5000, 1).encode(), "digits"),  # past int's digit limit
+    ])
+    def test_unreadable_file_is_a_parse_error(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "instance.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ") and reason in err
+
     def test_bad_entry_reports_cell_path(self, tmp_path, capsys):
         doc = dict(QUBIT_INSTANCE)
         doc = json.loads(json.dumps(doc))

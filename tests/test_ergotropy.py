@@ -204,7 +204,7 @@ def test_incoherent_matches_energy_basis_measurement():
     for t in range(20):
         sub = rng.split(t)
         rho = random_density(3, 3, sub)
-        h = random_hamiltonian(3, sub, min_gap=1e-8)
+        h = random_hamiltonian(3, sub)
         energy_basis = FineGrainedMeasurement.from_basis(h.eigenbasis)
         assert observational_ergotropy(rho, h, energy_basis) == pytest.approx(
             incoherent_ergotropy(rho, h), abs=1e-10)

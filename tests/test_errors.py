@@ -29,6 +29,8 @@ BAD_INPUTS = {
     "ragged state rows": lambda: DensityMatrix([[1, 0], [0]]),
     "ragged stochastic rows": lambda: StochasticMatrix([[1.0], [0.0, 1.0]]),
     "non-numeric state entries": lambda: DensityMatrix([["a", "b"], ["c", "d"]]),
+    "state entry past the float range": lambda: DensityMatrix([[10 ** 400, 0], [0, 1]]),
+    "stochastic entry past the float range": lambda: StochasticMatrix([[10 ** 400]]),
     "povm of 2x2 and 3x3 elements": lambda: Povm((np.eye(2), np.eye(3))),
     "haar dimension": lambda: haar_unitary(0, RandomSource(0)),
     "negative seed": lambda: RandomSource(-1),

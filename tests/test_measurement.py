@@ -167,7 +167,7 @@ class TestEnergyIncoherent:
 
     def test_elements_diagonal_in_eigenbasis(self):
         rng = RandomSource(15)
-        h = random_hamiltonian(3, rng, min_gap=1e-6)
+        h = random_hamiltonian(3, rng)
         q = random_column_stochastic(5, 3, rng)
         n = energy_incoherent(h, q)
         v = h.eigenbasis

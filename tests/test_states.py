@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergokit import states
-from ergokit.errors import DimensionMismatch, InvalidRank, NoConvergence, NotHermitian, PreconditionFailed
+from ergokit.errors import DimensionMismatch, InvalidRank, NotHermitian
 from ergokit.linalg import adjoint, max_abs, require_unitary
 from ergokit.states import (
     DensityMatrix,
@@ -55,16 +55,12 @@ class TestHamiltonian:
         rebuilt = (v * h.energies) @ adjoint(v)
         assert max_abs(rebuilt - h.op) <= 1e-10
 
-    def test_min_gap_resampling(self):
-        h = random_hamiltonian(4, RandomSource(1), min_gap=1e-3)
-        assert float(np.min(np.diff(h.energies))) >= 1e-3
-
     def test_random_hamiltonian_makes_no_eigensolve(self, monkeypatch):
         calls = []
         for name in ("eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
-        random_hamiltonian(8, RandomSource(9), min_gap=1e-3)
+        random_hamiltonian(8, RandomSource(9))
         assert calls == []
 
     @pytest.mark.parametrize("d", [1, 2, 8, 64])
@@ -109,7 +105,7 @@ def test_dephase_idempotent():
 def test_dephase_commutes_with_hamiltonian():
     rng = RandomSource(31)
     rho = random_density(4, 4, rng)
-    h = random_hamiltonian(4, rng, min_gap=1e-6)
+    h = random_hamiltonian(4, rng)
     delta = dephase(rho, h).op
     assert max_abs(delta @ h.op - h.op @ delta) <= 1e-10
 
@@ -217,15 +213,3 @@ def test_complex_normal_pairs_two_real_draws():
     z = RandomSource(11).normal((2, 3, 2))
     expected = (z[0] + 1j * z[1]) / np.sqrt(2.0)
     assert RandomSource(11).complex_normal((3, 2)).tobytes() == expected.tobytes()
-
-
-def test_random_hamiltonian_rejects_infeasible_gap():
-    # three levels in [0, 1] are at most 0.5 apart
-    with pytest.raises(PreconditionFailed):
-        random_hamiltonian(3, RandomSource(0), min_gap=0.6)
-
-
-def test_random_hamiltonian_resampling_is_bounded():
-    # feasible, but met with probability ~1e-11 per draw
-    with pytest.raises(NoConvergence):
-        random_hamiltonian(3, RandomSource(0), min_gap=0.4999)
