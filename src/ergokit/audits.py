@@ -70,24 +70,6 @@ class AuditResult:
     worst_trial: int = 0
     details: dict = field(default_factory=dict)
 
-    CSV_HEADER = "claim,trials,violations,worst_margin"
-
-    def to_json_dict(self) -> dict:
-        """Deterministic fields only; wall time is intentionally left out so
-        identically seeded runs serialize byte-identically."""
-        return {
-            "claim": self.claim,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "worst_trial": self.worst_trial,
-            "sampled": True,
-            **self.details,
-        }
-
-    def to_csv_row(self) -> str:
-        return f"{self.claim},{self.trials},{self.violations},{repr(float(self.worst_margin))}"
-
 
 def _draw(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -> list:
     """Row i of each stack is what root.split(trials[i]) draws alone in the order of ``kinds``: complex Gaussians for

@@ -15,14 +15,24 @@ import json
 import sys
 from pathlib import Path
 
-from .audits import CLAIM_AUDITS, AuditConfig, AuditResult, run_all, run_audit
+from .audits import CLAIM_AUDITS, AuditConfig, run_all, run_audit
 from .errors import ErgokitError, ValidationError
-from .ergotropy import WorkReport, observational_ergotropy, report
+from .ergotropy import observational_ergotropy, report
 from .instances import family_matrix, load_instance, parse_grid
 from .measurement import computational_basis, post_process
 
 
-def _write(text: str, output: str | None) -> None:
+def _write_rows(rows: list[dict], fmt: str, output: str | None, columns: tuple | None = None) -> None:
+    """The one writer of result rows: a JSON object per line, or CSV under a header of ``columns``
+    (default: the row's keys) with floats as repr and None as an empty cell."""
+    if fmt == "json":
+        lines = [json.dumps(row) for row in rows]
+    else:
+        columns = columns or tuple(rows[0])
+        cells = [[repr(float(v)) if isinstance(v, float) else "" if v is None else str(v) for v in map(row.get, columns)]
+                 for row in rows]
+        lines = [",".join(line) for line in [columns, *cells]]
+    text = "\n".join(lines) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:
@@ -42,11 +52,9 @@ def cmd_report(args) -> int:
     instance = load_instance(args.instance)
     m = _pick_measurement(instance, args.measurement, args.instance)
     rep = report(instance.state, instance.hamiltonian, m)
-    if args.format == "json":
-        text = json.dumps(rep.to_json_dict()) + "\n"
-    else:
-        text = WorkReport.CSV_HEADER + "\n" + rep.to_csv_row() + "\n"
-    _write(text, args.output)
+    _write_rows([{"d": rep.dimension, "mean": rep.mean_energy, "passive": rep.passive_energy, "ergotropy": rep.ergotropy,
+                  "incoherent": rep.incoherent, "coherent": rep.coherent, "observational": rep.observational}],
+                args.format, args.output)
     return 0
 
 
@@ -56,17 +64,12 @@ def cmd_sweep(args) -> int:
     if base is None:
         base = computational_basis(instance.dimension)
     grid = parse_grid(args.grid)
-    points = []
+    rows = []
     for value in grid:
-        dmat = family_matrix(args.family, value, base.n_outcomes)
-        coarse = post_process(base, dmat)
-        points.append((value, observational_ergotropy(instance.state, instance.hamiltonian, coarse)))
-    if args.format == "json":
-        lines = [json.dumps({"parameter": v, "observational_ergotropy": r}) for v, r in points]
-    else:
-        lines = ["parameter,observational_ergotropy"]
-        lines += [f"{repr(float(v))},{repr(float(r))}" for v, r in points]
-    _write("\n".join(lines) + "\n", args.output)
+        coarse = post_process(base, family_matrix(args.family, value, base.n_outcomes))
+        rows.append({"parameter": value,
+                     "observational_ergotropy": observational_ergotropy(instance.state, instance.hamiltonian, coarse)})
+    _write_rows(rows, args.format, args.output)
     return 0
 
 
@@ -74,12 +77,10 @@ def cmd_verify(args) -> int:
     cfg = AuditConfig(dimension=args.d, outcomes=args.n, rank=args.rank,
                       trials=args.trials, seed=args.seed, tolerance=args.tol)
     results = run_all(cfg) if args.claim == "all" else [run_audit(args.claim, cfg)]
-    if args.format == "json":
-        lines = [json.dumps(r.to_json_dict()) for r in results]
-    else:
-        lines = [AuditResult.CSV_HEADER]
-        lines += [r.to_csv_row() for r in results]
-    _write("\n".join(lines) + "\n", args.output)
+    # Deterministic fields only: wall time goes to stderr, so identically seeded runs write byte-identical rows.
+    rows = [{"claim": r.claim, "trials": r.trials, "violations": r.violations, "worst_margin": r.worst_margin,
+             "worst_trial": r.worst_trial, "sampled": True, **r.details} for r in results]
+    _write_rows(rows, args.format, args.output, columns=("claim", "trials", "violations", "worst_margin"))
     for r in results:
         print(f"# {r.claim}: {r.trials} trials, {r.violations} violations, {r.wall_time_s:.2f}s",
               file=sys.stderr)

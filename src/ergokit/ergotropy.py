@@ -18,11 +18,16 @@ from .linalg import adjoint
 from .measurement import Povm, coarse_grained_spectrum
 from .states import DensityMatrix, Hamiltonian, _check_same_dim, dephase, mean_energy
 
-# The identities WorkReport checks hold up to roundoff, which grows with the
-# energy scale and the dimension: they are checked to within
-# ROUNDOFF_ULPS * d * eps * max|E|, and never more tightly than ABSOLUTE_TOL.
+# Energy identities hold up to roundoff, which grows with the energy scale and
+# the dimension: they are checked to within ROUNDOFF_ULPS * d * eps * max|E|,
+# and never more tightly than ABSOLUTE_TOL.
 ROUNDOFF_ULPS = 16.0
 ABSOLUTE_TOL = 1e-10
+
+
+def energy_tol(dimension: int, energy_scale: float) -> float:
+    """Roundoff tolerance of an energy identity in dimension d with max|E| = energy_scale."""
+    return max(ABSOLUTE_TOL, ROUNDOFF_ULPS * dimension * np.finfo(float).eps * energy_scale)
 
 
 @dataclass(frozen=True)
@@ -44,7 +49,7 @@ class WorkReport:
     energy_scale: float = field(default=0.0, repr=False, compare=False)
 
     def __post_init__(self):
-        tol = max(ABSOLUTE_TOL, ROUNDOFF_ULPS * self.dimension * np.finfo(float).eps * self.energy_scale)
+        tol = energy_tol(self.dimension, self.energy_scale)
         if abs(self.ergotropy - (self.mean_energy - self.passive_energy)) > tol:
             raise InconsistentReport(f"ergotropy must equal mean energy minus passive energy within {tol:.1e}")
         if abs(self.ergotropy - (self.incoherent + self.coherent)) > tol:
@@ -52,32 +57,11 @@ class WorkReport:
         if self.ergotropy < -tol:
             raise InconsistentReport(f"ergotropy is negative: {self.ergotropy!r} < -{tol:.1e}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.dimension,
-            "mean": self.mean_energy,
-            "passive": self.passive_energy,
-            "ergotropy": self.ergotropy,
-            "incoherent": self.incoherent,
-            "coherent": self.coherent,
-            "observational": self.observational,
-        }
 
-    CSV_HEADER = "d,mean,passive,ergotropy,incoherent,coherent,observational"
-
-    def to_csv_row(self) -> str:
-        fields = [str(self.dimension)]
-        fields += [repr(float(x)) for x in (self.mean_energy, self.passive_energy, self.ergotropy,
-                                            self.incoherent, self.coherent)]
-        fields.append("" if self.observational is None else repr(float(self.observational)))
-        return ",".join(fields)
-
-
-def passive_energy_of_spectrum(h: Hamiltonian | np.ndarray, spectrum):
-    """Minimal mean energy over all states with the given spectrum: ascending
-    energies paired with descending populations. ``h`` is a Hamiltonian or
-    its ascending energies; leading axes of the arrays are a batch."""
-    energies = h.energies if isinstance(h, Hamiltonian) else h
+def passive_energy_of_spectrum(energies: np.ndarray, spectrum):
+    """Minimal mean energy over all states with the given spectrum: the
+    ascending ``energies`` paired with descending populations. Leading axes
+    of the arrays are a batch."""
     x = np.asarray(spectrum, dtype=float)
     if x.shape[-1:] != energies.shape[-1:]:
         raise DimensionMismatch(f"spectrum has shape {x.shape}, Hamiltonian dimension is {energies.shape[-1]}")
@@ -87,7 +71,7 @@ def passive_energy_of_spectrum(h: Hamiltonian | np.ndarray, spectrum):
 
 def passive_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
     _check_same_dim(rho, h)
-    return passive_energy_of_spectrum(h, rho.eigenvalues)
+    return passive_energy_of_spectrum(h.energies, rho.eigenvalues)
 
 
 def passive_state(rho: DensityMatrix, h: Hamiltonian) -> tuple[DensityMatrix, np.ndarray]:
@@ -115,7 +99,7 @@ def observational_ergotropy(rho: DensityMatrix, h: Hamiltonian, m: Povm) -> floa
     outcome statistics of m: mean energy of rho minus the passive energy of
     the coarse-grained estimate. Can be negative when the estimate misranks
     the populations."""
-    return mean_energy(rho, h) - passive_energy_of_spectrum(h, coarse_grained_spectrum(rho, m))
+    return mean_energy(rho, h) - passive_energy_of_spectrum(h.energies, coarse_grained_spectrum(rho, m))
 
 
 def incoherent_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:

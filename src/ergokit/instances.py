@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidGrid, ParseError, UnknownFamily, ValidationError
+from .errors import InvalidGrid, NonFinite, ParseError, UnknownFamily, ValidationError
 from .measurement import Povm, StochasticMatrix
 from .states import DensityMatrix, Hamiltonian
 
@@ -32,9 +32,12 @@ def _real_entry(node, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ValidationError(f"{path}: expected a real number, got {node!r}")
     try:
-        return float(node)
+        value = float(node)
     except OverflowError:  # a JSON integer past the float range
-        raise ValidationError(f"{path}: integer too large for a float") from None
+        raise NonFinite(f"{path}: integer too large for a float") from None
+    if not np.isfinite(value):  # NaN, Infinity, or a literal such as 1e400 that json reads as inf
+        raise NonFinite(f"{path}: expected a finite number, got {value!r}")
+    return value
 
 
 def _complex_entry(node, path: str) -> complex:
@@ -139,16 +142,14 @@ def load_instance(path) -> Instance:
     return instance_from_dict(doc, source=str(path))
 
 
-def complex_to_json(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[complex_to_json(entry) for entry in row] for row in np.asarray(m, dtype=complex)]
+    """A complex matrix (or a stack of them) as nested lists ending in [re, im] pairs."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def povm_to_json(p: Povm) -> list:
-    return [matrix_to_json(e) for e in p.elements]
+    return matrix_to_json(p.elements)
 
 
 # --- post-processing families for parameter sweeps ------------------------
@@ -205,7 +206,6 @@ def parse_grid(spec: str) -> list:
 __all__ = [
     "FAMILIES",
     "Instance",
-    "complex_to_json",
     "family_matrix",
     "instance_from_dict",
     "load_instance",

@@ -22,7 +22,9 @@ def as_matrix(a, dtype=complex, stack: bool = False) -> np.ndarray:
     """Coerce to a 2-D array (or a stack of them) and reject non-finite entries."""
     try:
         m = np.asarray(a, dtype=dtype)
-    except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, non-numeric or out-of-range entries
+    except OverflowError as exc:  # an integer entry past the float range
+        raise NonFinite(f"matrix entry past the float range: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # ragged rows or non-numeric entries
         raise DimensionMismatch(f"cannot read input as a numeric array: {exc}") from exc
     if m.ndim != 2 and not (stack and m.ndim > 2):
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")

@@ -11,13 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LengthMismatch, NotStochastic, NotUnitary, PreconditionFailed
-from .ergotropy import passive_energy_of_spectrum
+from .ergotropy import energy_tol, passive_energy_of_spectrum
 from .linalg import max_abs, require_unitary
 from .measurement import ROW_SUM_TOL, Povm, StochasticMatrix, refine_distribution
 from .states import Hamiltonian
 
 MAJORIZATION_TOL = 1e-9
-SCHUR_TOL = 1e-10
 
 
 def prob_vector(x) -> np.ndarray:
@@ -86,14 +85,16 @@ def refinement_bistochastic(p: Povm, d: StochasticMatrix) -> StochasticMatrix:
 def schur_concavity_check(h: Hamiltonian, x, y) -> bool:
     """Verify that the more-mixed spectrum has the larger passive energy.
 
-    Requires x to majorize y; then checks
-    passive_energy(x) <= passive_energy(y) + SCHUR_TOL.
+    Requires x to majorize y; then checks passive_energy(x) <= passive_energy(y)
+    + energy_tol(d, max|E|), a roundoff tolerance that grows with the
+    energies, so rescaling H -> cH does not turn roundoff into a violation.
     """
     xv = prob_vector(x)
     yv = prob_vector(y)
     if not majorizes(xv, yv):
         raise PreconditionFailed("x does not majorize y; Schur-concavity comparison undefined")
-    return passive_energy_of_spectrum(h, xv) <= passive_energy_of_spectrum(h, yv) + SCHUR_TOL
+    tol = energy_tol(xv.size, float(np.max(np.abs(h.energies))))
+    return passive_energy_of_spectrum(h.energies, xv) <= passive_energy_of_spectrum(h.energies, yv) + tol
 
 
 __all__ = [

@@ -146,7 +146,7 @@ def schur_concavity_trial(cfg, rng):
     x = x / x.sum()
     b = bistochastic_from_unitary(haar_unitary(d, rng))
     y = b.entries @ x
-    margin = passive_energy_of_spectrum(h, x) - passive_energy_of_spectrum(h, y)
+    margin = passive_energy_of_spectrum(h.energies, x) - passive_energy_of_spectrum(h.energies, y)
     return margin, margin > cfg.tolerance, None
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ergokit import audits, states
+from ergokit import audits, cli, states
 from ergokit.audits import (
     CLAIM_AUDITS,
     AuditConfig,
@@ -158,16 +158,21 @@ def test_single_audit_matches_full_suite_entry():
     assert alone.violations == within.violations
 
 
-def test_result_serialization():
+def test_result_serialization(monkeypatch, capsys):
+    """The CLI writes an AuditResult as one JSON line or a four-column CSV row."""
     result = AuditResult(claim="schur", trials=10, violations=0, worst_margin=-1.5e-3,
                          wall_time_s=0.123, details={"max_sampled_ratio": 0.9})
-    doc = json.loads(json.dumps(result.to_json_dict()))
+    monkeypatch.setattr(cli, "run_audit", lambda claim, cfg: result)
+    assert cli.main(["verify", "schur"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert doc["claim"] == "schur"
     assert doc["violations"] == 0
     assert doc["sampled"] is True
     assert doc["max_sampled_ratio"] == 0.9
+    assert "worst_trial" in doc
     assert "wall_time_s" not in doc
-    assert result.to_csv_row() == "schur,10,0,-0.0015"
+    assert cli.main(["verify", "schur", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "claim,trials,violations,worst_margin\nschur,10,0,-0.0015\n"
 
 
 # --- batched engine against the per-trial oracles ----------------------------
@@ -218,14 +223,15 @@ def test_engine_matches_oracle_for_any_chunking(monkeypatch, claim, d, rank, n):
 
 
 @pytest.mark.parametrize("claim", list(CLAIM_AUDITS))
-def test_worst_trial_replays_through_the_oracle(claim):
+def test_worst_trial_replays_through_the_oracle(claim, capsys):
     cfg = AuditConfig(dimension=3, outcomes=4, trials=60, seed=21)
     result = run_audit(claim, cfg)
     _, (margins, _, *_) = engine_trials(claim, cfg)
     assert result.worst_trial == int(np.argmax(margins))  # the first trial attaining the maximum
     (replayed, _, _), = oracle_trials(claim, cfg, [result.worst_trial])
     assert replayed == pytest.approx(result.worst_margin, rel=0.0, abs=16 * 3 * EPS)
-    assert json.loads(json.dumps(result.to_json_dict()))["worst_trial"] == result.worst_trial
+    assert cli.main(["verify", claim, "--d", "3", "--n", "4", "--trials", "60", "--seed", "21"]) == 0
+    assert json.loads(capsys.readouterr().out)["worst_trial"] == result.worst_trial
 
 
 def test_large_dimension_runs_one_trial_per_chunk():

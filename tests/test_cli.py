@@ -169,6 +169,14 @@ class TestReportErrors:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}: ") and reason in err
 
+    @pytest.mark.parametrize("entry", ["1e400", "NaN", "-Infinity", "[0, 1e400]"])
+    def test_non_finite_entry_reports_cell_path(self, tmp_path, capsys, entry):
+        path = tmp_path / "instance.json"
+        path.write_text('{"dimension": 1, "hamiltonian": [[0]], "state": [[%s]]}' % entry)
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: state[0][0]: expected a finite number, got ")
+
     def test_bad_entry_reports_cell_path(self, tmp_path, capsys):
         doc = dict(QUBIT_INSTANCE)
         doc = json.loads(json.dumps(doc))

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from ergokit.cli import main
 from ergokit.ergotropy import (
     WorkReport,
     coherent_ergotropy,
@@ -13,6 +16,7 @@ from ergokit.ergotropy import (
     report,
 )
 from ergokit.errors import DimensionMismatch
+from ergokit.instances import matrix_to_json
 from ergokit.linalg import adjoint, max_abs
 from ergokit.measurement import FineGrainedMeasurement, Povm, StochasticMatrix, computational_basis, post_process, random_column_stochastic
 from ergokit.states import (
@@ -80,7 +84,7 @@ def test_passive_energy_not_above_sampled_minimum():
 
 def test_passive_energy_of_spectrum_checks_length():
     with pytest.raises(DimensionMismatch):
-        passive_energy_of_spectrum(H01, [0.2, 0.3, 0.5])
+        passive_energy_of_spectrum(H01.energies, [0.2, 0.3, 0.5])
 
 
 def test_passive_state_fixed_point():
@@ -254,10 +258,11 @@ def test_report_with_own_eigenbasis_measurement():
     assert rep.observational == pytest.approx(rep.ergotropy, abs=1e-10)
 
 
-def test_report_csv_layout():
-    rep = report(RHO, H01)
-    assert WorkReport.CSV_HEADER == "d,mean,passive,ergotropy,incoherent,coherent,observational"
-    assert rep.to_csv_row() == "2,0.75,0.25,0.5,0.5,0.0,"
+def test_report_csv_layout(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"dimension": 2, "hamiltonian": matrix_to_json(H01.op), "state": matrix_to_json(RHO.op)}))
+    assert main(["report", str(path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "d,mean,passive,ergotropy,incoherent,coherent,observational\n2,0.75,0.25,0.5,0.5,0.0,\n"
 
 
 def test_work_report_rejects_inconsistent_fields():

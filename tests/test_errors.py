@@ -1,15 +1,18 @@
 """Every domain failure raises an ErgokitError (still a ValueError), so the
 CLI reports it with exit code 2."""
 
+import json
+
 import numpy as np
 import pytest
 
 from ergokit import majorization
-from ergokit.errors import ErgokitError
+from ergokit.errors import DimensionMismatch, ErgokitError, NonFinite
+from ergokit.instances import instance_from_dict
 from ergokit.linalg import as_matrix
 from ergokit.majorization import prob_vector, refinement_bistochastic
 from ergokit.measurement import Povm, StochasticMatrix, computational_basis
-from ergokit.states import DensityMatrix, RandomSource, haar_unitary, pure_state
+from ergokit.states import DensityMatrix, Hamiltonian, RandomSource, haar_unitary, pure_state
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -31,6 +34,8 @@ BAD_INPUTS = {
     "non-numeric state entries": lambda: DensityMatrix([["a", "b"], ["c", "d"]]),
     "state entry past the float range": lambda: DensityMatrix([[10 ** 400, 0], [0, 1]]),
     "stochastic entry past the float range": lambda: StochasticMatrix([[10 ** 400]]),
+    "hamiltonian entry past the float range": lambda: Hamiltonian([[10 ** 400]]),
+    "instance cell read as inf": lambda: instance_from_dict(json.loads('{"dimension": 1, "hamiltonian": [[0]], "state": [[1e400]]}')),
     "povm of 2x2 and 3x3 elements": lambda: Povm((np.eye(2), np.eye(3))),
     "haar dimension": lambda: haar_unitary(0, RandomSource(0)),
     "negative seed": lambda: RandomSource(-1),
@@ -42,9 +47,21 @@ BAD_INPUTS = {
 }
 
 
+# Entries whose error class is pinned; the others need only raise some ErgokitError.
+ERROR_CLASSES = {
+    "ragged state rows": DimensionMismatch,
+    "ragged stochastic rows": DimensionMismatch,
+    "non-numeric state entries": DimensionMismatch,
+    "state entry past the float range": NonFinite,
+    "stochastic entry past the float range": NonFinite,
+    "hamiltonian entry past the float range": NonFinite,
+    "instance cell read as inf": NonFinite,
+}
+
+
 @pytest.mark.parametrize("name", list(BAD_INPUTS))
 def test_domain_failures_raise_ergokit_errors(name):
-    with pytest.raises(ErgokitError) as info:
+    with pytest.raises(ERROR_CLASSES.get(name, ErgokitError)) as info:
         BAD_INPUTS[name]()
     assert isinstance(info.value, ValueError)
 

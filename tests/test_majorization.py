@@ -196,6 +196,20 @@ class TestSchurConcavity:
         assert schur_concavity_check(h, x, y)
         assert schur_concavity_check(h, y, x)
 
+    @pytest.mark.parametrize("c", [1.0, 1e8])
+    def test_tolerance_scales_with_the_energies(self, c):
+        """H -> cH keeps the verdict: mixing a roundoff away from the identity
+        passes at any energy scale, and a gap well past roundoff still fails."""
+        d, rng = 8, RandomSource(88)
+        b = (1.0 - 1e-16) * np.eye(d) + 1e-16 * np.full((d, d), 1.0 / d)
+        for t in range(200):
+            sub = rng.split(t)
+            h = diagonal_hamiltonian(c * np.sort(sub.uniform(d)))
+            x = simplex_point(sub.exponential(d))
+            assert schur_concavity_check(h, x, b @ x)
+        # [0.5, 0.5] majorizes this y within MAJORIZATION_TOL, yet its passive energy is lower by 5e-10 c
+        assert not schur_concavity_check(diagonal_hamiltonian([0.0, c]), [0.5, 0.5], [0.5 + 5e-10, 0.5 - 5e-10])
+
     def test_random_mixing_chains(self):
         rng = RandomSource(55)
         for t in range(200):
