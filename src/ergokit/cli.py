@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .audits import CLAIM_AUDITS, AuditConfig, run_all, run_audit
-from .errors import ErgokitError, ValidationError
+from .errors import ErgokitError, NonFinite, ValidationError
 from .ergotropy import observational_ergotropy, report
 from .instances import family_matrix, load_instance, parse_grid
 from .measurement import computational_basis, post_process
@@ -24,7 +25,10 @@ from .measurement import computational_basis, post_process
 
 def _write_rows(rows: list[dict], fmt: str, output: str | None, columns: tuple | None = None) -> None:
     """The one writer of result rows: a JSON object per line, or CSV under a header of ``columns``
-    (default: the row's keys) with floats as repr and None as an empty cell."""
+    (default: the row's keys) with floats as repr and None as an empty cell. A non-finite float writes nothing."""
+    bad = [(k, v) for row in rows for k, v in row.items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise NonFinite(f"{bad[0][0]}: result is {bad[0][1]!r}, not a finite number")
     if fmt == "json":
         lines = [json.dumps(row) for row in rows]
     else:

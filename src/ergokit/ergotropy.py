@@ -9,11 +9,11 @@ an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InconsistentReport
+from .errors import DimensionMismatch, InconsistentReport, NonFinite
 from .linalg import adjoint
 from .measurement import Povm, coarse_grained_spectrum
 from .states import DensityMatrix, Hamiltonian, _check_same_dim, dephase, mean_energy
@@ -49,6 +49,8 @@ class WorkReport:
     energy_scale: float = field(default=0.0, repr=False, compare=False)
 
     def __post_init__(self):
+        if not np.isfinite([v for v in astuple(self) if v is not None]).all():  # NaN would pass every check below
+            raise NonFinite(f"work quantities must be finite, got {self!r}")
         tol = energy_tol(self.dimension, self.energy_scale)
         if abs(self.ergotropy - (self.mean_energy - self.passive_energy)) > tol:
             raise InconsistentReport(f"ergotropy must equal mean energy minus passive energy within {tol:.1e}")

@@ -28,54 +28,43 @@ class Instance:
     post_processing: dict
 
 
-def _real_entry(node, path: str) -> float:
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ValidationError(f"{path}: expected a real number, got {node!r}")
-    try:
-        value = float(node)
-    except OverflowError:  # a JSON integer past the float range
-        raise NonFinite(f"{path}: integer too large for a float") from None
-    if not np.isfinite(value):  # NaN, Infinity, or a literal such as 1e400 that json reads as inf
-        raise NonFinite(f"{path}: expected a finite number, got {value!r}")
-    return value
-
-
-def _complex_entry(node, path: str) -> complex:
-    if isinstance(node, bool):
-        raise ValidationError(f"{path}: expected a number or [re, im] pair, got a boolean")
-    if isinstance(node, (int, float)):
-        return complex(_real_entry(node, path))
-    if isinstance(node, list) and len(node) == 2 and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node):
-        return complex(_real_entry(node[0], path), _real_entry(node[1], path))
-    raise ValidationError(f"{path}: expected a number or [re, im] pair, got {node!r}")
-
-
-def _complex_matrix(node, path: str, dim: int) -> np.ndarray:
-    if not isinstance(node, list) or len(node) != dim:
+def _matrix(node, path: str, dim: int | None = None) -> np.ndarray:
+    """A dim x dim complex field (each cell a number or an [re, im] pair) or, if dim is None, a non-empty real
+    rectangle. Passes run in order: rows, exact cell types (so no bool), float range, finiteness."""
+    if dim is None:
+        if not isinstance(node, list) or not node:
+            raise ValidationError(f"{path}: expected a non-empty list of rows")
+    elif not isinstance(node, list) or len(node) != dim:
         raise ValidationError(f"{path}: expected {dim} rows")
-    out = np.zeros((dim, dim), dtype=complex)
     for r, row in enumerate(node):
-        if not isinstance(row, list) or len(row) != dim:
+        if dim is not None and (not isinstance(row, list) or len(row) != dim):
             raise ValidationError(f"{path}[{r}]: expected {dim} entries")
-        for c, entry in enumerate(row):
-            out[r, c] = _complex_entry(entry, f"{path}[{r}][{c}]")
-    return out
-
-
-def _real_matrix(node, path: str) -> np.ndarray:
-    if not isinstance(node, list) or not node:
-        raise ValidationError(f"{path}: expected a non-empty list of rows")
-    width = None
-    rows = []
-    for r, row in enumerate(node):
         if not isinstance(row, list) or not row:
             raise ValidationError(f"{path}[{r}]: expected a non-empty row")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValidationError(f"{path}[{r}]: expected {width} entries, got {len(row)}")
-        rows.append([_real_entry(v, f"{path}[{r}][{c}]") for c, v in enumerate(row)])
-    return np.array(rows)
+        if len(row) != len(node[0]):
+            raise ValidationError(f"{path}[{r}]: expected {len(node[0])} entries, got {len(row)}")
+    width, cells = len(node[0]), [v for row in node for v in row]
+    num, k = (int, float), 1 if dim is None else 2  # k: parts per cell
+    parts = cells if dim is None else [v if type(v) is list else (v, 0) for v in cells]
+    bad = ([type(v) not in num for v in cells] if dim is None else
+           [len(p) != 2 or type(p[0]) not in num or type(p[1]) not in num for p in parts])
+    if any(bad):
+        i = bad.index(True)
+        got = "a boolean" if dim is not None and type(cells[i]) is bool else repr(cells[i])
+        expected = "a real number" if dim is None else "a number or [re, im] pair"
+        raise ValidationError(f"{path}[{i // width}][{i % width}]: expected {expected}, got {got}")
+    try:
+        values = np.array(parts, dtype=float)
+    except OverflowError:  # a JSON integer past the float range: 2**1024 - 2**970 is the least that float() rejects
+        flat = np.array(parts, dtype=object).ravel()
+        i = next(j for j, v in enumerate(flat) if type(v) is int and abs(v) >= 2 ** 1024 - 2 ** 970) // k
+        raise NonFinite(f"{path}[{i // width}][{i % width}]: integer too large for a float") from None
+    if not np.isfinite(values).all():  # NaN, Infinity, or a literal such as 1e400 that json reads as inf
+        j = np.flatnonzero(~np.isfinite(values))[0]
+        i, value = j // k, values.flat[j].item()
+        raise NonFinite(f"{path}[{i // width}][{i % width}]: expected a finite number, got {value!r}")
+    # view(complex) keeps a -0.0 real part, which re + 1j * im would turn into 0.0
+    return values.reshape(len(node), width) if dim is None else values.view(complex).reshape(dim, dim)
 
 
 def _domain(path: str, build, parsed):
@@ -102,21 +91,21 @@ def instance_from_dict(doc, source: str = "instance") -> Instance:
         if key not in known:
             raise ValidationError(f"{key}: unknown field")
 
-    hamiltonian = _domain("hamiltonian", Hamiltonian, _complex_matrix(doc["hamiltonian"], "hamiltonian", dim))
-    state = _domain("state", DensityMatrix, _complex_matrix(doc["state"], "state", dim))
+    hamiltonian = _domain("hamiltonian", Hamiltonian, _matrix(doc["hamiltonian"], "hamiltonian", dim))
+    state = _domain("state", DensityMatrix, _matrix(doc["state"], "state", dim))
 
     measurements = {}
     for name, node in _named_section(doc, "measurements").items():
         path = f"measurements.{name}"
         if not isinstance(node, list) or not node:
             raise ValidationError(f"{path}: expected a non-empty list of POVM elements")
-        elements = tuple(_complex_matrix(el, f"{path}[{k}]", dim) for k, el in enumerate(node))
+        elements = tuple(_matrix(el, f"{path}[{k}]", dim) for k, el in enumerate(node))
         measurements[name] = _domain(path, Povm, elements)
 
     post_processing = {}
     for name, node in _named_section(doc, "post_processing").items():
         path = f"post_processing.{name}"
-        post_processing[name] = _domain(path, StochasticMatrix, _real_matrix(node, path))
+        post_processing[name] = _domain(path, StochasticMatrix, _matrix(node, path))
 
     return Instance(dimension=dim, hamiltonian=hamiltonian, state=state,
                     measurements=measurements, post_processing=post_processing)
@@ -137,7 +126,7 @@ def load_instance(path) -> Instance:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # not UTF-8, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an integer past Python's digit limit, or deep nesting
         raise ParseError(f"{path}: {exc}") from exc
     return instance_from_dict(doc, source=str(path))
 
@@ -197,6 +186,8 @@ def parse_grid(spec: str) -> list:
             count = int(parts[2])
             if count < 1:
                 raise ValueError("count must be at least 1")
+            if not np.isfinite(stop - start):  # also NaN or infinite when start or stop is
+                raise ValueError("start, stop and stop - start must be finite")
             return [float(v) for v in np.linspace(start, stop, count)]
         return [float(v) for v in spec.split(",")]
     except ValueError as exc:

@@ -177,6 +177,51 @@ class TestReportErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: state[0][0]: expected a finite number, got ")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("state", [[True, 0], [0, 0.75]], "state[0][0]: expected a number or [re, im] pair, got a boolean"),
+        ("state", [[[True, 0], 0], [0, 0.75]], "state[0][0]: expected a number or [re, im] pair, got [True, 0]"),
+        ("hamiltonian", [[0, [0, 0, 0]], [0, 1]], "hamiltonian[0][1]: expected a number or [re, im] pair, got [0, 0, 0]"),
+        ("state", [[0.25, 0], "row"], "state[1]: expected 2 entries"),
+        ("state", [[0.25, 0], [0.75]], "state[1]: expected 2 entries"),
+        ("post_processing", {"x": [[1.0], []]}, "post_processing.x[1]: expected a non-empty row"),
+        ("post_processing", {"x": [[0.5, 1.0], [0.5]]}, "post_processing.x[1]: expected 2 entries, got 1"),
+        ("post_processing", {"x": []}, "post_processing.x: expected a non-empty list of rows"),
+        ("post_processing", {"x": [[True]]}, "post_processing.x[0][0]: expected a real number, got True"),
+        ("state", [[0.25, [0, -10 ** 400]], [0, 0.75]], "state[0][1]: integer too large for a float"),
+        ("state", [[0.25, 0], [[0, float("nan")], 0.75]], "state[1][0]: expected a finite number, got nan"),
+    ])
+    def test_reader_messages(self, tmp_path, capsys, field, value, message):
+        code, out, err = run_cli(capsys, "report", write_instance(tmp_path, dict(QUBIT_INSTANCE, **{field: value})))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_signed_zeros_and_subnormals_parse_exactly(self, monkeypatch):
+        import numpy as np
+
+        from ergokit import instances
+
+        parsed = {}
+        for name in ("Hamiltonian", "StochasticMatrix"):
+            build = getattr(instances, name)
+            monkeypatch.setattr(instances, name, lambda m, build=build, name=name: build(parsed.setdefault(name, m)))
+        tiny = 5e-324
+        doc = {"dimension": 2, "hamiltonian": [[-0.0, [-0.0, -0.0]], [[tiny, -tiny], [0.0, -0.0]]],
+               "state": [[1, 0], [0, 0]], "post_processing": {"x": [[1.0, tiny], [-0.0, 1.0]]}}
+        instances.instance_from_dict(json.loads(json.dumps(doc)))
+        expected = {"Hamiltonian": np.array([[complex(-0.0), complex(-0.0, -0.0)], [complex(tiny, -tiny), complex(0.0, -0.0)]]),
+                    "StochasticMatrix": np.array([[1.0, tiny], [-0.0, 1.0]])}
+        for name, want in expected.items():
+            assert parsed[name].tobytes() == want.tobytes()
+            assert parsed[name].dtype == want.dtype and parsed[name].flags.c_contiguous
+
+    @pytest.mark.parametrize("nested", ["[" * 100_000 + "]" * 100_000, "[[" + "[" * 990 + "]" * 990 + "]]"],
+                             ids=["field", "cell"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, nested):
+        path = tmp_path / "instance.json"
+        path.write_text('{"dimension": 1, "hamiltonian": %s, "state": [[1]]}' % nested)
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
     def test_bad_entry_reports_cell_path(self, tmp_path, capsys):
         doc = dict(QUBIT_INSTANCE)
         doc = json.loads(json.dumps(doc))
@@ -222,6 +267,12 @@ class TestSweep:
     def test_invalid_grid(self, qubit_file, capsys, grid):
         code, _, err = run_cli(capsys, "sweep", qubit_file, "--family", "merge", "--grid", grid)
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["0:inf:3", "-1e308:1e308:3"])
+    def test_grid_span_must_be_finite(self, qubit_file, capsys, grid):
+        code, out, err = run_cli(capsys, "sweep", qubit_file, "--family", "mix", f"--grid={grid}")
+        assert (code, out) == (2, "")
+        assert "must be finite" in err
 
     def test_out_of_range_parameter(self, qubit_file, capsys):
         code, _, err = run_cli(capsys, "sweep", qubit_file, "--family", "merge", "--grid", "0:2:3")
@@ -390,6 +441,18 @@ def test_inconsistent_report_exits_2(qubit_file, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "ergotropy must equal" in err
+
+
+@pytest.mark.parametrize("command", [["report"], ["sweep", "--family", "mix", "--grid", "0,1"]], ids=["report", "sweep"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_result_exits_2_and_prints_nothing(tmp_path, command, fmt):
+    # entries near the float maximum overflow inside the computation; a subprocess keeps the
+    # overflow RuntimeWarning a warning, as it is for a user, rather than a pytest error
+    doc = {"dimension": 2, "hamiltonian": [[1.7e308, 1.7e308], [1.7e308, 1.7e308]], "state": [[0.5, 0.5], [0.5, 0.5]]}
+    cmd = [sys.executable, "-m", "ergokit", *command, write_instance(tmp_path, doc), "--format", fmt]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr and "finite" in proc.stderr
 
 
 def large_scale_instance(seed, asymmetry=0.0):

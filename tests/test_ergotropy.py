@@ -15,7 +15,7 @@ from ergokit.ergotropy import (
     passive_state,
     report,
 )
-from ergokit.errors import DimensionMismatch
+from ergokit.errors import DimensionMismatch, NonFinite
 from ergokit.instances import matrix_to_json
 from ergokit.linalg import adjoint, max_abs
 from ergokit.measurement import FineGrainedMeasurement, Povm, StochasticMatrix, computational_basis, post_process, random_column_stochastic
@@ -263,6 +263,17 @@ def test_report_csv_layout(tmp_path, capsys):
     path.write_text(json.dumps({"dimension": 2, "hamiltonian": matrix_to_json(H01.op), "state": matrix_to_json(RHO.op)}))
     assert main(["report", str(path), "--format", "csv"]) == 0
     assert capsys.readouterr().out == "d,mean,passive,ergotropy,incoherent,coherent,observational\n2,0.75,0.25,0.5,0.5,0.0,\n"
+
+
+def test_work_report_rejects_non_finite_fields():
+    # NaN compares false, so without a finiteness check it would pass every identity check
+    nan = float("nan")
+    with pytest.raises(NonFinite):
+        WorkReport(dimension=2, mean_energy=nan, passive_energy=nan, ergotropy=nan,
+                   incoherent=nan, coherent=nan, observational=nan)
+    with pytest.raises(NonFinite):
+        WorkReport(dimension=2, mean_energy=0.75, passive_energy=0.25, ergotropy=0.5,
+                   incoherent=0.5, coherent=0.0, observational=float("-inf"))
 
 
 def test_work_report_rejects_inconsistent_fields():
