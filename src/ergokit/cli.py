@@ -20,6 +20,7 @@ from .audits import CLAIM_AUDITS, AuditConfig, run_all, run_audit
 from .errors import ErgokitError, NonFinite, ValidationError
 from .ergotropy import observational_ergotropy, report
 from .instances import family_matrix, load_instance, parse_grid
+from .linalg import LOOSE_TOL
 from .measurement import computational_basis, post_process
 
 
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--rank", type=int, default=None, help="state rank (default: full)")
     p_verify.add_argument("--trials", type=int, default=1000, help="trials per audit (default: 1000)")
     p_verify.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
-    p_verify.add_argument("--tol", type=float, default=1e-9, help="violation tolerance (default: 1e-9)")
+    p_verify.add_argument("--tol", type=float, default=LOOSE_TOL, help="violation tolerance (default: %(default)g)")
     _add_output_flags(p_verify, "json")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -14,20 +14,9 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentReport, NonFinite
-from .linalg import adjoint
+from .linalg import adjoint, energy_tol
 from .measurement import Povm, coarse_grained_spectrum
 from .states import DensityMatrix, Hamiltonian, _check_same_dim, dephase, mean_energy
-
-# Energy identities hold up to roundoff, which grows with the energy scale and
-# the dimension: they are checked to within ROUNDOFF_ULPS * d * eps * max|E|,
-# and never more tightly than ABSOLUTE_TOL.
-ROUNDOFF_ULPS = 16.0
-ABSOLUTE_TOL = 1e-10
-
-
-def energy_tol(dimension: int, energy_scale: float) -> float:
-    """Roundoff tolerance of an energy identity in dimension d with max|E| = energy_scale."""
-    return max(ABSOLUTE_TOL, ROUNDOFF_ULPS * dimension * np.finfo(float).eps * energy_scale)
 
 
 @dataclass(frozen=True)

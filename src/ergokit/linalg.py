@@ -1,9 +1,11 @@
 """Dense complex linear algebra for operators up to a few hundred dimensions.
 
 Everything downstream (states, measurements, work quantities) goes through
-the handful of primitives here. Each module keeps the tolerances of the
-objects it validates as read-only constants; the Hermiticity and unitarity
-tolerances live here.
+the handful of primitives here, and so does the one tolerance policy: TOL for
+objects normalised to 1 (states, POVM elements, stochastic maps, unitaries)
+and for Hermiticity relative to max|A|, LOOSE_TOL for completeness,
+majorization and audit verdicts, and energy_tol for identities between
+energies, which scales with H and has no absolute floor.
 """
 
 from __future__ import annotations
@@ -12,10 +14,17 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NonFinite, NotHermitian, NotUnitary
 
-# Max-entry tolerance on |A - A^dag| / max(1, max |A|) for an input to count as Hermitian.
-HERMITICITY_TOL = 1e-10
-# Max-entry tolerance on |A^dag A - I| for an input to count as unitary.
-UNITARY_TOL = 1e-10
+# Dimensionless tolerance: unitarity, trace, sums and PSD floors of objects normalised to 1, and
+# max |A - A^dag| relative to max |A|.
+TOL = 1e-10
+# Looser dimensionless tolerance: POVM completeness, majorization and the default audit verdict.
+LOOSE_TOL = 1e-9
+
+
+def energy_tol(dimension: int, energy_scale):
+    """Roundoff tolerance of an energy identity in dimension d with max|E| = energy_scale (a float or an
+    array): 16 d eps max|E|, floored only at the smallest normal float so that H = 0 still works."""
+    return np.maximum(np.finfo(float).tiny, 16 * dimension * np.finfo(float).eps * energy_scale)
 
 
 def as_matrix(a, dtype=complex, stack: bool = False) -> np.ndarray:
@@ -45,29 +54,33 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^dag) / 2, exactly Hermitian; leading axes are a batch."""
-    return (a + adjoint(a)) / 2.0
+    """A/2 + A^dag/2, exactly Hermitian and halved before adding, so it cannot overflow; leading axes are a batch."""
+    return a / 2.0 + adjoint(a) / 2.0
 
 
 def require_hermitian(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Coerce to a square matrix with max |A - A^dag| <= HERMITICITY_TOL * max(1, max |A|)."""
+    """Coerce to a square matrix with max |A - A^dag| <= TOL * max |A| and 4 d max |A| finite: mean minus
+    passive energy, each at most d max |A| in size, then cannot overflow."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got {a.shape}")
-    defect, tol = max_abs(a - adjoint(a)), HERMITICITY_TOL
-    if defect > tol and defect > tol * max_abs(a):  # the scale is read only when the defect exceeds tol
-        raise NotHermitian(f"{what} is not Hermitian: max |A - A^dag| = {defect:.3e} > {tol * max(1.0, max_abs(a)):.1e}")
+    scale = max_abs(a)
+    if 4 * len(a) * scale > np.finfo(float).max:
+        raise NonFinite(f"{what} has entries up to {scale:.3e}: 4 d max |A| is not finite at d = {len(a)}")
+    defect = max_abs(a - adjoint(a))
+    if defect > TOL * scale:
+        raise NotHermitian(f"{what} is not Hermitian: max |A - A^dag| = {defect:.3e} > {TOL * scale:.1e}")
     return a
 
 
 def require_unitary(a, what: str = "matrix", stack: bool = False) -> np.ndarray:
-    """Coerce to a matrix (or a stack) and check each is square with max |A^dag A - I| <= UNITARY_TOL."""
+    """Coerce to a matrix (or a stack) and check each is square with max |A^dag A - I| <= TOL."""
     a = as_matrix(a, stack=stack)
     if a.shape[-1] != a.shape[-2]:
         raise NotUnitary(f"{what} must be square to be unitary, got {a.shape}")
     defect = max_abs(adjoint(a) @ a - np.eye(a.shape[-1]))
-    if defect > UNITARY_TOL:
-        raise NotUnitary(f"{what} is not unitary: max |A^dag A - I| = {defect:.3e} > {UNITARY_TOL:.0e}")
+    if defect > TOL:
+        raise NotUnitary(f"{what} is not unitary: max |A^dag A - I| = {defect:.3e} > {TOL:.0e}")
     return a
 
 

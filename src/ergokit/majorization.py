@@ -11,22 +11,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LengthMismatch, NotStochastic, NotUnitary, PreconditionFailed
-from .ergotropy import energy_tol, passive_energy_of_spectrum
-from .linalg import max_abs, require_unitary
-from .measurement import ROW_SUM_TOL, Povm, StochasticMatrix, refine_distribution
+from .ergotropy import passive_energy_of_spectrum
+from .linalg import LOOSE_TOL, TOL, energy_tol, max_abs, require_unitary
+from .measurement import Povm, StochasticMatrix, refine_distribution
 from .states import Hamiltonian
-
-MAJORIZATION_TOL = 1e-9
 
 
 def prob_vector(x) -> np.ndarray:
-    """Validate a probability vector; entries down to -1e-12 are clipped to 0."""
+    """Validate a probability vector; entries down to -TOL are clipped to 0."""
     v = np.asarray(x, dtype=float).reshape(-1)
-    if float(np.min(v, initial=0.0)) < -1e-12:
-        raise NotStochastic(f"probability vector has entry {float(np.min(v)):.3e} below -1e-12")
+    if float(np.min(v, initial=0.0)) < -TOL:
+        raise NotStochastic(f"probability vector has entry {float(np.min(v)):.3e} below {-TOL:.0e}")
     v = np.clip(v, 0.0, None)
     total = float(v.sum())
-    if abs(total - 1.0) > 1e-10:
+    if abs(total - 1.0) > TOL:
         raise NotStochastic(f"probability vector sums to {total!r}, expected 1")
     return v
 
@@ -54,8 +52,8 @@ def majorization_deficit(x, y, pad: bool = False) -> float | np.ndarray:
 
 def majorizes(x, y, pad: bool = False) -> bool:
     """True when x majorizes y: x's descending partial sums dominate y's
-    within MAJORIZATION_TOL and the totals agree within it."""
-    return majorization_deficit(x, y, pad=pad) <= MAJORIZATION_TOL
+    within LOOSE_TOL and the totals agree within it."""
+    return majorization_deficit(x, y, pad=pad) <= LOOSE_TOL
 
 
 def bistochastic_from_unitary(v) -> StochasticMatrix:
@@ -78,7 +76,7 @@ def refinement_bistochastic(p: Povm, d: StochasticMatrix) -> StochasticMatrix:
     b = StochasticMatrix(q.entries @ d.entries)
     if not b.bistochastic:
         row_defect = max_abs(b.entries.sum(axis=1) - 1.0)
-        raise NotStochastic(f"composed matrix has row-sum defect {row_defect:.3e} > {ROW_SUM_TOL:.0e}")
+        raise NotStochastic(f"composed matrix has row-sum defect {row_defect:.3e} > {TOL:.0e}")
     return b
 
 

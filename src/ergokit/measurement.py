@@ -18,15 +18,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegeneratePovm, DimensionMismatch, InvalidPovm, NotStochastic, PreconditionFailed, ZeroMass
-from .linalg import as_matrix, diagonal_in_basis, hermitian_part, max_abs, operator_in_basis, require_hermitian, require_unitary, unchecked
-from .states import PSD_TOL, DensityMatrix, Hamiltonian, RandomSource
-
-COMPLETENESS_TOL = 1e-9
-ZERO_ELEMENT_TOL = 1e-12
-COLUMN_SUM_TOL = 1e-12
-ROW_SUM_TOL = 1e-10
-# Max-entry distance from a rank-1 projector for an element to count as fine-grained.
-FINE_GRAINED_TOL = 1e-9
+from .linalg import (LOOSE_TOL, TOL, as_matrix, diagonal_in_basis, hermitian_part, max_abs, operator_in_basis,
+                     require_hermitian, require_unitary, unchecked)
+from .states import DensityMatrix, Hamiltonian, RandomSource
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,14 +36,15 @@ class StochasticMatrix:
         m = as_matrix(self.entries, dtype=float)
         if m.shape[0] < 1 or m.shape[1] < 1:
             raise DimensionMismatch(f"stochastic matrix must be at least 1x1, got {m.shape}")
-        if float(np.min(m)) < 0.0:
-            raise NotStochastic(f"stochastic matrix has negative entry {float(np.min(m)):.3e}")
+        low, high = float(np.min(m)), float(np.max(m))
+        if low < 0.0 or high > 1.0 + TOL:  # before summing, so that the column sums cannot overflow
+            raise NotStochastic(f"stochastic matrix has entry {low if low < 0.0 else high:.3e} outside [0, 1]")
         col_defect = max_abs(m.sum(axis=0) - 1.0)
-        if col_defect > COLUMN_SUM_TOL:
-            raise NotStochastic(f"column sums deviate from 1 by {col_defect:.3e} > {COLUMN_SUM_TOL:.0e}")
+        if col_defect > TOL:
+            raise NotStochastic(f"column sums deviate from 1 by {col_defect:.3e} > {TOL:.0e}")
         row_defect = max_abs(m.sum(axis=1) - 1.0)
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "bistochastic", bool(row_defect <= ROW_SUM_TOL))
+        object.__setattr__(self, "bistochastic", bool(row_defect <= TOL))
 
     @property
     def n_in(self) -> int:
@@ -86,15 +81,15 @@ class Povm:
         mats = as_matrix([require_hermitian(e, what=f"POVM element {k}") for k, e in enumerate(self.base)], stack=True)
         lows = np.linalg.eigvalsh(hermitian_part(mats))[:, 0]
         k = int(np.argmin(lows))
-        if float(lows[k]) < PSD_TOL:
-            raise InvalidPovm(f"POVM element {k} has eigenvalue {float(lows[k]):.3e} below {PSD_TOL:.0e}")
+        if float(lows[k]) < -TOL:
+            raise InvalidPovm(f"POVM element {k} has eigenvalue {float(lows[k]):.3e} below {-TOL:.0e}")
         volumes = np.trace(mats, axis1=1, axis2=2).real
         k = int(np.argmin(volumes))
-        if float(volumes[k]) < ZERO_ELEMENT_TOL:
+        if float(volumes[k]) < TOL:
             raise DegeneratePovm(f"POVM element {k} is (numerically) the zero operator")
         defect = max_abs(mats.sum(axis=0) - np.eye(mats.shape[-1]))
-        if defect > COMPLETENESS_TOL:
-            raise InvalidPovm(f"POVM elements sum to identity within {defect:.3e} > {COMPLETENESS_TOL:.0e}")
+        if defect > LOOSE_TOL:
+            raise InvalidPovm(f"POVM elements sum to identity within {defect:.3e} > {LOOSE_TOL:.0e}")
         labels = self.labels if self.labels is not None else tuple(range(1, len(mats) + 1))
         if len(labels) != len(mats):
             raise InvalidPovm(f"{len(labels)} labels for {len(mats)} elements")
@@ -133,7 +128,7 @@ class Povm:
         if self.n_outcomes != self.dim:
             return False
         w = np.sort(self.post, axis=1) if self.base.ndim == 2 else np.linalg.eigvalsh(self.elements)
-        return bool(max_abs(w[:, -1] - 1.0) <= FINE_GRAINED_TOL and max_abs(w[:, :-1]) <= FINE_GRAINED_TOL)
+        return bool(max_abs(w[:, -1] - 1.0) <= LOOSE_TOL and max_abs(w[:, :-1]) <= LOOSE_TOL)
 
 
 class FineGrainedMeasurement(Povm):
@@ -170,7 +165,7 @@ def post_process(p: Povm, d: StochasticMatrix) -> Povm:
     """
     if d.n_in != p.n_outcomes:
         raise DimensionMismatch(f"post-processing expects {d.n_in} inputs but measurement has {p.n_outcomes} outcomes")
-    kept = np.flatnonzero(d.entries @ p.volumes >= ZERO_ELEMENT_TOL)
+    kept = np.flatnonzero(d.entries @ p.volumes >= TOL)
     return unchecked(Povm, base=p.base, post=(d.entries @ p.post)[kept], labels=tuple(int(i) + 1 for i in kept))
 
 
@@ -242,7 +237,7 @@ def refine_distribution(p: Povm, d: StochasticMatrix) -> StochasticMatrix:
         raise PreconditionFailed("refinement is defined for fine-grained (rank-1 projective) measurements")
     weighted = d.entries * p.volumes[np.newaxis, :]
     mass = weighted.sum(axis=1)
-    if float(np.min(mass)) < 1e-15:
+    if float(np.min(mass)) < TOL:
         bad = int(np.argmin(mass))
         raise ZeroMass(f"outcome {bad} has total mass {float(mass[bad]):.3e}; refinement undefined")
     return StochasticMatrix((weighted / mass[:, np.newaxis]).T)

@@ -11,11 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidRank, InvalidState, PreconditionFailed
-from .linalg import adjoint, diagonal_in_basis, eig_hermitian, hermitian_part, operator_in_basis, require_hermitian, unchecked
-
-# Eigenvalues of a state may dip this far below zero before it is rejected.
-PSD_TOL = -1e-10
-TRACE_TOL = 1e-10
+from .linalg import TOL, adjoint, diagonal_in_basis, eig_hermitian, hermitian_part, operator_in_basis, require_hermitian, unchecked
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its k-th step xors INIT·MULT^k and multiplies
@@ -131,11 +127,11 @@ class DensityMatrix:
 def state_spectrum(mat: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix (or each in a stack); InvalidState unless unit trace and PSD."""
     defect = float(np.max(np.abs(np.trace(mat, axis1=-2, axis2=-1).real - 1.0)))
-    if defect > TRACE_TOL:
-        raise InvalidState(f"density matrix trace deviates from 1 by {defect:.3e} > {TRACE_TOL:.0e}")
+    if defect > TOL:
+        raise InvalidState(f"density matrix trace deviates from 1 by {defect:.3e} > {TOL:.0e}")
     w = np.linalg.eigvalsh(mat)
-    if float(np.min(w[..., 0])) < PSD_TOL:
-        raise InvalidState(f"density matrix has eigenvalue {float(np.min(w[..., 0])):.3e} below {PSD_TOL:.0e}")
+    if float(np.min(w[..., 0])) < -TOL:
+        raise InvalidState(f"density matrix has eigenvalue {float(np.min(w[..., 0])):.3e} below {-TOL:.0e}")
     return w
 
 

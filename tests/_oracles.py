@@ -10,9 +10,8 @@ batched audit engine is checked trial by trial.
 
 import numpy as np
 
-from ergokit.audits import IDENTITY_TOL
 from ergokit.ergotropy import ergotropy, incoherent_ergotropy, observational_ergotropy, passive_energy_of_spectrum
-from ergokit.linalg import eig_hermitian, max_abs, unchecked
+from ergokit.linalg import TOL, eig_hermitian, energy_tol, max_abs, unchecked
 from ergokit.majorization import bistochastic_from_unitary, majorization_deficit, refinement_bistochastic
 from ergokit.measurement import (
     FineGrainedMeasurement,
@@ -109,7 +108,7 @@ def fine_grained_optimum_trial(cfg, rng):
     sampled = FineGrainedMeasurement.from_basis(haar_unitary(d, rng))
     r_sampled = observational_ergotropy(rho, h, sampled)
     bound_margin = r_sampled - r_full
-    ratio = r_sampled / r_full if r_full > 1e-12 else None
+    ratio = r_sampled / r_full if r_full > energy_tol(d, max_abs(h.energies)) else None
     margin = max(equality_gap, bound_margin)
     return margin, margin > cfg.tolerance, ratio
 
@@ -133,7 +132,7 @@ def spectrum_majorization_trial(cfg, rng):
     mu = np.sort(b.entries @ outcome_distribution(rho, fine))
     mapped_residual = max_abs(mu - np.sort(spec_coarse))
     margin = max(deficit, bisto_residual, mapped_residual)
-    violated = deficit > cfg.tolerance or bisto_residual > IDENTITY_TOL or mapped_residual > IDENTITY_TOL
+    violated = deficit > cfg.tolerance or bisto_residual > TOL or mapped_residual > TOL
     return margin, violated, None
 
 

@@ -204,10 +204,10 @@ class TestReportErrors:
             build = getattr(instances, name)
             monkeypatch.setattr(instances, name, lambda m, build=build, name=name: build(parsed.setdefault(name, m)))
         tiny = 5e-324
-        doc = {"dimension": 2, "hamiltonian": [[-0.0, [-0.0, -0.0]], [[tiny, -tiny], [0.0, -0.0]]],
+        doc = {"dimension": 2, "hamiltonian": [[-0.0, [tiny, -0.0]], [[tiny, 0.0], [0.0, -0.0]]],
                "state": [[1, 0], [0, 0]], "post_processing": {"x": [[1.0, tiny], [-0.0, 1.0]]}}
         instances.instance_from_dict(json.loads(json.dumps(doc)))
-        expected = {"Hamiltonian": np.array([[complex(-0.0), complex(-0.0, -0.0)], [complex(tiny, -tiny), complex(0.0, -0.0)]]),
+        expected = {"Hamiltonian": np.array([[complex(-0.0), complex(tiny, -0.0)], [complex(tiny, 0.0), complex(0.0, -0.0)]]),
                     "StochasticMatrix": np.array([[1.0, tiny], [-0.0, 1.0]])}
         for name, want in expected.items():
             assert parsed[name].tobytes() == want.tobytes()
@@ -446,13 +446,36 @@ def test_inconsistent_report_exits_2(qubit_file, capsys, monkeypatch):
 @pytest.mark.parametrize("command", [["report"], ["sweep", "--family", "mix", "--grid", "0,1"]], ids=["report", "sweep"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_non_finite_result_exits_2_and_prints_nothing(tmp_path, command, fmt):
-    # entries near the float maximum overflow inside the computation; a subprocess keeps the
-    # overflow RuntimeWarning a warning, as it is for a user, rather than a pytest error
+    # entries near the float maximum could overflow an energy, so they are rejected as non-finite
     doc = {"dimension": 2, "hamiltonian": [[1.7e308, 1.7e308], [1.7e308, 1.7e308]], "state": [[0.5, 0.5], [0.5, 0.5]]}
     cmd = [sys.executable, "-m", "ergokit", *command, write_instance(tmp_path, doc), "--format", fmt]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "Traceback" not in proc.stderr and "finite" in proc.stderr
+
+
+NEAR_MAX = [[1.7e308, 1.7e308], [1.7e308, 1.7e308]]
+PURE = [[1, 0], [0, 0]]
+H_SPLIT = [[0, 0], [0, 1]]
+BOUNDARY_REJECTS = {
+    "hamiltonian": {"dimension": 2, "hamiltonian": NEAR_MAX, "state": [[0.5, 0.5], [0.5, 0.5]]},
+    "state": {"dimension": 2, "hamiltonian": H_SPLIT, "state": NEAR_MAX},
+    "povm_element": {"dimension": 2, "hamiltonian": H_SPLIT, "state": PURE, "measurements": {"m": [NEAR_MAX, PURE]}},
+    "post_processing": {"dimension": 2, "hamiltonian": H_SPLIT, "state": PURE, "post_processing": {"p": NEAR_MAX}},
+    "tiny_non_hermitian": {"dimension": 2, "hamiltonian": [[0, 1e-20], [0, 0]], "state": PURE},
+}
+
+
+@pytest.mark.parametrize("command", [["report"], ["sweep", "--family", "mix", "--grid", "0,1"]], ids=["report", "sweep"])
+@pytest.mark.parametrize("name", list(BOUNDARY_REJECTS))
+def test_boundary_rejects_exit_2_under_runtime_warning_errors(tmp_path, name, command):
+    # entries near the float maximum in any matrix field, and an asymmetry far past roundoff at
+    # any scale, are rejected while loading: no overflow warning is raised on the way
+    cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "ergokit", *command,
+           write_instance(tmp_path, BOUNDARY_REJECTS[name])]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def large_scale_instance(seed, asymmetry=0.0):

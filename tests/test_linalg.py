@@ -25,7 +25,8 @@ def random_hermitian(d, seed):
 
 
 def test_tolerance_constants():
-    assert linalg.HERMITICITY_TOL == 1e-10
+    assert linalg.TOL == 1e-10
+    assert linalg.LOOSE_TOL == 1e-9
 
 
 def test_eig_diagonal():
@@ -113,7 +114,7 @@ def test_as_matrix_rejects_nonfinite():
 
 
 def test_hermiticity_tolerance_is_relative_to_scale():
-    # max |A - A^dag| is compared with HERMITICITY_TOL * max(1, max |A|)
+    # max |A - A^dag| is compared with TOL * max |A|
     unit = PAULI_X.copy()
     unit[0, 1] += 5e-10
     with pytest.raises(NotHermitian):

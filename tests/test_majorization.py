@@ -207,7 +207,7 @@ class TestSchurConcavity:
             h = diagonal_hamiltonian(c * np.sort(sub.uniform(d)))
             x = simplex_point(sub.exponential(d))
             assert schur_concavity_check(h, x, b @ x)
-        # [0.5, 0.5] majorizes this y within MAJORIZATION_TOL, yet its passive energy is lower by 5e-10 c
+        # [0.5, 0.5] majorizes this y within LOOSE_TOL, yet its passive energy is lower by 5e-10 c
         assert not schur_concavity_check(diagonal_hamiltonian([0.0, c]), [0.5, 0.5], [0.5 + 5e-10, 0.5 - 5e-10])
 
     def test_random_mixing_chains(self):
