@@ -25,7 +25,6 @@ from .measurement import (
     outcome_distribution,
     post_process,
     random_column_stochastic,
-    refine_distribution,
 )
 from .states import (
     DensityMatrix,
@@ -67,7 +66,6 @@ __all__ = [
     "random_column_stochastic",
     "random_density",
     "random_hamiltonian",
-    "refine_distribution",
     "refinement_bistochastic",
     "report",
     "run_all",

@@ -20,7 +20,7 @@ from .errors import InvalidClaim, InvalidConfig
 from .ergotropy import passive_energy_of_spectrum
 from .linalg import LOOSE_TOL, TOL, diagonal_in_basis, energy_tol, hermitian_part, operator_in_basis, require_unitary
 from .majorization import majorization_deficit
-from .measurement import born_probabilities, estimate_spectrum
+from .measurement import born_probabilities, estimate_spectrum, link_matrix
 from .states import RandomSource, ginibre_state, haar_from_ginibre, state_spectrum
 
 # Bytes of stacked arrays one chunk of trials may hold, a trial counting as
@@ -156,7 +156,7 @@ def _spectrum_majorization(cfg: AuditConfig, root: RandomSource, trials: range):
     # Checked against the estimate built from the element matrices, not the kernel.
     spec_coarse = np.clip(state_spectrum(_dense_estimate(rho, operator_in_basis(u[:, np.newaxis], post))), 0.0, None)
     deficit = majorization_deficit(np.sort(fine), spec_coarse)
-    link = np.swapaxes(post / post.sum(axis=-1, keepdims=True), -1, -2) @ post
+    link = link_matrix(post)
     bisto_residual = np.maximum(np.abs(link.sum(axis=-2) - 1.0).max(axis=-1), np.abs(link.sum(axis=-1) - 1.0).max(axis=-1))
     mapped_residual = np.abs(np.sort((link @ fine[..., np.newaxis])[..., 0]) - np.sort(spec_coarse)).max(axis=-1)
     margin = np.maximum(deficit, np.maximum(bisto_residual, mapped_residual))

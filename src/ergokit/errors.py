@@ -45,10 +45,6 @@ class DegeneratePovm(ErgokitError):
     """Post-processing left no nonzero measurement outcome."""
 
 
-class ZeroMass(ErgokitError):
-    """An outcome carries no probability mass, so its refinement is undefined."""
-
-
 class LengthMismatch(ErgokitError):
     """Vectors of different lengths compared without padding."""
 

@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import LengthMismatch, NotStochastic, NotUnitary, PreconditionFailed
 from .ergotropy import passive_energy_of_spectrum
-from .linalg import LOOSE_TOL, TOL, energy_tol, max_abs, require_unitary
-from .measurement import Povm, StochasticMatrix, refine_distribution
+from .linalg import LOOSE_TOL, TOL, energy_tol, require_unitary, unchecked
+from .measurement import Povm, StochasticMatrix, link_matrix
 from .states import Hamiltonian
 
 
@@ -64,20 +64,17 @@ def bistochastic_from_unitary(v) -> StochasticMatrix:
     return b
 
 
-def refinement_bistochastic(p: Povm, d: StochasticMatrix) -> StochasticMatrix:
-    """Bistochastic matrix linking the outcome spectra of a fine-grained
-    measurement and its post-processed coarsening.
+def refinement_bistochastic(m: Povm) -> StochasticMatrix:
+    """Bistochastic matrix linking the outcome spectrum of m's unitary base to
+    the spectrum of m's coarse-grained estimate (Lemma 1): link_matrix(m.post).
 
-    Composes the post-processing with its refinement: entry (j, m) is
-    sum_i d[i, m] q(j|i). Applied to the fine outcome distribution it yields
-    the coarse-grained state's spectrum.
+    A dense base has volumes other than 1, or elements that are not rank-1
+    projectors, and then the link is not bistochastic or does not map the
+    spectrum, so it is refused.
     """
-    q = refine_distribution(p, d)
-    b = StochasticMatrix(q.entries @ d.entries)
-    if not b.bistochastic:
-        row_defect = max_abs(b.entries.sum(axis=1) - 1.0)
-        raise NotStochastic(f"composed matrix has row-sum defect {row_defect:.3e} > {TOL:.0e}")
-    return b
+    if m.base.ndim != 2:
+        raise PreconditionFailed("the refinement link is defined over a unitary (rank-1 projective) base")
+    return unchecked(StochasticMatrix, entries=link_matrix(m.post), bistochastic=True)
 
 
 def schur_concavity_check(h: Hamiltonian, x, y) -> bool:

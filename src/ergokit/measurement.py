@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegeneratePovm, DimensionMismatch, InvalidPovm, NotStochastic, PreconditionFailed, ZeroMass
+from .errors import DegeneratePovm, DimensionMismatch, InvalidPovm, NotStochastic
 from .linalg import (LOOSE_TOL, TOL, as_matrix, diagonal_in_basis, hermitian_part, max_abs, operator_in_basis,
                      require_hermitian, require_unitary, unchecked)
 from .states import DensityMatrix, Hamiltonian, RandomSource
@@ -122,14 +122,6 @@ class Povm:
             return operator_in_basis(self.base, self.post)
         return (self.post @ self.base.reshape(len(self.base), -1)).reshape(-1, self.dim, self.dim)
 
-    def is_fine_grained(self) -> bool:
-        """True when every element is (numerically) a rank-1 projector; over a
-        unitary base, row i of post is element i's spectrum."""
-        if self.n_outcomes != self.dim:
-            return False
-        w = np.sort(self.post, axis=1) if self.base.ndim == 2 else np.linalg.eigvalsh(self.elements)
-        return bool(max_abs(w[:, -1] - 1.0) <= LOOSE_TOL and max_abs(w[:, :-1]) <= LOOSE_TOL)
-
 
 class FineGrainedMeasurement(Povm):
     """Rank-1 projective measurement onto the columns of an orthonormal
@@ -204,6 +196,14 @@ def estimate_spectrum(post: np.ndarray, populations: np.ndarray, volumes: np.nda
     return (np.swapaxes(post, -1, -2) @ (probs / (post * volumes).sum(axis=-1))[..., np.newaxis])[..., 0]
 
 
+def link_matrix(post: np.ndarray) -> np.ndarray:
+    """Lemma 1's link B = (D / rowsum D)^T D over a unitary base: link_matrix(D) @ p is
+    estimate_spectrum(D, p, 1.0) written as a matrix, so B maps the fine outcome distribution
+    onto the coarse estimate's spectrum. Bistochastic for D column-stochastic without zero rows.
+    Leading axes of post are a batch."""
+    return np.swapaxes(post / post.sum(axis=-1, keepdims=True), -1, -2) @ post
+
+
 def coarse_grained_state(rho: DensityMatrix, m: Povm) -> DensityMatrix:
     """Maximum-ignorance estimate sum_i q_i N_i / tr N_i of rho given one round
     of outcome statistics q from m: sum_j w_j M_j over the base (estimate_spectrum).
@@ -224,25 +224,6 @@ def coarse_grained_spectrum(rho: DensityMatrix, m: Povm) -> np.ndarray:
     return coarse_grained_state(rho, m).eigenvalues
 
 
-def refine_distribution(p: Povm, d: StochasticMatrix) -> StochasticMatrix:
-    """Conditional distribution of the raw outcome given the coarse one.
-
-    Column i holds q(j|i) = D[i, j] V_j / sum_k D[i, k] V_k, the probability
-    that coarse outcome i originated from raw outcome j. Requires a
-    fine-grained parent measurement (rank-1 projectors, so all volumes 1).
-    """
-    if d.n_in != p.n_outcomes:
-        raise DimensionMismatch(f"post-processing expects {d.n_in} inputs but measurement has {p.n_outcomes} outcomes")
-    if not p.is_fine_grained():
-        raise PreconditionFailed("refinement is defined for fine-grained (rank-1 projective) measurements")
-    weighted = d.entries * p.volumes[np.newaxis, :]
-    mass = weighted.sum(axis=1)
-    if float(np.min(mass)) < TOL:
-        bad = int(np.argmin(mass))
-        raise ZeroMass(f"outcome {bad} has total mass {float(mass[bad]):.3e}; refinement undefined")
-    return StochasticMatrix((weighted / mass[:, np.newaxis]).T)
-
-
 __all__ = [
     "FineGrainedMeasurement",
     "Povm",
@@ -251,8 +232,8 @@ __all__ = [
     "coarse_grained_state",
     "computational_basis",
     "energy_incoherent",
+    "link_matrix",
     "outcome_distribution",
     "post_process",
     "random_column_stochastic",
-    "refine_distribution",
 ]

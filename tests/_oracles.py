@@ -12,7 +12,7 @@ import numpy as np
 
 from ergokit.ergotropy import ergotropy, incoherent_ergotropy, observational_ergotropy, passive_energy_of_spectrum
 from ergokit.linalg import TOL, eig_hermitian, energy_tol, max_abs, unchecked
-from ergokit.majorization import bistochastic_from_unitary, majorization_deficit, refinement_bistochastic
+from ergokit.majorization import bistochastic_from_unitary, majorization_deficit
 from ergokit.measurement import (
     FineGrainedMeasurement,
     Povm,
@@ -127,9 +127,13 @@ def spectrum_majorization_trial(cfg, rng):
     dense = unchecked(Povm, base=coarse.elements, post=np.eye(coarse.n_outcomes), labels=coarse.labels)
     spec_coarse = coarse_grained_state(rho, dense).spectrum()
     deficit = majorization_deficit(spec_fine, spec_coarse, pad=True)
-    b = refinement_bistochastic(fine, dmat)
-    bisto_residual = max(max_abs(b.entries.sum(axis=0) - 1.0), max_abs(b.entries.sum(axis=1) - 1.0))
-    mu = np.sort(b.entries @ outcome_distribution(rho, fine))
+    # The link from its definition, not the library's kernel: q(j|i) = D_ij V_j / sum_k D_ik V_k
+    # is the chance that coarse outcome i came from fine outcome j, and B = q^T D.
+    weighted = dmat.entries * fine.volumes[np.newaxis, :]
+    q = weighted / weighted.sum(axis=1, keepdims=True)
+    b = q.T @ dmat.entries
+    bisto_residual = max(max_abs(b.sum(axis=0) - 1.0), max_abs(b.sum(axis=1) - 1.0))
+    mu = np.sort(b @ outcome_distribution(rho, fine))
     mapped_residual = max_abs(mu - np.sort(spec_coarse))
     margin = max(deficit, bisto_residual, mapped_residual)
     violated = deficit > cfg.tolerance or bisto_residual > TOL or mapped_residual > TOL

@@ -6,12 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from ergokit import majorization
 from ergokit.errors import DimensionMismatch, ErgokitError, NonFinite
 from ergokit.instances import instance_from_dict
 from ergokit.linalg import as_matrix
-from ergokit.majorization import prob_vector, refinement_bistochastic
-from ergokit.measurement import Povm, StochasticMatrix, computational_basis
+from ergokit.majorization import prob_vector
+from ergokit.measurement import Povm, StochasticMatrix
 from ergokit.states import DensityMatrix, Hamiltonian, RandomSource, haar_unitary, pure_state
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -64,12 +63,3 @@ def test_domain_failures_raise_ergokit_errors(name):
     with pytest.raises(ERROR_CLASSES.get(name, ErgokitError)) as info:
         BAD_INPUTS[name]()
     assert isinstance(info.value, ValueError)
-
-
-def test_refinement_row_sum_failure_raises_ergokit_error(monkeypatch):
-    # the composed matrix is bistochastic in exact arithmetic, so only a
-    # broken refinement can trip the row-sum check
-    lopsided = StochasticMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]))
-    monkeypatch.setattr(majorization, "refine_distribution", lambda p, d: lopsided)
-    with pytest.raises(ErgokitError):
-        refinement_bistochastic(computational_basis(2), StochasticMatrix(np.eye(2)))

@@ -12,7 +12,7 @@ from ergokit.majorization import (
     refinement_bistochastic,
     schur_concavity_check,
 )
-from ergokit.measurement import StochasticMatrix, computational_basis, random_column_stochastic
+from ergokit.measurement import Povm, StochasticMatrix, computational_basis, post_process, random_column_stochastic
 from ergokit.states import RandomSource, diagonal_hamiltonian, haar_unitary, random_density, random_hamiltonian
 
 
@@ -95,16 +95,16 @@ def test_qubit_merge_spectra_pair():
 
 
 def test_composed_matrix_maps_outcomes_to_coarse_spectrum():
-    from ergokit.measurement import FineGrainedMeasurement, coarse_grained_state, outcome_distribution, post_process
+    from ergokit.measurement import FineGrainedMeasurement, coarse_grained_state, outcome_distribution
     from ergokit.states import random_density as _random_density
 
     rng = RandomSource(56)
     rho = _random_density(4, 4, rng)
     fine = FineGrainedMeasurement.from_basis(haar_unitary(4, rng))
-    d = random_column_stochastic(6, 4, rng)
-    b = refinement_bistochastic(fine, d)
+    coarse = post_process(fine, random_column_stochastic(6, 4, rng))
+    b = refinement_bistochastic(coarse)
     mapped = np.sort(b.entries @ outcome_distribution(rho, fine))
-    coarse_spectrum = np.sort(coarse_grained_state(rho, post_process(fine, d)).spectrum())
+    coarse_spectrum = np.sort(coarse_grained_state(rho, coarse).spectrum())
     assert float(np.max(np.abs(mapped - coarse_spectrum))) <= 1e-10
     assert majorizes(outcome_distribution(rho, fine), mapped)
 
@@ -154,12 +154,12 @@ class TestBistochasticFromUnitary:
 
 class TestRefinementBistochastic:
     def test_identity_post_processing(self):
-        b = refinement_bistochastic(computational_basis(3), StochasticMatrix.identity(3))
+        b = refinement_bistochastic(post_process(computational_basis(3), StochasticMatrix.identity(3)))
         np.testing.assert_allclose(b.entries, np.eye(3), atol=0.0)
 
     def test_qubit_merge_half(self):
         d = StochasticMatrix(np.array([[0.5, 1.0], [0.5, 0.0]]))
-        b = refinement_bistochastic(computational_basis(2), d)
+        b = refinement_bistochastic(post_process(computational_basis(2), d))
         expected = np.array([[2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0]])
         np.testing.assert_allclose(b.entries, expected, atol=1e-14)
         assert b.bistochastic
@@ -167,10 +167,25 @@ class TestRefinementBistochastic:
     def test_random_composition_is_bistochastic(self):
         rng = RandomSource(54)
         d = random_column_stochastic(5, 4, rng)
-        b = refinement_bistochastic(computational_basis(4), d)
+        b = refinement_bistochastic(post_process(computational_basis(4), d))
         assert b.entries.shape == (4, 4)
         assert float(np.max(np.abs(b.entries.sum(axis=0) - 1.0))) <= 1e-10
         assert float(np.max(np.abs(b.entries.sum(axis=1) - 1.0))) <= 1e-10
+
+    def test_all_zero_row_is_dropped_not_refused(self):
+        # post_process drops the dead coarse outcome, so one outcome holds everything and B is uniform
+        m = post_process(computational_basis(2), StochasticMatrix(np.array([[1.0, 1.0], [0.0, 0.0]])))
+        np.testing.assert_array_equal(refinement_bistochastic(m).entries, [[0.5, 0.5], [0.5, 0.5]])
+
+    def test_dense_base_is_refused_without_an_eigensolve(self, monkeypatch):
+        dense = Povm((np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)))
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        with pytest.raises(PreconditionFailed):
+            refinement_bistochastic(dense)
 
 
 class TestSchurConcavity:

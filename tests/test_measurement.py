@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ergokit import linalg, measurement, states
 from ergokit.ergotropy import observational_ergotropy
-from ergokit.errors import DimensionMismatch, PreconditionFailed, ZeroMass
+from ergokit.errors import DimensionMismatch
 from ergokit.linalg import adjoint, max_abs
 from ergokit.measurement import (
     FineGrainedMeasurement,
@@ -14,10 +14,11 @@ from ergokit.measurement import (
     coarse_grained_state,
     computational_basis,
     energy_incoherent,
+    estimate_spectrum,
+    link_matrix,
     outcome_distribution,
     post_process,
     random_column_stochastic,
-    refine_distribution,
 )
 from ergokit.states import (
     DensityMatrix,
@@ -75,7 +76,6 @@ class TestPovm:
     def test_volumes(self):
         p = Povm((0.5 * np.eye(2), 0.5 * np.eye(2)))
         np.testing.assert_allclose(p.volumes, [1.0, 1.0])
-        assert not p.is_fine_grained()
 
 
 class TestFineGrained:
@@ -83,7 +83,6 @@ class TestFineGrained:
         p = computational_basis(2)
         np.testing.assert_allclose(p.elements[0], KET0, atol=0.0)
         np.testing.assert_allclose(p.elements[1], KET1, atol=0.0)
-        assert p.is_fine_grained()
 
     def test_projector_relations(self):
         p = FineGrainedMeasurement.from_basis(haar_unitary(4, RandomSource(10)))
@@ -247,39 +246,6 @@ class TestOutcomeDistribution:
         assert float(outcome_distribution(rho, m).sum()) == pytest.approx(1.0, abs=1e-10)
 
 
-class TestRefineDistribution:
-    def test_identity(self):
-        q = refine_distribution(computational_basis(3), StochasticMatrix.identity(3))
-        np.testing.assert_allclose(q.entries, np.eye(3), atol=0.0)
-
-    def test_qubit_hand_values(self):
-        b = 0.3
-        q = refine_distribution(computational_basis(2), merge_matrix(b))
-        # column i is the distribution of the raw outcome given coarse outcome i
-        expected = np.array([
-            [b / (1.0 + b), 1.0],
-            [1.0 / (1.0 + b), 0.0],
-        ])
-        np.testing.assert_allclose(q.entries, expected, atol=1e-14)
-
-    def test_columns_sum_to_one(self):
-        rng = RandomSource(22)
-        p = FineGrainedMeasurement.from_basis(haar_unitary(4, rng))
-        d = random_column_stochastic(6, 4, rng)
-        q = refine_distribution(p, d)
-        assert max_abs(q.entries.sum(axis=0) - 1.0) <= 1e-12
-
-    def test_zero_mass_outcome(self):
-        dead_row = StochasticMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ZeroMass):
-            refine_distribution(computational_basis(2), dead_row)
-
-    def test_requires_fine_grained_parent(self):
-        halves = Povm((0.5 * np.eye(2), 0.5 * np.eye(2)))
-        with pytest.raises(PreconditionFailed):
-            refine_distribution(halves, StochasticMatrix.identity(2))
-
-
 # --- the Lemma 1 kernel of basis measurements against dense elements ----------
 
 def _kernel_instance(d, n_rel, seed, rank_frac, zero_rows, degenerate):
@@ -328,6 +294,18 @@ def test_post_processing_drops_zero_rows_of_basis_measurements():
     np.testing.assert_allclose(coarse.volumes, [1.5, 1.5], atol=0.0)
     n = energy_incoherent(random_hamiltonian(3, RandomSource(70)), dead_rows)
     assert n.labels == (2, 4)
+
+
+@pytest.mark.parametrize("d, n", [(1, 2), (3, 4), (8, 5), (8, 1), (64, 64)])
+def test_link_matrix_is_the_kernel_as_a_matrix(d, n):
+    rng = RandomSource(73 + d + n)
+    posts = np.stack([random_column_stochastic(n, d, rng).entries for _ in range(3)])
+    populations = rng.exponential((3, d))
+    populations /= populations.sum(axis=-1, keepdims=True)
+    links = link_matrix(posts)
+    for post, p, link in zip(posts, populations, links):
+        assert max_abs(link @ p - estimate_spectrum(post, p, 1.0)) <= linalg.TOL
+        assert link.tobytes() == link_matrix(post).tobytes()
 
 
 def test_basis_measurement_kernel_makes_no_eigensolve(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ergokit.audits import AuditConfig
 from ergokit.cli import build_parser
 from ergokit.ergotropy import WorkReport, report
-from ergokit.errors import DegeneratePovm, InconsistentReport, NonFinite, NotHermitian, ZeroMass
+from ergokit.errors import DegeneratePovm, InconsistentReport, NonFinite, NotHermitian
 from ergokit.linalg import LOOSE_TOL, TOL, adjoint, energy_tol, hermitian_part, max_abs, require_hermitian
 from ergokit.majorization import prob_vector
 from ergokit.measurement import (
@@ -21,7 +21,6 @@ from ergokit.measurement import (
     computational_basis,
     post_process,
     random_column_stochastic,
-    refine_distribution,
 )
 from ergokit.states import Hamiltonian, RandomSource, haar_unitary, random_density
 
@@ -84,13 +83,6 @@ def test_povm_element_of_volume_below_tol_is_degenerate():
     # volume 1e-11 < TOL
     with pytest.raises(DegeneratePovm):
         Povm((1e-11 * KET0, np.eye(2) - 1e-11 * KET0))
-
-
-def test_refinement_mass_below_tol_is_zero():
-    # coarse outcome 2 has mass 1e-11 < TOL
-    d = StochasticMatrix(np.array([[1.0 - 1e-11, 1.0], [1e-11, 0.0]]))
-    with pytest.raises(ZeroMass):
-        refine_distribution(computational_basis(2), d)
 
 
 def test_column_sums_off_by_less_than_tol_are_accepted():
