@@ -30,7 +30,7 @@ class NotStochastic(ErgokitError):
 
 
 class InvalidPovm(ErgokitError):
-    """Elements are not positive, do not sum to the identity, or are mislabelled."""
+    """Elements are not positive or do not sum to the identity."""
 
 
 class NoConvergence(ErgokitError):
@@ -46,7 +46,7 @@ class DegeneratePovm(ErgokitError):
 
 
 class LengthMismatch(ErgokitError):
-    """Vectors of different lengths compared without padding."""
+    """Vectors of different lengths compared."""
 
 
 class PreconditionFailed(ErgokitError):

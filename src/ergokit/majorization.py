@@ -29,31 +29,24 @@ def prob_vector(x) -> np.ndarray:
     return v
 
 
-def _padded_pair(x: np.ndarray, y: np.ndarray, pad: bool) -> tuple[np.ndarray, np.ndarray]:
-    if x.shape[-1] == y.shape[-1]:
-        return x, y
-    if not pad:
-        raise LengthMismatch(f"vectors have lengths {x.shape[-1]} and {y.shape[-1]}; pass pad=True to zero-pad")
-    n = max(x.shape[-1], y.shape[-1])
-    return tuple(np.pad(v, [(0, 0)] * (v.ndim - 1) + [(0, n - v.shape[-1])]) for v in (x, y))
-
-
-def majorization_deficit(x, y, pad: bool = False) -> float | np.ndarray:
+def majorization_deficit(x, y) -> float | np.ndarray:
     """Largest amount by which a descending partial sum of y exceeds the
     matching partial sum of x (positive means x does not majorize y),
-    including the total-sum disagreement. Leading axes are a batch; with
-    pad=True the shorter last axis is zero-padded."""
-    xv, yv = _padded_pair(np.asarray(x, dtype=float), np.asarray(y, dtype=float), pad)
+    including the total-sum disagreement. Leading axes are a batch; the
+    last axes must have equal lengths."""
+    xv, yv = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if xv.shape[-1] != yv.shape[-1]:
+        raise LengthMismatch(f"vectors have lengths {xv.shape[-1]} and {yv.shape[-1]}")
     cx = np.cumsum(np.sort(xv, axis=-1)[..., ::-1], axis=-1)
     cy = np.cumsum(np.sort(yv, axis=-1)[..., ::-1], axis=-1)
     partial = np.max(cy[..., :-1] - cx[..., :-1], axis=-1, initial=0.0)  # the total term is >= 0 anyway
     return np.maximum(partial, np.abs(cx[..., -1] - cy[..., -1]))
 
 
-def majorizes(x, y, pad: bool = False) -> bool:
+def majorizes(x, y) -> bool:
     """True when x majorizes y: x's descending partial sums dominate y's
     within LOOSE_TOL and the totals agree within it."""
-    return majorization_deficit(x, y, pad=pad) <= LOOSE_TOL
+    return majorization_deficit(x, y) <= LOOSE_TOL
 
 
 def bistochastic_from_unitary(v) -> StochasticMatrix:
@@ -74,7 +67,7 @@ def refinement_bistochastic(m: Povm) -> StochasticMatrix:
     """
     if m.base.ndim != 2:
         raise PreconditionFailed("the refinement link is defined over a unitary (rank-1 projective) base")
-    return unchecked(StochasticMatrix, entries=link_matrix(m.post), bistochastic=True)
+    return unchecked(StochasticMatrix, entries=link_matrix(m.post))
 
 
 def schur_concavity_check(h: Hamiltonian, x, y) -> bool:

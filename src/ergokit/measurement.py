@@ -2,7 +2,7 @@
 
 A measurement here is a finite POVM. Fine-grained measurements (rank-1
 projective) are the informationally sharpest ones; applying a
-column-stochastic matrix to the outcome labels coarsens them. The
+column-stochastic matrix to the outcomes coarsens them. The
 coarse-grained state is the maximum-ignorance estimate of the input state
 consistent with the observed outcome statistics. Every measurement is kept
 as (base, post-processing D), the base a unitary or a dense element stack,
@@ -26,11 +26,9 @@ from .states import DensityMatrix, Hamiltonian, RandomSource
 @dataclass(frozen=True, eq=False)
 class StochasticMatrix:
     """Column-stochastic post-processing map: entry (i, j) is the probability
-    of reporting outcome i given raw outcome j. The bistochastic flag is set
-    automatically when every row also sums to 1."""
+    of reporting outcome i given raw outcome j."""
 
     entries: np.ndarray
-    bistochastic: bool = field(init=False)
 
     def __post_init__(self):
         m = as_matrix(self.entries, dtype=float)
@@ -42,9 +40,12 @@ class StochasticMatrix:
         col_defect = max_abs(m.sum(axis=0) - 1.0)
         if col_defect > TOL:
             raise NotStochastic(f"column sums deviate from 1 by {col_defect:.3e} > {TOL:.0e}")
-        row_defect = max_abs(m.sum(axis=1) - 1.0)
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "bistochastic", bool(row_defect <= TOL))
+
+    @property
+    def bistochastic(self) -> bool:
+        """True when every row also sums to 1 within TOL, computed when read."""
+        return bool(max_abs(self.entries.sum(axis=1) - 1.0) <= TOL)
 
     @property
     def n_in(self) -> int:
@@ -65,14 +66,11 @@ class Povm:
     rank-1 projectors of volume 1, or a dense (k, d, d) stack of positive
     operators summing to the identity. ``Povm(base)`` validates a dense stack
     once and sets D = I; zero elements are forbidden because coarse-grained
-    states divide by each element's volume (trace). ``labels`` track outcome
-    identity through relabelings: post-processing that drops all-zero
-    outcomes records which of the original indices survive. Element matrices
-    are built only when ``elements`` is read.
+    states divide by each element's volume (trace). Element matrices are
+    built only when ``elements`` is read.
     """
 
     base: np.ndarray
-    labels: tuple = None
     post: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -90,12 +88,8 @@ class Povm:
         defect = max_abs(mats.sum(axis=0) - np.eye(mats.shape[-1]))
         if defect > LOOSE_TOL:
             raise InvalidPovm(f"POVM elements sum to identity within {defect:.3e} > {LOOSE_TOL:.0e}")
-        labels = self.labels if self.labels is not None else tuple(range(1, len(mats) + 1))
-        if len(labels) != len(mats):
-            raise InvalidPovm(f"{len(labels)} labels for {len(mats)} elements")
         object.__setattr__(self, "base", mats)
         object.__setattr__(self, "post", np.eye(len(mats)))
-        object.__setattr__(self, "labels", tuple(labels))
 
     @property
     def dim(self) -> int:
@@ -130,7 +124,7 @@ class FineGrainedMeasurement(Povm):
     @classmethod
     def from_basis(cls, basis) -> "FineGrainedMeasurement":
         u = require_unitary(basis, what="basis")
-        return unchecked(cls, base=u, post=np.eye(len(u)), labels=tuple(range(1, len(u) + 1)))
+        return unchecked(cls, base=u, post=np.eye(len(u)))
 
 
 def computational_basis(d: int) -> FineGrainedMeasurement:
@@ -150,15 +144,15 @@ def post_process(p: Povm, d: StochasticMatrix) -> Povm:
     """Coarsen a measurement: output element i is sum_j D[i, j] * P_j, kept
     as the same base with post-processing D @ p.post; no element is mixed.
 
-    Outcomes whose operator vanishes (an all-zero row of D) are dropped; the
-    surviving original outcome indices are recorded in the result's labels.
-    The result is not validated again: a column-stochastic D keeps
-    positivity and completeness.
+    Outcomes whose operator vanishes (coarse mass below TOL, as for an
+    all-zero row of D) are dropped, so the result's post holds only the
+    surviving rows. The result is not validated again: a column-stochastic
+    D keeps positivity and completeness.
     """
     if d.n_in != p.n_outcomes:
         raise DimensionMismatch(f"post-processing expects {d.n_in} inputs but measurement has {p.n_outcomes} outcomes")
     kept = np.flatnonzero(d.entries @ p.volumes >= TOL)
-    return unchecked(Povm, base=p.base, post=(d.entries @ p.post)[kept], labels=tuple(int(i) + 1 for i in kept))
+    return unchecked(Povm, base=p.base, post=(d.entries @ p.post)[kept])
 
 
 def energy_incoherent(h: Hamiltonian, q: StochasticMatrix) -> Povm:
@@ -167,7 +161,7 @@ def energy_incoherent(h: Hamiltonian, q: StochasticMatrix) -> Povm:
     All-zero rows of q are dropped, as in post_process."""
     if q.n_in != h.dim:
         raise DimensionMismatch(f"post-processing expects {q.n_in} energy levels but Hamiltonian has {h.dim}")
-    return post_process(unchecked(Povm, base=h.eigenbasis, post=np.eye(h.dim), labels=None), q)
+    return post_process(unchecked(Povm, base=h.eigenbasis, post=np.eye(h.dim)), q)
 
 
 def born_probabilities(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:

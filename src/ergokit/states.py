@@ -79,8 +79,7 @@ class RandomSource:
     def complex_normal(self, shape: tuple[int, ...]) -> np.ndarray:
         """Standard complex Gaussian: independent N(0, 1/2) real and imaginary parts."""
         z = self._gen.standard_normal((2, *shape))
-        out = z[1] * 1j  # then in place: bitwise (z[0] + 1j * z[1]) / sqrt(2) without its temporaries
-        return np.divide(np.add(out, z[0], out=out), np.sqrt(2.0), out=out)
+        return (z[0] + 1j * z[1]) / np.sqrt(2.0)
 
     def uniform(self, shape=None) -> np.ndarray:
         return self._gen.uniform(size=shape)

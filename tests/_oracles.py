@@ -124,9 +124,9 @@ def spectrum_majorization_trial(cfg, rng):
     coarse = post_process(fine, dmat)
     spec_fine = coarse_grained_state(rho, fine).spectrum()
     # Checked against the element matrices' estimate, not the Lemma 1 kernel.
-    dense = unchecked(Povm, base=coarse.elements, post=np.eye(coarse.n_outcomes), labels=coarse.labels)
+    dense = unchecked(Povm, base=coarse.elements, post=np.eye(coarse.n_outcomes))
     spec_coarse = coarse_grained_state(rho, dense).spectrum()
-    deficit = majorization_deficit(spec_fine, spec_coarse, pad=True)
+    deficit = majorization_deficit(spec_fine, spec_coarse)
     # The link from its definition, not the library's kernel: q(j|i) = D_ij V_j / sum_k D_ik V_k
     # is the chance that coarse outcome i came from fine outcome j, and B = q^T D.
     weighted = dmat.entries * fine.volumes[np.newaxis, :]

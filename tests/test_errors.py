@@ -25,7 +25,6 @@ BAD_INPUTS = {
     "povm not positive": lambda: Povm((BUMP, np.eye(2) - BUMP)),
     "povm zero element": lambda: Povm((KET0 + KET1, np.zeros((2, 2), dtype=complex))),
     "povm incomplete": lambda: Povm((KET0, 0.5 * KET1)),
-    "povm labels": lambda: Povm((KET0, KET1), labels=(1,)),
     "matrix with NaN": lambda: as_matrix([[np.nan, 0.0], [0.0, 1.0]]),
     "matrix with Inf": lambda: as_matrix([[np.inf, 0.0], [0.0, 1.0]]),
     "ragged state rows": lambda: DensityMatrix([[1, 0], [0]]),

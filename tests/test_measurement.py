@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from ergokit import linalg, measurement, states
 from ergokit.ergotropy import observational_ergotropy
 from ergokit.errors import DimensionMismatch
-from ergokit.linalg import adjoint, max_abs
+from ergokit.instances import family_matrix
+from ergokit.linalg import TOL, adjoint, max_abs
 from ergokit.measurement import (
     FineGrainedMeasurement,
     Povm,
@@ -53,6 +54,15 @@ class TestStochasticMatrix:
         assert StochasticMatrix.identity(3).bistochastic
         assert not merge_matrix(0.5).bistochastic
 
+    def test_unchecked_bistochastic_is_computed_when_read(self):
+        # built without validation, as refinement_bistochastic builds its link
+        cases = [(link_matrix(random_column_stochastic(5, 4, RandomSource(13)).entries), True),
+                 (family_matrix("mix", 0.4, 3).entries, True),
+                 (family_matrix("merge", 0.3, 2).entries, False)]
+        for entries, expected in cases:
+            m = linalg.unchecked(StochasticMatrix, entries=entries)
+            assert m.bistochastic == (max_abs(entries.sum(axis=1) - 1.0) <= TOL) == expected
+
 
 class TestPovm:
     def test_rejects_incomplete(self):
@@ -67,11 +77,6 @@ class TestPovm:
         bump = np.array([[1.2, 0.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError):
             Povm((bump, np.eye(2) - bump))
-
-    def test_default_labels(self):
-        p = Povm((KET0, KET1))
-        assert p.labels == (1, 2)
-        assert p.n_outcomes == 2 and p.dim == 2
 
     def test_volumes(self):
         p = Povm((0.5 * np.eye(2), 0.5 * np.eye(2)))
@@ -123,7 +128,7 @@ class TestPostProcess:
         q = post_process(p, StochasticMatrix.identity(2))
         for a, b in zip(q.elements, p.elements):
             assert max_abs(a - b) <= 1e-15
-        assert q.labels == (1, 2)
+        assert q.n_outcomes == 2
 
     def test_qubit_merge_elements(self):
         b = 0.3
@@ -137,10 +142,9 @@ class TestPostProcess:
         assert q.n_outcomes == 1
         assert max_abs(q.elements[0] - np.eye(3)) <= 1e-12
 
-    def test_drops_zero_outcomes_and_records_labels(self):
+    def test_drops_zero_outcomes(self):
         q = post_process(computational_basis(2), merge_matrix(1.0))
         assert q.n_outcomes == 1
-        assert q.labels == (1,)
 
     def test_preserves_completeness(self):
         rng = RandomSource(12)
@@ -276,10 +280,10 @@ def test_kernel_matches_dense_elements(d, n_rel, seed, rank_frac, zero_rows, deg
     # A general (non-projective) dense base coarsened by D, against its explicitly mixed elements.
     general = Povm(post_process(fine, random_column_stochastic(d, d, RandomSource(seed).split(1))).elements)
     coarse = post_process(general, dmat)
-    mixed = np.tensordot(dmat.entries, general.base, axes=1)[np.array(coarse.labels) - 1]
+    mixed = np.tensordot(dmat.entries, general.base, axes=1)[np.flatnonzero(dmat.entries @ general.volumes >= TOL)]
     cases = [(m, m.elements) for m in (fine, post_process(fine, dmat), energy_incoherent(h, dmat))]
     for structured, elements in [*cases, (coarse, mixed)]:
-        dense = Povm(elements, labels=structured.labels)
+        dense = Povm(elements)
         kernel_value = observational_ergotropy(rho, h, structured)
         assert abs(kernel_value - observational_ergotropy(rho, h, dense)) <= 1e-12 * scale
         assert max_abs(coarse_grained_state(rho, structured).op - coarse_grained_state(rho, dense).op) <= 1e-12
@@ -290,10 +294,10 @@ def test_kernel_matches_dense_elements(d, n_rel, seed, rank_frac, zero_rows, deg
 def test_post_processing_drops_zero_rows_of_basis_measurements():
     dead_rows = StochasticMatrix(np.array([[0.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 1.0]]))
     coarse = post_process(computational_basis(3), dead_rows)
-    assert coarse.labels == (2, 4)
+    np.testing.assert_array_equal(coarse.post, dead_rows.entries[[1, 3]])
     np.testing.assert_allclose(coarse.volumes, [1.5, 1.5], atol=0.0)
     n = energy_incoherent(random_hamiltonian(3, RandomSource(70)), dead_rows)
-    assert n.labels == (2, 4)
+    np.testing.assert_array_equal(n.post, dead_rows.entries[[1, 3]])
 
 
 @pytest.mark.parametrize("d, n", [(1, 2), (3, 4), (8, 5), (8, 1), (64, 64)])

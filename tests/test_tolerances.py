@@ -101,7 +101,7 @@ def test_probability_entries_down_to_minus_tol_are_clipped():
 def test_post_process_drops_rows_of_mass_below_tol():
     # the second coarse outcome has mass 1e-11 < TOL
     coarse = post_process(computational_basis(2), StochasticMatrix(np.array([[1.0, 1.0 - 1e-11], [0.0, 1e-11]])))
-    assert coarse.n_outcomes == 1 and coarse.labels == (1,)
+    assert coarse.n_outcomes == 1
 
 
 # --- scale covariance -------------------------------------------------------------
