@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import InvalidClaim, InvalidConfig
 from .ergotropy import passive_energy_of_spectrum
-from .linalg import LOOSE_TOL, TOL, diagonal_in_basis, energy_tol, hermitian_part, operator_in_basis, require_unitary
+from .linalg import LOOSE_TOL, TOL, diagonal_in_basis, energy_tol, hermitian_part, operator_in_basis
 from .majorization import majorization_deficit
 from .measurement import born_probabilities, estimate_spectrum, link_matrix
-from .states import RandomSource, ginibre_state, haar_from_ginibre, state_spectrum
+from .states import RandomSource, ginibre_state, haar_from_ginibre, is_integer, state_spectrum
 
 # Bytes of stacked arrays one chunk of trials may hold, a trial counting as
 # 16 d^2 (n + 8): its complex d x d stacks plus lemma1's n dense elements.
@@ -38,6 +38,9 @@ class AuditConfig:
     tolerance: float = LOOSE_TOL
 
     def __post_init__(self):
+        for name in ("dimension", "outcomes", "trials", "seed") + (("rank",) if self.rank is not None else ()):
+            if not is_integer(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
         d, rank = self.dimension, self.effective_rank
         if d < 1:
             raise InvalidConfig(f"dimension must be positive, got {d}")
@@ -49,8 +52,8 @@ class AuditConfig:
             raise InvalidConfig(f"trials must lie in [1, 2^32), got {self.trials}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be a non-negative integer, got {self.seed}")
-        if not self.tolerance > 0.0:
-            raise InvalidConfig(f"tolerance must be positive, got {self.tolerance}")
+        if not (isinstance(self.tolerance, (float, np.floating)) or is_integer(self.tolerance)) or not self.tolerance > 0:
+            raise InvalidConfig(f"tolerance must be a positive number, got {self.tolerance!r}")
 
     @property
     def effective_rank(self) -> int:
@@ -82,18 +85,17 @@ def _draw(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -> 
 
 
 def _sample(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -> list:
-    """Build ``_draw``'s stacks: "state" (states, spectra), "hamiltonian" (observables, levels, bases), "haar", "post", "simplex"."""
+    """Build ``_draw``'s stacks, not checked again: "state", "hamiltonian" (observables, levels, bases), "haar", "post", "simplex"."""
     stacks, built = iter(_draw(cfg, root, trials, kinds)), []
     for kind in kinds:
         x = next(stacks)
         if kind == "state":
-            rho = ginibre_state(x)
-            built.append((rho, state_spectrum(rho)))
+            built.append(ginibre_state(x))
         elif kind == "hamiltonian":
             basis = haar_from_ginibre(next(stacks))
             built.append((hermitian_part(operator_in_basis(basis, x)), x, basis))
         elif kind == "haar":
-            built.append(require_unitary(haar_from_ginibre(x), what="Haar sample", stack=True))
+            built.append(haar_from_ginibre(x))
         else:
             built.append(x / x.sum(axis=-2 if kind == "post" else -1, keepdims=True))
     return built
@@ -111,7 +113,7 @@ def _observational(mean: np.ndarray, energies: np.ndarray, post: np.ndarray, pop
 def _monotonicity(cfg: AuditConfig, root: RandomSource, trials: range):
     """Coarsening a fine-grained measurement must not raise observational
     ergotropy."""
-    (rho, _), (h, energies, _), u, post = _sample(cfg, root, trials, ("state", "hamiltonian", "haar", "post"))
+    rho, (h, energies, _), u, post = _sample(cfg, root, trials, ("state", "hamiltonian", "haar", "post"))
     p, mean = diagonal_in_basis(rho, u), _mean_energy(h, rho)
     margin = _observational(mean, energies, post, p) - _observational(mean, energies, np.eye(cfg.dimension), p)
     return margin, margin > cfg.tolerance
@@ -120,7 +122,7 @@ def _monotonicity(cfg: AuditConfig, root: RandomSource, trials: range):
 def _incoherent_limit(cfg: AuditConfig, root: RandomSource, trials: range):
     """The projective energy measurement attains exactly the incoherent
     ergotropy, and no energy-incoherent measurement beats it."""
-    (h, energies, v), (rho, _), q = _sample(cfg, root, trials, ("hamiltonian", "state", "post"))
+    (h, energies, v), rho, q = _sample(cfg, root, trials, ("hamiltonian", "state", "post"))
     p, mean = diagonal_in_basis(rho, v), _mean_energy(h, rho)
     r_inc = _mean_energy(h, operator_in_basis(v, p)) - passive_energy_of_spectrum(energies, p)
     equality_gap = np.abs(_observational(mean, energies, np.eye(cfg.dimension), p) - r_inc)
@@ -131,10 +133,10 @@ def _incoherent_limit(cfg: AuditConfig, root: RandomSource, trials: range):
 def _fine_grained_optimum(cfg: AuditConfig, root: RandomSource, trials: range):
     """Measuring in the state's own eigenbasis attains full ergotropy; no
     fine-grained measurement exceeds it. Also gives sampled / full ergotropy."""
-    (rho, w), (h, energies, _), u = _sample(cfg, root, trials, ("state", "hamiltonian", "haar"))
-    eye, mean = np.eye(cfg.dimension), _mean_energy(h, rho)
+    rho, (h, energies, _), u = _sample(cfg, root, trials, ("state", "hamiltonian", "haar"))
+    eye, mean, (w, vectors) = np.eye(cfg.dimension), _mean_energy(h, rho), np.linalg.eigh(rho)
     r_full = mean - passive_energy_of_spectrum(energies, w)
-    equality_gap = np.abs(_observational(mean, energies, eye, diagonal_in_basis(rho, np.linalg.eigh(rho)[1])) - r_full)
+    equality_gap = np.abs(_observational(mean, energies, eye, diagonal_in_basis(rho, vectors)) - r_full)
     r_sampled = _observational(mean, energies, eye, diagonal_in_basis(rho, u))
     positive = r_full > energy_tol(cfg.dimension, np.abs(energies).max(axis=-1))  # ratios only where r_full is not roundoff
     margin = np.maximum(equality_gap, r_sampled - r_full)
@@ -151,7 +153,7 @@ def _spectrum_majorization(cfg: AuditConfig, root: RandomSource, trials: range):
     """Coarse-graining only mixes the estimate's spectrum: the fine spectrum
     majorizes the coarse one (within cfg.tolerance), the linking matrix is bistochastic,
     and it maps the fine outcome distribution onto the coarse spectrum (within TOL)."""
-    (rho, _), u, post = _sample(cfg, root, trials, ("state", "haar", "post"))
+    rho, u, post = _sample(cfg, root, trials, ("state", "haar", "post"))
     fine = estimate_spectrum(np.eye(cfg.dimension), diagonal_in_basis(rho, u), 1.0)
     # Checked against the estimate built from the element matrices, not the kernel.
     spec_coarse = np.clip(state_spectrum(_dense_estimate(rho, operator_in_basis(u[:, np.newaxis], post))), 0.0, None)

@@ -28,15 +28,15 @@ def energy_tol(dimension: int, energy_scale):
 
 
 def as_matrix(a, dtype=complex, stack: bool = False) -> np.ndarray:
-    """Coerce to a 2-D array (or a stack of them) and reject non-finite entries."""
+    """Coerce to a 2-D array (or a stack of them) and reject empty axes and non-finite entries."""
     try:
         m = np.asarray(a, dtype=dtype)
     except OverflowError as exc:  # an integer entry past the float range
         raise NonFinite(f"matrix entry past the float range: {exc}") from exc
     except (TypeError, ValueError) as exc:  # ragged rows or non-numeric entries
         raise DimensionMismatch(f"cannot read input as a numeric array: {exc}") from exc
-    if m.ndim != 2 and not (stack and m.ndim > 2):
-        raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if (m.ndim != 2 and not (stack and m.ndim > 2)) or not m.size:
+        raise DimensionMismatch(f"expected a non-empty 2-D matrix, got shape {m.shape}")
     finite = np.isfinite(m.real) & np.isfinite(m.imag) if np.iscomplexobj(m) else np.isfinite(m)
     if not np.all(finite):
         raise NonFinite("matrix contains NaN or Inf entries")
@@ -73,12 +73,12 @@ def require_hermitian(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def require_unitary(a, what: str = "matrix", stack: bool = False) -> np.ndarray:
-    """Coerce to a matrix (or a stack) and check each is square with max |A^dag A - I| <= TOL."""
-    a = as_matrix(a, stack=stack)
-    if a.shape[-1] != a.shape[-2]:
+def require_unitary(a, what: str = "matrix") -> np.ndarray:
+    """Coerce to a matrix and check it is square with max |A^dag A - I| <= TOL."""
+    a = as_matrix(a)
+    if a.shape[0] != a.shape[1]:
         raise NotUnitary(f"{what} must be square to be unitary, got {a.shape}")
-    defect = max_abs(adjoint(a) @ a - np.eye(a.shape[-1]))
+    defect = max_abs(adjoint(a) @ a - np.eye(len(a)))
     if defect > TOL:
         raise NotUnitary(f"{what} is not unitary: max |A^dag A - I| = {defect:.3e} > {TOL:.0e}")
     return a

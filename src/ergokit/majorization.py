@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatch, NotStochastic, NotUnitary, PreconditionFailed
+from .errors import LengthMismatch, NonFinite, NotStochastic, NotUnitary, PreconditionFailed
 from .ergotropy import passive_energy_of_spectrum
-from .linalg import LOOSE_TOL, TOL, energy_tol, require_unitary, unchecked
+from .linalg import LOOSE_TOL, TOL, as_matrix, energy_tol, require_unitary, unchecked
 from .measurement import Povm, StochasticMatrix, link_matrix
 from .states import Hamiltonian
 
 
 def prob_vector(x) -> np.ndarray:
     """Validate a probability vector; entries down to -TOL are clipped to 0."""
-    v = np.asarray(x, dtype=float).reshape(-1)
+    v = as_matrix(np.reshape(x, (1, -1)), dtype=float)[0]  # NonFinite for NaN or Inf entries
     if float(np.min(v, initial=0.0)) < -TOL:
         raise NotStochastic(f"probability vector has entry {float(np.min(v)):.3e} below {-TOL:.0e}")
     v = np.clip(v, 0.0, None)
@@ -37,6 +37,8 @@ def majorization_deficit(x, y) -> float | np.ndarray:
     xv, yv = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if xv.shape[-1] != yv.shape[-1]:
         raise LengthMismatch(f"vectors have lengths {xv.shape[-1]} and {yv.shape[-1]}")
+    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
+        raise NonFinite("majorization is defined for vectors of finite entries")
     cx = np.cumsum(np.sort(xv, axis=-1)[..., ::-1], axis=-1)
     cy = np.cumsum(np.sort(yv, axis=-1)[..., ::-1], axis=-1)
     partial = np.max(cy[..., :-1] - cx[..., :-1], axis=-1, initial=0.0)  # the total term is >= 0 anyway

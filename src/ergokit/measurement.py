@@ -32,8 +32,6 @@ class StochasticMatrix:
 
     def __post_init__(self):
         m = as_matrix(self.entries, dtype=float)
-        if m.shape[0] < 1 or m.shape[1] < 1:
-            raise DimensionMismatch(f"stochastic matrix must be at least 1x1, got {m.shape}")
         low, high = float(np.min(m)), float(np.max(m))
         if low < 0.0 or high > 1.0 + TOL:  # before summing, so that the column sums cannot overflow
             raise NotStochastic(f"stochastic matrix has entry {low if low < 0.0 else high:.3e} outside [0, 1]")

@@ -11,13 +11,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidRank, InvalidState, PreconditionFailed
-from .linalg import TOL, adjoint, diagonal_in_basis, eig_hermitian, hermitian_part, operator_in_basis, require_hermitian, unchecked
+from .linalg import (TOL, adjoint, as_matrix, diagonal_in_basis, eig_hermitian, hermitian_part, operator_in_basis,
+                     require_hermitian, unchecked)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its k-th step xors INIT·MULT^k and multiplies
 # by INIT·MULT^(k+1) mod 2^32, whatever the data. fill's names map to the Generator methods that take out=.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, 0x4973F715
 _FILL = {"normal": "standard_normal", "uniform": "random", "exponential": "standard_exponential"}
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool, a float or a string, which would key another stream."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _philox_keys(seq: np.random.SeedSequence, trials: range) -> np.ndarray:
@@ -48,16 +54,16 @@ class RandomSource:
     """
 
     def __init__(self, seed: int, _key: tuple[int, ...] = ()):
+        if not is_integer(seed) or seed < 0:
+            raise PreconditionFailed(f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
-        if self.seed < 0:
-            raise PreconditionFailed(f"seed must be a non-negative integer, got {self.seed}")
         self._key = _key
         self._seq = np.random.SeedSequence(self.seed, spawn_key=_key)
         self._gen = np.random.Generator(np.random.Philox(self._seq))
 
     def split(self, index: int) -> "RandomSource":
-        if index < 0:
-            raise PreconditionFailed(f"split index must be a non-negative integer, got {index}")
+        if not is_integer(index) or index < 0:
+            raise PreconditionFailed(f"split index must be a non-negative integer, got {index!r}")
         return RandomSource(self.seed, self._key + (int(index),))
 
     def fill(self, trials: range, plan) -> None:
@@ -213,12 +219,13 @@ def random_hamiltonian(d: int, rng: RandomSource) -> Hamiltonian:
 
 
 def pure_state(vec) -> DensityMatrix:
-    """Rank-1 projector onto a (normalized) state vector."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
+    """Rank-1 projector onto a state vector, divided by its largest part before its norm so that neither under- nor overflows."""
+    v = as_matrix(np.reshape(vec, (1, -1)))[0]
+    scale = max(np.abs(v.real).max(), np.abs(v.imag).max())
+    if scale == 0.0:
         raise InvalidState("cannot normalize the zero vector")
-    v = v / norm
+    v = v / scale
+    v = v / np.linalg.norm(v)
     return DensityMatrix(np.outer(v, np.conj(v)))
 
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergokit import audits, cli, states
 from ergokit.audits import (
@@ -11,8 +13,9 @@ from ergokit.audits import (
     run_all,
     run_audit,
 )
-from ergokit.errors import InvalidClaim, InvalidConfig, InvalidState, NotUnitary
+from ergokit.errors import InvalidClaim, InvalidConfig
 from ergokit.ergotropy import observational_ergotropy
+from ergokit.linalg import TOL, adjoint
 from ergokit.measurement import StochasticMatrix, computational_basis, post_process
 from ergokit.states import RandomSource, diagonal_hamiltonian, diagonal_state
 
@@ -265,16 +268,46 @@ def test_theorem2_holds_on_tied_levels(monkeypatch):
     assert result.violations == 0
 
 
-def test_sampled_states_are_validated(monkeypatch):
-    monkeypatch.setattr(audits, "ginibre_state", lambda g: 2.0 * states.ginibre_state(g))
-    with pytest.raises(InvalidState):
-        run_audit("theorem1", CFG_SMALL)
+# --- what the engine builds and how often it eigensolves ---------------------
 
 
-def test_sampled_haar_stacks_are_checked(monkeypatch):
-    monkeypatch.setattr(audits, "haar_from_ginibre", lambda z: 2.0 * states.haar_from_ginibre(z))
-    with pytest.raises(NotUnitary):
-        run_audit("lemma1", CFG_SMALL)
+def assert_sample_is_valid(cfg, seed, first):
+    """Every object ``_sample`` builds holds as built: unit-trace PSD states, unitary bases, stochastic columns."""
+    trials = range(first, first + 3)
+    rho, (_, _, basis), u, post, x = audits._sample(cfg, RandomSource(seed), trials, DRAW_KINDS)
+    assert np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max() <= TOL
+    assert np.linalg.eigvalsh(rho).min() >= -TOL
+    for v in (basis, u):
+        assert np.abs(adjoint(v) @ v - np.eye(cfg.dimension)).max() <= TOL
+    assert np.abs(post.sum(axis=-2) - 1.0).max() <= TOL and np.abs(x.sum(axis=-1) - 1.0).max() <= TOL
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 64])
+@pytest.mark.parametrize("full_rank", [False, True])
+@given(seed=st.integers(0, 2 ** 64), first=st.integers(0, 2 ** 32 - 4))
+@settings(deadline=None, max_examples=10)
+def test_sampled_objects_need_no_check(d, full_rank, seed, first):
+    assert_sample_is_valid(AuditConfig(dimension=d, outcomes=4, rank=d if full_rank else 1), seed, first)
+
+
+@pytest.mark.parametrize("builder", ["ginibre_state", "haar_from_ginibre"])
+def test_sample_property_catches_a_doubled_builder(monkeypatch, builder):
+    monkeypatch.setattr(audits, builder, lambda z, _f=getattr(states, builder): 2.0 * _f(z))
+    with pytest.raises(AssertionError):
+        assert_sample_is_valid(CFG_SMALL, 0, 0)
+
+
+@pytest.mark.parametrize("claim, solves", [("theorem1", []), ("theorem2", []), ("theorem3", ["eigh"]),
+                                           ("lemma1", ["eigvalsh"]), ("schur", [])])
+def test_audits_eigensolve_only_what_the_claim_needs(monkeypatch, claim, solves):
+    # theorem3 takes r_full and the own-basis measurement from one eigh; lemma1's eigvalsh is the dense cross-check
+    monkeypatch.setattr(audits, "CHUNK_BYTES", 7 * per_trial_bytes(CFG_SMALL))
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    run_audit(claim, CFG_SMALL)
+    assert calls == solves * -(-CFG_SMALL.trials // 7)
 
 
 # --- chunk draws against one stream per trial ---------------------------------

@@ -6,12 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from ergokit.errors import DimensionMismatch, ErgokitError, NonFinite
+from ergokit.audits import AuditConfig
+from ergokit.errors import DimensionMismatch, ErgokitError, InvalidConfig, NonFinite, PreconditionFailed
 from ergokit.instances import instance_from_dict
 from ergokit.linalg import as_matrix
-from ergokit.majorization import prob_vector
-from ergokit.measurement import Povm, StochasticMatrix
-from ergokit.states import DensityMatrix, Hamiltonian, RandomSource, haar_unitary, pure_state
+from ergokit.majorization import majorization_deficit, majorizes, prob_vector, schur_concavity_check
+from ergokit.measurement import FineGrainedMeasurement, Povm, StochasticMatrix, computational_basis
+from ergokit.states import DensityMatrix, Hamiltonian, RandomSource, diagonal_hamiltonian, haar_unitary, pure_state
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -42,6 +43,28 @@ BAD_INPUTS = {
     "pure zero vector": lambda: pure_state([0.0, 0.0]),
     "probability vector negative": lambda: prob_vector([1.1, -0.1]),
     "probability vector sum": lambda: prob_vector([0.9, 0.2]),
+    "float seed": lambda: RandomSource(1.5),
+    "string seed": lambda: RandomSource("3"),
+    "bool seed": lambda: RandomSource(True),
+    "float split index": lambda: RandomSource(0).split(1.5),
+    "float audit seed": lambda: AuditConfig(seed=1.5),
+    "float audit dimension": lambda: AuditConfig(dimension=3.5),
+    "bool audit dimension": lambda: AuditConfig(dimension=True),
+    "float audit outcomes": lambda: AuditConfig(outcomes=2.0),
+    "float audit rank": lambda: AuditConfig(rank=1.5),
+    "float audit trials": lambda: AuditConfig(trials=2.5),
+    "string audit tolerance": lambda: AuditConfig(tolerance="a"),
+    "probability vector with NaN": lambda: prob_vector([np.nan]),
+    "probability vector with Inf": lambda: prob_vector([np.inf, 0.0]),
+    "majorizes with NaN": lambda: majorizes([np.nan], [1.0]),
+    "majorization deficit with Inf": lambda: majorization_deficit([np.inf, 0.0], [1.0, 0.0]),
+    "schur check with NaN": lambda: schur_concavity_check(diagonal_hamiltonian([0.0, 1.0]), [np.nan, 1.0], [0.5, 0.5]),
+    "pure state with NaN": lambda: pure_state([np.nan, 1.0]),
+    "empty hamiltonian": lambda: Hamiltonian(np.zeros((0, 0))),
+    "empty state": lambda: DensityMatrix(np.zeros((0, 0))),
+    "empty basis": lambda: FineGrainedMeasurement.from_basis(np.eye(0)),
+    "computational basis of dimension 0": lambda: computational_basis(0),
+    "empty stochastic matrix": lambda: StochasticMatrix(np.zeros((0, 3))),
 }
 
 
@@ -54,6 +77,28 @@ ERROR_CLASSES = {
     "stochastic entry past the float range": NonFinite,
     "hamiltonian entry past the float range": NonFinite,
     "instance cell read as inf": NonFinite,
+    "float seed": PreconditionFailed,
+    "string seed": PreconditionFailed,
+    "bool seed": PreconditionFailed,
+    "float split index": PreconditionFailed,
+    "float audit seed": InvalidConfig,
+    "float audit dimension": InvalidConfig,
+    "bool audit dimension": InvalidConfig,
+    "float audit outcomes": InvalidConfig,
+    "float audit rank": InvalidConfig,
+    "float audit trials": InvalidConfig,
+    "string audit tolerance": InvalidConfig,
+    "probability vector with NaN": NonFinite,
+    "probability vector with Inf": NonFinite,
+    "majorizes with NaN": NonFinite,
+    "majorization deficit with Inf": NonFinite,
+    "schur check with NaN": NonFinite,
+    "pure state with NaN": NonFinite,
+    "empty hamiltonian": DimensionMismatch,
+    "empty state": DimensionMismatch,
+    "empty basis": DimensionMismatch,
+    "computational basis of dimension 0": DimensionMismatch,
+    "empty stochastic matrix": DimensionMismatch,
 }
 
 

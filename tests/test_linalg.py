@@ -138,6 +138,3 @@ def test_batched_helpers_match_one_matrix_at_a_time():
         np.testing.assert_array_equal(hermitian_part(ops)[k], hermitian_part(ops[k]))
         np.testing.assert_array_equal(diagonal_in_basis(ops, basis)[k], diagonal_in_basis(ops[k], basis[k]))
     np.testing.assert_allclose(diagonal_in_basis(ops, basis), values, atol=1e-14)
-    np.testing.assert_array_equal(require_unitary(basis, stack=True), basis)
-    with pytest.raises(NotUnitary):
-        require_unitary(2.0 * basis, stack=True)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from ergokit import states
 from ergokit.errors import DimensionMismatch, InvalidRank, NotHermitian
-from ergokit.linalg import adjoint, max_abs, require_unitary
+from ergokit.linalg import TOL, adjoint, max_abs, require_unitary
 from ergokit.states import (
     DensityMatrix,
     Hamiltonian,
@@ -42,6 +44,16 @@ class TestDensityMatrix:
         rho = random_density(4, 4, RandomSource(0))
         assert float(np.min(rho.spectrum())) >= 0.0
         assert float(np.sum(rho.spectrum())) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+@pytest.mark.parametrize("vec", [[1.0, 0.0], [0.6, 0.8j, 0.0], [3.0, -4.0 + 1.0j, 1e-3, 2.0j]])
+def test_pure_state_is_scale_free(vec, c):
+    # the norm of c v under- or overflows at these scales; the projector must not notice
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scaled = pure_state(c * np.asarray(vec))
+    assert max_abs(scaled.op - pure_state(vec).op) <= TOL
 
 
 class TestHamiltonian:
