@@ -14,7 +14,7 @@ from .ergotropy import (
     passive_state,
     report,
 )
-from .majorization import bistochastic_from_unitary, majorizes, refinement_bistochastic, schur_concavity_check
+from .majorization import majorizes
 from .measurement import (
     FineGrainedMeasurement,
     Povm,
@@ -48,7 +48,6 @@ __all__ = [
     "RandomSource",
     "StochasticMatrix",
     "WorkReport",
-    "bistochastic_from_unitary",
     "coarse_grained_state",
     "coherent_ergotropy",
     "computational_basis",
@@ -66,9 +65,7 @@ __all__ = [
     "random_column_stochastic",
     "random_density",
     "random_hamiltonian",
-    "refinement_bistochastic",
     "report",
     "run_all",
     "run_audit",
-    "schur_concavity_check",
 ]

@@ -85,15 +85,15 @@ def _draw(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -> 
 
 
 def _sample(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -> list:
-    """Build ``_draw``'s stacks, not checked again: "state", "hamiltonian" (observables, levels, bases), "haar", "post", "simplex"."""
+    """Build ``_draw``'s stacks, not checked again: "state", "hamiltonian" (ascending levels and the Haar basis of their
+    eigenvectors; no operator is built), "haar", "post", "simplex"."""
     stacks, built = iter(_draw(cfg, root, trials, kinds)), []
     for kind in kinds:
         x = next(stacks)
         if kind == "state":
             built.append(ginibre_state(x))
         elif kind == "hamiltonian":
-            basis = haar_from_ginibre(next(stacks))
-            built.append((hermitian_part(operator_in_basis(basis, x)), x, basis))
+            built.append((x, haar_from_ginibre(next(stacks))))
         elif kind == "haar":
             built.append(haar_from_ginibre(x))
         else:
@@ -101,20 +101,17 @@ def _sample(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -
     return built
 
 
-def _mean_energy(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return np.trace(h @ rho, axis1=-2, axis2=-1).real
-
-
 def _observational(mean: np.ndarray, energies: np.ndarray, post: np.ndarray, populations: np.ndarray) -> np.ndarray:
-    """Observational ergotropy of (U, post) from the populations diag(U^dag rho U)."""
+    """Observational ergotropy of (U, post) from the populations diag(U^dag rho U) and the mean energy
+    tr(H rho), which each claim reads as sum_k E_k p_k off rho's populations p in H's eigenbasis."""
     return mean - passive_energy_of_spectrum(energies, estimate_spectrum(post, populations, 1.0))
 
 
 def _monotonicity(cfg: AuditConfig, root: RandomSource, trials: range):
     """Coarsening a fine-grained measurement must not raise observational
     ergotropy."""
-    rho, (h, energies, _), u, post = _sample(cfg, root, trials, ("state", "hamiltonian", "haar", "post"))
-    p, mean = diagonal_in_basis(rho, u), _mean_energy(h, rho)
+    rho, (energies, v), u, post = _sample(cfg, root, trials, ("state", "hamiltonian", "haar", "post"))
+    p, mean = diagonal_in_basis(rho, u), np.sum(energies * diagonal_in_basis(rho, v), axis=-1)
     margin = _observational(mean, energies, post, p) - _observational(mean, energies, np.eye(cfg.dimension), p)
     return margin, margin > cfg.tolerance
 
@@ -122,9 +119,10 @@ def _monotonicity(cfg: AuditConfig, root: RandomSource, trials: range):
 def _incoherent_limit(cfg: AuditConfig, root: RandomSource, trials: range):
     """The projective energy measurement attains exactly the incoherent
     ergotropy, and no energy-incoherent measurement beats it."""
-    (h, energies, v), rho, q = _sample(cfg, root, trials, ("hamiltonian", "state", "post"))
-    p, mean = diagonal_in_basis(rho, v), _mean_energy(h, rho)
-    r_inc = _mean_energy(h, operator_in_basis(v, p)) - passive_energy_of_spectrum(energies, p)
+    (energies, v), rho, q = _sample(cfg, root, trials, ("hamiltonian", "state", "post"))
+    p = diagonal_in_basis(rho, v)
+    mean = np.sum(energies * p, axis=-1)
+    r_inc = mean - passive_energy_of_spectrum(energies, p)  # for p >= 0 the equality side is this same sum: gap 0
     equality_gap = np.abs(_observational(mean, energies, np.eye(cfg.dimension), p) - r_inc)
     margin = np.maximum(equality_gap, _observational(mean, energies, q, p) - r_inc)
     return margin, margin > cfg.tolerance
@@ -133,8 +131,9 @@ def _incoherent_limit(cfg: AuditConfig, root: RandomSource, trials: range):
 def _fine_grained_optimum(cfg: AuditConfig, root: RandomSource, trials: range):
     """Measuring in the state's own eigenbasis attains full ergotropy; no
     fine-grained measurement exceeds it. Also gives sampled / full ergotropy."""
-    rho, (h, energies, _), u = _sample(cfg, root, trials, ("state", "hamiltonian", "haar"))
-    eye, mean, (w, vectors) = np.eye(cfg.dimension), _mean_energy(h, rho), np.linalg.eigh(rho)
+    rho, (energies, v), u = _sample(cfg, root, trials, ("state", "hamiltonian", "haar"))
+    mean, (w, vectors) = np.sum(energies * diagonal_in_basis(rho, v), axis=-1), np.linalg.eigh(rho)
+    eye = np.eye(cfg.dimension)
     r_full = mean - passive_energy_of_spectrum(energies, w)
     equality_gap = np.abs(_observational(mean, energies, eye, diagonal_in_basis(rho, vectors)) - r_full)
     r_sampled = _observational(mean, energies, eye, diagonal_in_basis(rho, u))
@@ -169,7 +168,7 @@ def _spectrum_majorization(cfg: AuditConfig, root: RandomSource, trials: range):
 def _schur_concavity(cfg: AuditConfig, root: RandomSource, trials: range):
     """Mixing a spectrum with a bistochastic matrix cannot lower its passive
     energy."""
-    (_, energies, _), x, u = _sample(cfg, root, trials, ("hamiltonian", "simplex", "haar"))
+    (energies, _), x, u = _sample(cfg, root, trials, ("hamiltonian", "simplex", "haar"))
     y = (np.abs(u) ** 2 @ x[..., np.newaxis])[..., 0]
     margin = passive_energy_of_spectrum(energies, x) - passive_energy_of_spectrum(energies, y)
     return margin, margin > cfg.tolerance

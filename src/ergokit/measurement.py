@@ -41,17 +41,8 @@ class StochasticMatrix:
         object.__setattr__(self, "entries", m)
 
     @property
-    def bistochastic(self) -> bool:
-        """True when every row also sums to 1 within TOL, computed when read."""
-        return bool(max_abs(self.entries.sum(axis=1) - 1.0) <= TOL)
-
-    @property
     def n_in(self) -> int:
         return self.entries.shape[1]
-
-    @classmethod
-    def identity(cls, n: int) -> "StochasticMatrix":
-        return cls(np.eye(n))
 
 
 @dataclass(frozen=True, eq=False)

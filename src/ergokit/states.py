@@ -220,7 +220,7 @@ def random_hamiltonian(d: int, rng: RandomSource) -> Hamiltonian:
 
 def pure_state(vec) -> DensityMatrix:
     """Rank-1 projector onto a state vector, divided by its largest part before its norm so that neither under- nor overflows."""
-    v = as_matrix(np.reshape(vec, (1, -1)))[0]
+    v = as_matrix([vec])[0]  # DimensionMismatch unless a non-empty 1-D vector
     scale = max(np.abs(v.real).max(), np.abs(v.imag).max())
     if scale == 0.0:
         raise InvalidState("cannot normalize the zero vector")

@@ -12,7 +12,7 @@ import numpy as np
 
 from ergokit.ergotropy import ergotropy, incoherent_ergotropy, observational_ergotropy, passive_energy_of_spectrum
 from ergokit.linalg import TOL, eig_hermitian, energy_tol, max_abs, unchecked
-from ergokit.majorization import bistochastic_from_unitary, majorization_deficit
+from ergokit.majorization import majorization_deficit
 from ergokit.measurement import (
     FineGrainedMeasurement,
     Povm,
@@ -65,8 +65,8 @@ def trial_draws(cfg, rng, kinds):
 
 # --- per-trial audit oracles ----------------------------------------------
 # Each takes the audit configuration and the trial's own random stream and
-# returns (margin, violated, ratio); ratio is the sampled share of full
-# ergotropy for theorem3 (None when undefined or for other claims).
+# returns (margin, violated, ratio); for theorem3 ratio is the pair (sampled
+# share of full ergotropy, full ergotropy), None when undefined or for other claims.
 
 def monotonicity_trial(cfg, rng):
     """Coarsening a fine-grained measurement must not raise observational
@@ -108,7 +108,7 @@ def fine_grained_optimum_trial(cfg, rng):
     sampled = FineGrainedMeasurement.from_basis(haar_unitary(d, rng))
     r_sampled = observational_ergotropy(rho, h, sampled)
     bound_margin = r_sampled - r_full
-    ratio = r_sampled / r_full if r_full > energy_tol(d, max_abs(h.energies)) else None
+    ratio = (r_sampled / r_full, r_full) if r_full > energy_tol(d, max_abs(h.energies)) else None
     margin = max(equality_gap, bound_margin)
     return margin, margin > cfg.tolerance, ratio
 
@@ -147,8 +147,7 @@ def schur_concavity_trial(cfg, rng):
     h = random_hamiltonian(d, rng)
     x = rng.exponential(d)
     x = x / x.sum()
-    b = bistochastic_from_unitary(haar_unitary(d, rng))
-    y = b.entries @ x
+    y = np.abs(haar_unitary(d, rng)) ** 2 @ x  # |U|^2 of a unitary is bistochastic
     margin = passive_energy_of_spectrum(h.energies, x) - passive_energy_of_spectrum(h.energies, y)
     return margin, margin > cfg.tolerance, None
 

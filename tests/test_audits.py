@@ -15,7 +15,7 @@ from ergokit.audits import (
 )
 from ergokit.errors import InvalidClaim, InvalidConfig
 from ergokit.ergotropy import observational_ergotropy
-from ergokit.linalg import TOL, adjoint
+from ergokit.linalg import TOL, adjoint, diagonal_in_basis, energy_tol, operator_in_basis
 from ergokit.measurement import StochasticMatrix, computational_basis, post_process
 from ergokit.states import RandomSource, diagonal_hamiltonian, diagonal_state
 
@@ -61,7 +61,7 @@ def test_identity_post_processing_gives_zero_margin():
     rho = diagonal_state([0.25, 0.75])
     h = diagonal_hamiltonian([0.0, 1.0])
     fine = computational_basis(2)
-    trivial = post_process(fine, StochasticMatrix.identity(2))
+    trivial = post_process(fine, StochasticMatrix(np.eye(2)))
     gap = observational_ergotropy(rho, h, trivial) - observational_ergotropy(rho, h, fine)
     assert abs(gap) <= 1e-12
 
@@ -131,9 +131,9 @@ def test_sampled_supremum_close_for_fixed_instance():
 
 
 def test_impossible_tolerance_counts_violations():
-    # equality checks carry ~1e-16 float error, so an absurd tolerance trips them
+    # theorem3's equality compares rho's eigenvalues with its populations in its eigenvectors, equal only to ~1e-16
     cfg = AuditConfig(dimension=3, outcomes=4, trials=50, seed=11, tolerance=1e-300)
-    result = run_audit("theorem2", cfg)
+    result = run_audit("theorem3", cfg)
     assert result.violations > 0
     assert result.violations <= result.trials
     assert result.worst_margin > 0.0
@@ -221,8 +221,9 @@ def test_engine_matches_oracle_for_any_chunking(monkeypatch, claim, d, rank, n):
     np.testing.assert_allclose(margins, [m for m, _, _ in expected], rtol=0.0, atol=tol)
     assert int(np.count_nonzero(violated)) == sum(bool(v) for _, v, _ in expected)
     if claim == "theorem3":
-        ratios = [r for _, _, r in expected if r is not None]
-        np.testing.assert_allclose(extras[0], ratios, rtol=tol, atol=0.0)
+        # r_sampled and r_full each carry up to tol of roundoff, so their ratio carries tol (1 + |ratio|) / r_full
+        ratios, r_full = np.array([r for _, _, r in expected if r is not None]).reshape(-1, 2).T
+        assert np.all(np.abs(extras[0] - ratios) <= tol * (1.0 + np.abs(ratios)) / r_full)
 
 
 @pytest.mark.parametrize("claim", list(CLAIM_AUDITS))
@@ -256,7 +257,7 @@ def test_theorem2_holds_on_tied_levels(monkeypatch):
 
     def spy(cfg, root, trials, kinds):
         built = sample(cfg, root, trials, kinds)
-        levels.append(built[kinds.index("hamiltonian")][1])
+        levels.append(built[kinds.index("hamiltonian")][0])
         return built
 
     monkeypatch.setattr(RandomSource, "fill", tied_fill)
@@ -272,9 +273,11 @@ def test_theorem2_holds_on_tied_levels(monkeypatch):
 
 
 def assert_sample_is_valid(cfg, seed, first):
-    """Every object ``_sample`` builds holds as built: unit-trace PSD states, unitary bases, stochastic columns."""
+    """Every object ``_sample`` builds holds as built: unit-trace PSD states, ascending levels, unitary bases,
+    stochastic columns."""
     trials = range(first, first + 3)
-    rho, (_, _, basis), u, post, x = audits._sample(cfg, RandomSource(seed), trials, DRAW_KINDS)
+    rho, (levels, basis), u, post, x = audits._sample(cfg, RandomSource(seed), trials, DRAW_KINDS)
+    assert np.all(np.diff(levels, axis=-1) >= 0.0)
     assert np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max() <= TOL
     assert np.linalg.eigvalsh(rho).min() >= -TOL
     for v in (basis, u):
@@ -288,6 +291,25 @@ def assert_sample_is_valid(cfg, seed, first):
 @settings(deadline=None, max_examples=10)
 def test_sampled_objects_need_no_check(d, full_rank, seed, first):
     assert_sample_is_valid(AuditConfig(dimension=d, outcomes=4, rank=d if full_rank else 1), seed, first)
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 64])
+def test_energy_from_populations_is_the_trace(d):
+    # the audits read tr(H rho) as sum_k E_k p_k off rho's populations p in H's eigenbasis
+    cfg = AuditConfig(dimension=d, outcomes=4)
+    rho, (levels, basis) = audits._sample(cfg, RandomSource(d), range(5), ("state", "hamiltonian"))
+    mean = np.sum(levels * diagonal_in_basis(rho, basis), axis=-1)
+    trace = np.trace(operator_in_basis(basis, levels) @ rho, axis1=-2, axis2=-1).real
+    assert np.all(np.abs(mean - trace) <= energy_tol(d, np.abs(levels).max(axis=-1)))
+
+
+@pytest.mark.parametrize("d, rank", [(1, 1), (3, 3), (8, 1), (8, 8), (64, 64)])
+def test_theorem2_equality_gap_is_exact(d, rank):
+    # both sides are sum_k E_k p_k - passive(p) off the same populations, so the energy-basis gap is exactly 0;
+    # with one outcome the bound side is passive(p) - passive(uniform) <= 0, so each margin is that gap
+    cfg = AuditConfig(dimension=d, outcomes=1, rank=rank, trials=40 if d < 64 else 2, seed=d)
+    gaps = [margin for _, margin, _ in audits._chunks("theorem2", cfg, CLAIM_AUDITS["theorem2"])]
+    assert np.all(np.concatenate(gaps) == 0.0)
 
 
 @pytest.mark.parametrize("builder", ["ginibre_state", "haar_from_ginibre"])

@@ -314,7 +314,7 @@ class TestVerify:
         assert lines[1].startswith("schur,10,0,")
 
     def test_violations_exit_code(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "theorem2", "--trials", "20", "--seed", "11",
+        code, out, _ = run_cli(capsys, "verify", "theorem3", "--trials", "20", "--seed", "11",
                                "--tol", "1e-300")
         assert code == 1
         assert json.loads(out)["violations"] > 0

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from ergokit import linalg, measurement, states
 from ergokit.ergotropy import observational_ergotropy
 from ergokit.errors import DimensionMismatch
-from ergokit.instances import family_matrix
 from ergokit.linalg import TOL, adjoint, max_abs
 from ergokit.measurement import (
     FineGrainedMeasurement,
@@ -49,19 +48,6 @@ class TestStochasticMatrix:
     def test_rejects_bad_column_sums(self):
         with pytest.raises(ValueError):
             StochasticMatrix(np.array([[0.5], [0.4]]))
-
-    def test_bistochastic_flag(self):
-        assert StochasticMatrix.identity(3).bistochastic
-        assert not merge_matrix(0.5).bistochastic
-
-    def test_unchecked_bistochastic_is_computed_when_read(self):
-        # built without validation, as refinement_bistochastic builds its link
-        cases = [(link_matrix(random_column_stochastic(5, 4, RandomSource(13)).entries), True),
-                 (family_matrix("mix", 0.4, 3).entries, True),
-                 (family_matrix("merge", 0.3, 2).entries, False)]
-        for entries, expected in cases:
-            m = linalg.unchecked(StochasticMatrix, entries=entries)
-            assert m.bistochastic == (max_abs(entries.sum(axis=1) - 1.0) <= TOL) == expected
 
 
 class TestPovm:
@@ -125,7 +111,7 @@ class TestRandomColumnStochastic:
 class TestPostProcess:
     def test_identity_is_trivial(self):
         p = computational_basis(2)
-        q = post_process(p, StochasticMatrix.identity(2))
+        q = post_process(p, StochasticMatrix(np.eye(2)))
         for a, b in zip(q.elements, p.elements):
             assert max_abs(a - b) <= 1e-15
         assert q.n_outcomes == 2
@@ -162,7 +148,7 @@ class TestPostProcess:
 class TestEnergyIncoherent:
     def test_identity_gives_projective_energy_measurement(self):
         h = random_hamiltonian(3, RandomSource(14))
-        n = energy_incoherent(h, StochasticMatrix.identity(3))
+        n = energy_incoherent(h, StochasticMatrix(np.eye(3)))
         v = h.eigenbasis
         for k in range(3):
             proj = np.outer(v[:, k], np.conj(v[:, k]))
@@ -191,7 +177,7 @@ class TestEnergyIncoherent:
     def test_dimension_mismatch(self):
         h = random_hamiltonian(3, RandomSource(17))
         with pytest.raises(DimensionMismatch):
-            energy_incoherent(h, StochasticMatrix.identity(2))
+            energy_incoherent(h, StochasticMatrix(np.eye(2)))
 
 
 class TestCoarseGrainedState:
@@ -309,6 +295,7 @@ def test_link_matrix_is_the_kernel_as_a_matrix(d, n):
     links = link_matrix(posts)
     for post, p, link in zip(posts, populations, links):
         assert max_abs(link @ p - estimate_spectrum(post, p, 1.0)) <= linalg.TOL
+        assert max(max_abs(link.sum(axis=0) - 1.0), max_abs(link.sum(axis=1) - 1.0)) <= linalg.TOL  # bistochastic
         assert link.tobytes() == link_matrix(post).tobytes()
 
 

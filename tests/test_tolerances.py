@@ -13,7 +13,6 @@ from ergokit.cli import build_parser
 from ergokit.ergotropy import WorkReport, report
 from ergokit.errors import DegeneratePovm, InconsistentReport, NonFinite, NotHermitian
 from ergokit.linalg import LOOSE_TOL, TOL, adjoint, energy_tol, hermitian_part, max_abs, require_hermitian
-from ergokit.majorization import prob_vector
 from ergokit.measurement import (
     FineGrainedMeasurement,
     Povm,
@@ -88,14 +87,7 @@ def test_povm_element_of_volume_below_tol_is_degenerate():
 def test_column_sums_off_by_less_than_tol_are_accepted():
     # a column-sum defect of 5e-11 <= TOL
     m = StochasticMatrix(np.array([[0.5, 0.5], [0.5 + 5e-11, 0.5]]))
-    assert m.entries[1, 0] == 0.5 + 5e-11 and m.bistochastic
-
-
-def test_probability_entries_down_to_minus_tol_are_clipped():
-    # -5e-11 >= -TOL
-    np.testing.assert_array_equal(prob_vector([1.0, -5e-11]), [1.0, 0.0])
-    with pytest.raises(ValueError):
-        prob_vector([1.0, -2 * TOL])
+    assert m.entries[1, 0] == 0.5 + 5e-11
 
 
 def test_post_process_drops_rows_of_mass_below_tol():
