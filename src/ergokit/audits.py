@@ -23,9 +23,14 @@ from .majorization import majorization_deficit
 from .measurement import born_probabilities, estimate_spectrum, link_matrix
 from .states import RandomSource, ginibre_state, haar_from_ginibre, is_integer, state_spectrum
 
-# Bytes of stacked arrays one chunk of trials may hold, a trial counting as
-# 16 d^2 (n + 8): its complex d x d stacks plus lemma1's n dense elements.
+# Bytes of stacked arrays one chunk of trials may hold, a trial counting as 16 d^2 (n + 8): its complex d x d
+# stacks plus n matrices. lemma1 holds ELEMENT_BLOCK of its n elements at a time, so n over-counts it, but the
+# count keeps a chunk at large d to one trial, which bounds the memory of every claim.
 CHUNK_BYTES = 4 << 20
+# Dense elements lemma1's cross-check builds at a time. A fixed length, not one taken from CHUNK_BYTES, so that
+# its sums, and with them each trial's margin, do not depend on the chunking; a chunk then holds at most this many
+# elements per trial whatever n is.
+ELEMENT_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -73,9 +78,11 @@ class AuditResult:
 
 def _draw(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -> list:
     """Row i of each stack is what root.split(trials[i]) draws alone in the order of ``kinds``: complex Gaussians for
-    "state", "haar" and "hamiltonian" after its sorted uniform levels, standard exponentials for "post" and "simplex"."""
+    "state", "haar" and "hamiltonian" or "levels" after its sorted uniform levels, standard exponentials for "post"
+    and "simplex"."""
     d, n = cfg.dimension, cfg.outcomes
-    draws = {"state": [("normal", (2, d, cfg.effective_rank))], "hamiltonian": [("uniform", (d,)), ("normal", (2, d, d))],
+    hamiltonian = [("uniform", (d,)), ("normal", (2, d, d))]
+    draws = {"state": [("normal", (2, d, cfg.effective_rank))], "hamiltonian": hamiltonian, "levels": hamiltonian,
              "haar": [("normal", (2, d, d))], "post": [("exponential", (n, d))], "simplex": [("exponential", (d,))]}
     plan = [(name, np.empty((len(trials), *shape))) for kind in kinds for name, shape in draws[kind]]
     root.fill(trials, plan)
@@ -86,7 +93,8 @@ def _draw(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -> 
 
 def _sample(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -> list:
     """Build ``_draw``'s stacks, not checked again: "state", "hamiltonian" (ascending levels and the Haar basis of their
-    eigenvectors; no operator is built), "haar", "post", "simplex"."""
+    eigenvectors; no operator is built), "levels" (a hamiltonian's draws, its levels alone: no basis is built), "haar",
+    "post", "simplex"."""
     stacks, built = iter(_draw(cfg, root, trials, kinds)), []
     for kind in kinds:
         x = next(stacks)
@@ -94,6 +102,9 @@ def _sample(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -
             built.append(ginibre_state(x))
         elif kind == "hamiltonian":
             built.append((x, haar_from_ginibre(next(stacks))))
+        elif kind == "levels":
+            next(stacks)
+            built.append(x)
         elif kind == "haar":
             built.append(haar_from_ginibre(x))
         else:
@@ -142,10 +153,15 @@ def _fine_grained_optimum(cfg: AuditConfig, root: RandomSource, trials: range):
     return margin, margin > cfg.tolerance, r_sampled[positive] / r_full[positive]
 
 
-def _dense_estimate(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """Hermitian part of sum_i p_i M_i / tr M_i, p_i = tr(rho M_i), for elements (..., k, d, d); leading axes are a batch."""
-    weights = born_probabilities(rho, elements) / np.trace(elements, axis1=-2, axis2=-1).real
-    return hermitian_part((weights[..., np.newaxis, :] @ elements.reshape(*weights.shape, -1)).reshape(rho.shape))
+def _dense_estimate(rho: np.ndarray, basis: np.ndarray, post: np.ndarray) -> np.ndarray:
+    """Hermitian part of sum_i p_i M_i / tr M_i, p_i = tr(rho M_i), over the dense elements M_i = U diag(D_i) U^dag
+    of basis U (..., d, d) and post D (..., n, d), built ELEMENT_BLOCK at a time; leading axes are a batch."""
+    estimate = 0.0
+    for start in range(0, post.shape[-2], ELEMENT_BLOCK):
+        elements = operator_in_basis(basis[..., np.newaxis, :, :], post[..., start:start + ELEMENT_BLOCK, :])
+        weights = born_probabilities(rho, elements) / np.trace(elements, axis1=-2, axis2=-1).real
+        estimate = estimate + (weights[..., np.newaxis, :] @ elements.reshape(*weights.shape, -1)).reshape(rho.shape)
+    return hermitian_part(estimate)
 
 
 def _spectrum_majorization(cfg: AuditConfig, root: RandomSource, trials: range):
@@ -155,7 +171,7 @@ def _spectrum_majorization(cfg: AuditConfig, root: RandomSource, trials: range):
     rho, u, post = _sample(cfg, root, trials, ("state", "haar", "post"))
     fine = estimate_spectrum(np.eye(cfg.dimension), diagonal_in_basis(rho, u), 1.0)
     # Checked against the estimate built from the element matrices, not the kernel.
-    spec_coarse = np.clip(state_spectrum(_dense_estimate(rho, operator_in_basis(u[:, np.newaxis], post))), 0.0, None)
+    spec_coarse = np.clip(state_spectrum(_dense_estimate(rho, u, post)), 0.0, None)
     deficit = majorization_deficit(np.sort(fine), spec_coarse)
     link = link_matrix(post)
     bisto_residual = np.maximum(np.abs(link.sum(axis=-2) - 1.0).max(axis=-1), np.abs(link.sum(axis=-1) - 1.0).max(axis=-1))
@@ -168,7 +184,7 @@ def _spectrum_majorization(cfg: AuditConfig, root: RandomSource, trials: range):
 def _schur_concavity(cfg: AuditConfig, root: RandomSource, trials: range):
     """Mixing a spectrum with a bistochastic matrix cannot lower its passive
     energy."""
-    (energies, _), x, u = _sample(cfg, root, trials, ("hamiltonian", "simplex", "haar"))
+    energies, x, u = _sample(cfg, root, trials, ("levels", "simplex", "haar"))
     y = (np.abs(u) ** 2 @ x[..., np.newaxis])[..., 0]
     margin = passive_energy_of_spectrum(energies, x) - passive_energy_of_spectrum(energies, y)
     return margin, margin > cfg.tolerance

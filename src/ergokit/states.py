@@ -234,11 +234,13 @@ def maximally_mixed(d: int) -> DensityMatrix:
 
 
 def diagonal_hamiltonian(energies) -> Hamiltonian:
-    return Hamiltonian(np.diag(np.asarray(energies, dtype=float)).astype(complex))
+    values = as_matrix([energies], dtype=float)[0]  # DimensionMismatch unless a non-empty 1-D vector
+    return Hamiltonian(np.diag(values).astype(complex))
 
 
 def diagonal_state(populations) -> DensityMatrix:
-    return DensityMatrix(np.diag(np.asarray(populations, dtype=float)).astype(complex))
+    values = as_matrix([populations], dtype=float)[0]  # DimensionMismatch unless a non-empty 1-D vector
+    return DensityMatrix(np.diag(values).astype(complex))
 
 
 __all__ = [

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,9 +182,10 @@ def test_result_serialization(monkeypatch, capsys):
 # --- batched engine against the per-trial oracles ----------------------------
 
 EPS = np.finfo(float).eps
-# (d, rank, n): rank 1 and full rank, n below and above d (n = d = 1 at d = 1)
+# (d, rank, n): rank 1 and full rank, n below and above d (n = d = 1 at d = 1); n = 19 spans lemma1's
+# cross-check over three blocks of audits.ELEMENT_BLOCK elements, the last one short
 ENGINE_CASES = [(d, rank, n) for d in (1, 2, 3, 8) for rank in sorted({1, d})
-                for n in sorted({max(1, d - 1), d + 2})]
+                for n in sorted({max(1, d - 1), d + 2})] + [(4, 4, 19)]
 
 
 def per_trial_bytes(cfg):
@@ -319,17 +321,41 @@ def test_sample_property_catches_a_doubled_builder(monkeypatch, builder):
         assert_sample_is_valid(CFG_SMALL, 0, 0)
 
 
-@pytest.mark.parametrize("claim, solves", [("theorem1", []), ("theorem2", []), ("theorem3", ["eigh"]),
-                                           ("lemma1", ["eigvalsh"]), ("schur", [])])
+@pytest.mark.parametrize("claim, solves", [("theorem1", ["qr", "qr"]), ("theorem2", ["qr"]),
+                                           ("theorem3", ["qr", "qr", "eigh"]), ("lemma1", ["qr", "eigvalsh"]),
+                                           ("schur", ["qr"])])
 def test_audits_eigensolve_only_what_the_claim_needs(monkeypatch, claim, solves):
-    # theorem3 takes r_full and the own-basis measurement from one eigh; lemma1's eigvalsh is the dense cross-check
+    # one QR per Haar basis a claim reads (schur reads its Hamiltonian's levels alone); theorem3 takes r_full and
+    # the own-basis measurement from one eigh; lemma1's eigvalsh is the dense cross-check
     monkeypatch.setattr(audits, "CHUNK_BYTES", 7 * per_trial_bytes(CFG_SMALL))
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("qr", "eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
     run_audit(claim, CFG_SMALL)
     assert calls == solves * -(-CFG_SMALL.trials // 7)
+
+
+def lemma1_traced_peak(d, n, trials):
+    """Traced peak bytes of lemma1's chunks; tracemalloc counts numpy's buffers."""
+    cfg = AuditConfig(dimension=d, outcomes=n, trials=trials, seed=0)
+    tracemalloc.start()
+    try:
+        for _ in audits._chunks("lemma1", cfg, CLAIM_AUDITS["lemma1"]):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lemma1_memory_does_not_grow_with_outcomes():
+    # the dense cross-check builds audits.ELEMENT_BLOCK elements at a time, not all n of a chunk
+    assert lemma1_traced_peak(32, 256, 4) <= 1.5 * lemma1_traced_peak(32, 8, 4)
+
+
+def test_lemma1_memory_stays_bounded_at_large_dimension():
+    # one trial's 128 elements take 32 MiB, and their product temporary as much again; a block of 8 takes 2 MiB
+    assert lemma1_traced_peak(128, 128, 1) <= 16 << 20
 
 
 # --- chunk draws against one stream per trial ---------------------------------

@@ -12,7 +12,8 @@ from ergokit.instances import instance_from_dict
 from ergokit.linalg import as_matrix
 from ergokit.majorization import majorization_deficit, majorizes
 from ergokit.measurement import FineGrainedMeasurement, Povm, StochasticMatrix, computational_basis
-from ergokit.states import DensityMatrix, Hamiltonian, RandomSource, haar_unitary, pure_state
+from ergokit.states import (DensityMatrix, Hamiltonian, RandomSource, diagonal_hamiltonian, diagonal_state, haar_unitary,
+                            pure_state)
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -66,6 +67,8 @@ BAD_INPUTS = {
     "majorizes empty vectors": lambda: majorizes([], []),
     "majorizes scalars": lambda: majorizes(1.0, 1.0),
     "majorization deficit whose partial sums overflow": lambda: majorization_deficit([1e308, 1e308], [1, 0]),
+    "ragged diagonal state": lambda: diagonal_state([[1, 0], [0]]),
+    "non-numeric diagonal hamiltonian": lambda: diagonal_hamiltonian(["a"]),
 }
 
 
@@ -103,6 +106,8 @@ ERROR_CLASSES = {
     "majorizes empty vectors": DimensionMismatch,
     "majorizes scalars": DimensionMismatch,
     "majorization deficit whose partial sums overflow": NonFinite,
+    "ragged diagonal state": DimensionMismatch,
+    "non-numeric diagonal hamiltonian": DimensionMismatch,
 }
 
 
