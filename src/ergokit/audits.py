@@ -78,17 +78,18 @@ class AuditResult:
 
 def _draw(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -> list:
     """Row i of each stack is what root.split(trials[i]) draws alone in the order of ``kinds``: complex Gaussians for
-    "state", "haar" and "hamiltonian" or "levels" after its sorted uniform levels, standard exponentials for "post"
-    and "simplex"."""
+    "state", "haar" and "hamiltonian" after its sorted uniform levels, standard exponentials for "post" and "simplex".
+    "levels" draws what "hamiltonian" does, but its real Gaussian pairs stay as drawn: nothing reads them."""
     d, n = cfg.dimension, cfg.outcomes
     hamiltonian = [("uniform", (d,)), ("normal", (2, d, d))]
     draws = {"state": [("normal", (2, d, cfg.effective_rank))], "hamiltonian": hamiltonian, "levels": hamiltonian,
              "haar": [("normal", (2, d, d))], "post": [("exponential", (n, d))], "simplex": [("exponential", (d,))]}
-    plan = [(name, np.empty((len(trials), *shape))) for kind in kinds for name, shape in draws[kind]]
-    root.fill(trials, plan)
-    for levels in (out for name, out in plan if name == "uniform"):
+    plan = [(kind, name, np.empty((len(trials), *shape))) for kind in kinds for name, shape in draws[kind]]
+    root.fill(trials, [(name, out) for _, name, out in plan])
+    for levels in (out for _, name, out in plan if name == "uniform"):
         levels.sort(axis=-1)
-    return [(z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0) if name == "normal" else z for name, z in plan]
+    return [(z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0) if name == "normal" and kind != "levels" else z
+            for kind, name, z in plan]
 
 
 def _sample(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -> list:

@@ -144,7 +144,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ErgokitError, OSError) as exc:
+    except (ErgokitError, OSError, MemoryError) as exc:  # MemoryError: a size past this machine's memory
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

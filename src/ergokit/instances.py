@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidGrid, NonFinite, ParseError, UnknownFamily, ValidationError
+from .linalg import unchecked
 from .measurement import Povm, StochasticMatrix
 from .states import DensityMatrix, Hamiltonian
 
@@ -143,33 +144,23 @@ def povm_to_json(p: Povm) -> list:
 
 # --- post-processing families for parameter sweeps ------------------------
 
-def _merge_family(b: float, n_outcomes: int) -> StochasticMatrix:
-    if n_outcomes != 2:
-        raise InvalidGrid(f"family 'merge' needs a 2-outcome measurement, got {n_outcomes} outcomes")
-    if not 0.0 <= b <= 1.0:
-        raise InvalidGrid(f"family 'merge' needs parameters in [0, 1], got {b!r}")
-    return StochasticMatrix(np.array([[b, 1.0], [1.0 - b, 0.0]]))
-
-
-def _mix_family(t: float, n_outcomes: int) -> StochasticMatrix:
-    if not 0.0 <= t <= 1.0:
-        raise InvalidGrid(f"family 'mix' needs parameters in [0, 1], got {t!r}")
-    n = n_outcomes
-    return StochasticMatrix((1.0 - t) * np.eye(n) + t * np.full((n, n), 1.0 / n))
-
-
 # 'merge' folds the second outcome into the first at rate b (total merge at
 # b=1); 'mix' interpolates between no post-processing and uniform relabeling.
-FAMILIES = {
-    "merge": _merge_family,
-    "mix": _mix_family,
-}
+FAMILIES = ("merge", "mix")
 
 
 def family_matrix(name: str, param: float, n_outcomes: int) -> StochasticMatrix:
+    """The family's matrix at ``param``, column-stochastic by construction for 0 <= param <= 1, so not validated again."""
     if name not in FAMILIES:
         raise UnknownFamily(f"unknown family {name!r} (expected one of: {', '.join(FAMILIES)})")
-    return FAMILIES[name](param, n_outcomes)
+    if name == "merge" and n_outcomes != 2:
+        raise InvalidGrid(f"family 'merge' needs a 2-outcome measurement, got {n_outcomes} outcomes")
+    if not 0.0 <= param <= 1.0:
+        raise InvalidGrid(f"family {name!r} needs parameters in [0, 1], got {param!r}")
+    if name == "merge":
+        return unchecked(StochasticMatrix, entries=np.array([[param, 1.0], [1.0 - param, 0.0]]))
+    n = n_outcomes
+    return unchecked(StochasticMatrix, entries=(1.0 - param) * np.eye(n) + param * np.full((n, n), 1.0 / n))
 
 
 def parse_grid(spec: str) -> list:

@@ -122,11 +122,11 @@ def computational_basis(d: int) -> FineGrainedMeasurement:
 
 def random_column_stochastic(n_out: int, n_in: int, rng: RandomSource) -> StochasticMatrix:
     """Sample each column uniformly on the probability simplex (normalized
-    exponential variates)."""
+    exponential variates); column-stochastic by construction, so not validated again."""
     if n_out < 1 or n_in < 1:
         raise DimensionMismatch(f"stochastic matrix sizes must be positive, got {n_out}x{n_in}")
     cols = rng.exponential((n_out, n_in))
-    return StochasticMatrix(cols / cols.sum(axis=0))
+    return unchecked(StochasticMatrix, entries=cols / cols.sum(axis=0))
 
 
 def post_process(p: Povm, d: StochasticMatrix) -> Povm:

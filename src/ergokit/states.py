@@ -204,10 +204,12 @@ def ginibre_state(g: np.ndarray) -> np.ndarray:
 
 
 def random_density(d: int, rank: int, rng: RandomSource) -> DensityMatrix:
-    """Hilbert-Schmidt-style random state: ``ginibre_state`` of a d x rank complex Gaussian matrix."""
+    """Hilbert-Schmidt-style random state: ``ginibre_state`` of a d x rank complex Gaussian matrix, exactly
+    Hermitian, unit-trace and PSD by construction, so only its eigenvalues are computed."""
     if not 1 <= rank <= d:
         raise InvalidRank(f"rank must satisfy 1 <= rank <= {d}, got {rank}")
-    return DensityMatrix(ginibre_state(rng.complex_normal((d, rank))))
+    op = ginibre_state(rng.complex_normal((d, rank)))
+    return unchecked(DensityMatrix, op=op, eigenvalues=np.linalg.eigvalsh(op))
 
 
 def random_hamiltonian(d: int, rng: RandomSource) -> Hamiltonian:

@@ -381,3 +381,17 @@ def test_chunk_draws_equal_per_trial_streams(kinds, first, size):
         assert len(stacks) == len(expected)
         for stack, reference in zip(stacks, expected):
             assert_bitwise(stack[i], reference)
+
+
+@pytest.mark.parametrize("after", [(), ("haar",), ("simplex", "haar")])
+def test_levels_kind_keeps_its_gaussians_real(after):
+    # schur reads only the levels of its Hamiltonian draw, so the Gaussian pairs stay as drawn; the streams do not move
+    cfg = AuditConfig(dimension=3, outcomes=4, trials=16, seed=5)
+    root, trials = RandomSource(cfg.seed).split(5), range(3, 10)
+    levels, pairs, *rest = audits._draw(cfg, root, trials, ("levels", *after))
+    energies, gaussians, *expected = audits._draw(cfg, root, trials, ("hamiltonian", *after))
+    assert pairs.dtype == np.float64 and pairs.shape == (len(trials), 2, 3, 3)
+    assert_bitwise(levels, energies)
+    assert_bitwise((pairs[:, 0] + 1j * pairs[:, 1]) / np.sqrt(2.0), gaussians)
+    for stack, reference in zip(rest, expected, strict=True):
+        assert_bitwise(stack, reference)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ergokit.cli import main
@@ -285,6 +286,63 @@ class TestSweep:
         assert code == 2
         assert "2-outcome" in err
 
+    def test_merge_checks_outcomes_before_range(self, qubit_file, capsys):
+        code, out, err = run_cli(capsys, "sweep", qubit_file, "--family", "merge", "--grid", "2,0.5",
+                                 "--measurement", "trivial")
+        assert (code, out) == (2, "")
+        assert "2-outcome" in err
+
+    def test_nan_parameter_is_out_of_range(self, qubit_file, capsys):
+        code, out, err = run_cli(capsys, "sweep", qubit_file, "--family", "mix", "--grid", "0,nan")
+        assert (code, out) == (2, "")
+        assert "[0, 1]" in err
+
+
+def sweep_instance_file(tmp_path):
+    """A random qubit with dense POVMs of 2 and 4 outcomes: a Haar basis and a random coarsening of another."""
+    from ergokit.instances import matrix_to_json, povm_to_json
+    from ergokit.measurement import FineGrainedMeasurement, post_process, random_column_stochastic
+    from ergokit.states import RandomSource, haar_unitary, random_density, random_hamiltonian
+
+    rng = RandomSource(17)
+    basis = FineGrainedMeasurement.from_basis(haar_unitary(2, rng))
+    general = post_process(FineGrainedMeasurement.from_basis(haar_unitary(2, rng)), random_column_stochastic(4, 2, rng))
+    doc = {"dimension": 2, "hamiltonian": matrix_to_json(random_hamiltonian(2, rng).op),
+           "state": matrix_to_json(random_density(2, 2, rng).op),
+           "measurements": {"basis": povm_to_json(basis), "general": povm_to_json(general)}}
+    return write_instance(tmp_path, doc, "sweep.json")
+
+
+FAMILY_CLOSED_FORMS = {
+    "merge": lambda b, n: [[b, 1.0], [1.0 - b, 0.0]],
+    "mix": lambda t, n: (1.0 - t) * np.eye(n) + t * np.full((n, n), 1.0 / n),
+}
+
+
+@pytest.mark.parametrize("family, measurement", [("merge", None), ("merge", "basis"), ("mix", None), ("mix", "general")])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("count", [5, 7])
+def test_sweep_rows_equal_the_validated_family_matrix(tmp_path, capsys, family, measurement, fmt, count):
+    # each row is the observational ergotropy after post-processing with the family's closed form, validated,
+    # bit for bit; merge drops an all-zero row at b = 1 and needs a 2-outcome base, and the sevenths are not
+    # dyadic, so a reordered closed form shows
+    from ergokit.ergotropy import observational_ergotropy
+    from ergokit.instances import load_instance
+    from ergokit.measurement import StochasticMatrix, computational_basis, post_process
+
+    path = sweep_instance_file(tmp_path)
+    code, out, err = run_cli(capsys, "sweep", path, "--family", family, "--grid", f"0:1:{count}", "--format", fmt,
+                             *(["--measurement", measurement] if measurement else []))
+    assert code == 0, err
+    rows = ([list(json.loads(line).values()) for line in out.splitlines()] if fmt == "json" else
+            [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
+    instance = load_instance(path)
+    base = instance.measurements[measurement] if measurement else computational_basis(2)
+    assert [parameter for parameter, _ in rows] == list(np.linspace(0.0, 1.0, count))
+    for parameter, value in rows:
+        coarse = post_process(base, StochasticMatrix(np.array(FAMILY_CLOSED_FORMS[family](parameter, base.n_outcomes))))
+        assert value == observational_ergotropy(instance.state, instance.hamiltonian, coarse)
+
 
 class TestVerify:
     def test_single_claim_single_trial(self, capsys):
@@ -333,6 +391,32 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "seed must be a non-negative integer, got -1" in err
+
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        from ergokit import audits
+
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 549. MiB for an array")
+
+        monkeypatch.setattr(audits, "_sample", exhausted)
+        code, out, err = run_cli(capsys, "verify", "theorem1", "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: Unable to allocate 549. MiB for an array\n"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets RLIMIT_AS on the child")
+    def test_out_of_memory_in_a_child_exits_2(self):
+        # a 2 x d x d draw of 6 GiB cannot fit under a 1.2 GB address-space limit, so it fails before any page is touched
+        import os
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1_200_000 << 10, 1_200_000 << 10))
+
+        cmd = [sys.executable, "-m", "ergokit", "verify", "theorem1", "--d", "20000", "--n", "4", "--trials", "1"]
+        proc = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=limit,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: Unable to allocate") and "Traceback" not in proc.stderr
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "audit.jsonl"

@@ -108,6 +108,32 @@ class TestRandomColumnStochastic:
         assert np.array_equal(a.entries, b.entries)
 
 
+@pytest.mark.parametrize("d", [1, 3, 8, 64])
+@pytest.mark.parametrize("rank", ["one", "full"])
+def test_random_constructors_equal_the_validated_construction(d, rank, monkeypatch):
+    # both are valid by construction, so neither is validated again; the unchecked objects equal the validated ones
+    rank = 1 if rank == "one" else d
+    root = RandomSource(d).split(rank)
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} validated again")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(DensityMatrix, "__post_init__", refuse)
+        patched.setattr(StochasticMatrix, "__post_init__", refuse)
+        rho = random_density(d, rank, root.split(0))
+        post = random_column_stochastic(rank, d, root.split(1))
+    validated = DensityMatrix(states.ginibre_state(root.split(0).complex_normal((d, rank))))
+    cols = root.split(1).exponential((rank, d))
+    validated_post = StochasticMatrix(cols / cols.sum(axis=0))
+    for actual, expected in ((rho.op, validated.op), (rho.eigenvalues, validated.eigenvalues),
+                             (post.entries, validated_post.entries)):
+        assert actual.dtype == expected.dtype and actual.tobytes() == expected.tobytes()
+    assert abs(np.trace(rho.op).real - 1.0) <= TOL
+    assert rho.eigenvalues[0] >= -TOL
+    assert float(np.min(post.entries)) >= 0.0 and max_abs(post.entries.sum(axis=0) - 1.0) <= TOL
+
+
 class TestPostProcess:
     def test_identity_is_trivial(self):
         p = computational_basis(2)
