@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidClaim, InvalidConfig
-from .ergotropy import passive_energy_of_spectrum
+from .ergotropy import passive_energy_of_spectrum, work
 from .linalg import LOOSE_TOL, TOL, diagonal_in_basis, energy_tol, hermitian_part, operator_in_basis
 from .majorization import majorization_deficit
 from .measurement import born_probabilities, estimate_spectrum, link_matrix
-from .states import RandomSource, ginibre_state, haar_from_ginibre, is_integer, state_spectrum
+from .states import RandomSource, ginibre_state, haar_from_ginibre, is_integer
 
 # Bytes of stacked arrays one chunk of trials may hold, a trial counting as 16 d^2 (n + 8): its complex d x d
 # stacks plus n matrices. lemma1 holds ELEMENT_BLOCK of its n elements at a time, so n over-counts it, but the
@@ -113,18 +113,13 @@ def _sample(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -
     return built
 
 
-def _observational(mean: np.ndarray, energies: np.ndarray, post: np.ndarray, populations: np.ndarray) -> np.ndarray:
-    """Observational ergotropy of (U, post) from the populations diag(U^dag rho U) and the mean energy
-    tr(H rho), which each claim reads as sum_k E_k p_k off rho's populations p in H's eigenbasis."""
-    return mean - passive_energy_of_spectrum(energies, estimate_spectrum(post, populations, 1.0))
-
-
 def _monotonicity(cfg: AuditConfig, root: RandomSource, trials: range):
     """Coarsening a fine-grained measurement must not raise observational
     ergotropy."""
     rho, (energies, v), u, post = _sample(cfg, root, trials, ("state", "hamiltonian", "haar", "post"))
-    p, mean = diagonal_in_basis(rho, u), np.sum(energies * diagonal_in_basis(rho, v), axis=-1)
-    margin = _observational(mean, energies, post, p) - _observational(mean, energies, np.eye(cfg.dimension), p)
+    p, fine = diagonal_in_basis(rho, v), diagonal_in_basis(rho, u)
+    coarse_work = work(energies, p, estimate_spectrum(post, fine, 1.0))
+    margin = coarse_work - work(energies, p, estimate_spectrum(np.eye(cfg.dimension), fine, 1.0))
     return margin, margin > cfg.tolerance
 
 
@@ -133,10 +128,9 @@ def _incoherent_limit(cfg: AuditConfig, root: RandomSource, trials: range):
     ergotropy, and no energy-incoherent measurement beats it."""
     (energies, v), rho, q = _sample(cfg, root, trials, ("hamiltonian", "state", "post"))
     p = diagonal_in_basis(rho, v)
-    mean = np.sum(energies * p, axis=-1)
-    r_inc = mean - passive_energy_of_spectrum(energies, p)  # for p >= 0 the equality side is this same sum: gap 0
-    equality_gap = np.abs(_observational(mean, energies, np.eye(cfg.dimension), p) - r_inc)
-    margin = np.maximum(equality_gap, _observational(mean, energies, q, p) - r_inc)
+    r_inc = work(energies, p, p)  # for p >= 0 the equality side is this same call: gap 0
+    equality_gap = np.abs(work(energies, p, estimate_spectrum(np.eye(cfg.dimension), p, 1.0)) - r_inc)
+    margin = np.maximum(equality_gap, work(energies, p, estimate_spectrum(q, p, 1.0)) - r_inc)
     return margin, margin > cfg.tolerance
 
 
@@ -144,11 +138,11 @@ def _fine_grained_optimum(cfg: AuditConfig, root: RandomSource, trials: range):
     """Measuring in the state's own eigenbasis attains full ergotropy; no
     fine-grained measurement exceeds it. Also gives sampled / full ergotropy."""
     rho, (energies, v), u = _sample(cfg, root, trials, ("state", "hamiltonian", "haar"))
-    mean, (w, vectors) = np.sum(energies * diagonal_in_basis(rho, v), axis=-1), np.linalg.eigh(rho)
+    p, (w, vectors) = diagonal_in_basis(rho, v), np.linalg.eigh(rho)
     eye = np.eye(cfg.dimension)
-    r_full = mean - passive_energy_of_spectrum(energies, w)
-    equality_gap = np.abs(_observational(mean, energies, eye, diagonal_in_basis(rho, vectors)) - r_full)
-    r_sampled = _observational(mean, energies, eye, diagonal_in_basis(rho, u))
+    r_full = work(energies, p, w)
+    equality_gap = np.abs(work(energies, p, estimate_spectrum(eye, diagonal_in_basis(rho, vectors), 1.0)) - r_full)
+    r_sampled = work(energies, p, estimate_spectrum(eye, diagonal_in_basis(rho, u), 1.0))
     positive = r_full > energy_tol(cfg.dimension, np.abs(energies).max(axis=-1))  # ratios only where r_full is not roundoff
     margin = np.maximum(equality_gap, r_sampled - r_full)
     return margin, margin > cfg.tolerance, r_sampled[positive] / r_full[positive]
@@ -172,7 +166,7 @@ def _spectrum_majorization(cfg: AuditConfig, root: RandomSource, trials: range):
     rho, u, post = _sample(cfg, root, trials, ("state", "haar", "post"))
     fine = estimate_spectrum(np.eye(cfg.dimension), diagonal_in_basis(rho, u), 1.0)
     # Checked against the estimate built from the element matrices, not the kernel.
-    spec_coarse = np.clip(state_spectrum(_dense_estimate(rho, u, post)), 0.0, None)
+    spec_coarse = np.clip(np.linalg.eigvalsh(_dense_estimate(rho, u, post)), 0.0, None)
     deficit = majorization_deficit(np.sort(fine), spec_coarse)
     link = link_matrix(post)
     bisto_residual = np.maximum(np.abs(link.sum(axis=-2) - 1.0).max(axis=-1), np.abs(link.sum(axis=-1) - 1.0).max(axis=-1))

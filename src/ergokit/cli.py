@@ -69,11 +69,11 @@ def cmd_sweep(args) -> int:
     if base is None:
         base = computational_basis(instance.dimension)
     grid = parse_grid(args.grid)
-    rows = []
-    for value in grid:
-        coarse = post_process(base, family_matrix(args.family, value, base.n_outcomes))
-        rows.append({"parameter": value,
-                     "observational_ergotropy": observational_ergotropy(instance.state, instance.hamiltonian, coarse)})
+    for value in grid:  # every value's checks, in their order, before the first row is computed
+        family_matrix(args.family, value, base.n_outcomes)
+    rows = [{"parameter": value, "observational_ergotropy": observational_ergotropy(
+        instance.state, instance.hamiltonian, post_process(base, family_matrix(args.family, value, base.n_outcomes)))}
+        for value in grid]
     _write_rows(rows, args.format, args.output)
     return 0
 

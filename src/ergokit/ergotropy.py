@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatch, InconsistentReport, NonFinite
 from .linalg import adjoint, energy_tol
 from .measurement import Povm, coarse_grained_spectrum
-from .states import DensityMatrix, Hamiltonian, _check_same_dim, dephase, mean_energy
+from .states import DensityMatrix, Hamiltonian, _check_same_dim, energy_populations
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,13 @@ def passive_energy_of_spectrum(energies: np.ndarray, spectrum):
     return out if out.ndim else float(out)
 
 
+def work(energies: np.ndarray, populations, spectrum):
+    """sum_k E_k p_k minus the passive energy of ``spectrum``, for a state's energy populations p: its ergotropy for its
+    eigenvalues, its incoherent ergotropy for p, its observational ergotropy for an estimate's. Leading axes are a batch."""
+    out = np.sum(energies * populations, axis=-1) - passive_energy_of_spectrum(energies, spectrum)
+    return out if np.ndim(out) else float(out)
+
+
 def passive_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
     _check_same_dim(rho, h)
     return passive_energy_of_spectrum(h.energies, rho.eigenvalues)
@@ -82,7 +89,7 @@ def passive_state(rho: DensityMatrix, h: Hamiltonian) -> tuple[DensityMatrix, np
 
 def ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
     """Maximum unitarily extractable work: mean energy minus passive energy."""
-    return mean_energy(rho, h) - passive_energy(rho, h)
+    return work(h.energies, energy_populations(rho, h), rho.eigenvalues)
 
 
 def observational_ergotropy(rho: DensityMatrix, h: Hamiltonian, m: Povm) -> float:
@@ -90,13 +97,14 @@ def observational_ergotropy(rho: DensityMatrix, h: Hamiltonian, m: Povm) -> floa
     outcome statistics of m: mean energy of rho minus the passive energy of
     the coarse-grained estimate. Can be negative when the estimate misranks
     the populations."""
-    return mean_energy(rho, h) - passive_energy_of_spectrum(h.energies, coarse_grained_spectrum(rho, m))
+    return work(h.energies, energy_populations(rho, h), coarse_grained_spectrum(rho, m))
 
 
 def incoherent_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
-    """Ergotropy of the energy-dephased state; dephasing keeps the mean
-    energy, so this is the classical share of the total."""
-    return ergotropy(dephase(rho, h), h)
+    """Ergotropy of the energy-dephased state, whose spectrum is rho's energy populations; dephasing
+    keeps the mean energy, so this is the classical share of the total."""
+    p = energy_populations(rho, h)
+    return work(h.energies, p, p)
 
 
 def coherent_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
@@ -105,20 +113,17 @@ def coherent_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
 
 
 def report(rho: DensityMatrix, h: Hamiltonian, m: Povm | None = None) -> WorkReport:
-    """Bundle every work quantity for one instance."""
-    mean = mean_energy(rho, h)
-    passive = passive_energy(rho, h)
-    total = mean - passive
-    incoherent = incoherent_ergotropy(rho, h)
-    observational = None if m is None else observational_ergotropy(rho, h, m)
+    """Bundle every work quantity for one instance, off one read of rho's energy populations."""
+    p = energy_populations(rho, h)
+    total, incoherent = work(h.energies, p, rho.eigenvalues), work(h.energies, p, p)
     return WorkReport(
         dimension=rho.dim,
-        mean_energy=mean,
-        passive_energy=passive,
+        mean_energy=float(np.sum(h.energies * p)),
+        passive_energy=passive_energy_of_spectrum(h.energies, rho.eigenvalues),
         ergotropy=total,
         incoherent=incoherent,
         coherent=total - incoherent,
-        observational=observational,
+        observational=None if m is None else work(h.energies, p, coarse_grained_spectrum(rho, m)),
         energy_scale=float(np.max(np.abs(h.energies))),
     )
 
@@ -133,4 +138,5 @@ __all__ = [
     "passive_energy_of_spectrum",
     "passive_state",
     "report",
+    "work",
 ]

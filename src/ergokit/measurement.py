@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DegeneratePovm, DimensionMismatch, InvalidPovm, NotStochastic
 from .linalg import (LOOSE_TOL, TOL, as_matrix, diagonal_in_basis, hermitian_part, max_abs, operator_in_basis,
                      require_hermitian, require_unitary, unchecked)
-from .states import DensityMatrix, Hamiltonian, RandomSource
+from .states import DensityMatrix, Hamiltonian, RandomSource, check_dimension
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,14 +117,15 @@ class FineGrainedMeasurement(Povm):
 
 
 def computational_basis(d: int) -> FineGrainedMeasurement:
-    return FineGrainedMeasurement.from_basis(np.eye(d))
+    check_dimension(d)
+    return unchecked(FineGrainedMeasurement, base=np.eye(d, dtype=complex), post=np.eye(d))
 
 
 def random_column_stochastic(n_out: int, n_in: int, rng: RandomSource) -> StochasticMatrix:
     """Sample each column uniformly on the probability simplex (normalized
     exponential variates); column-stochastic by construction, so not validated again."""
-    if n_out < 1 or n_in < 1:
-        raise DimensionMismatch(f"stochastic matrix sizes must be positive, got {n_out}x{n_in}")
+    check_dimension(n_out)
+    check_dimension(n_in)
     cols = rng.exponential((n_out, n_in))
     return unchecked(StochasticMatrix, entries=cols / cols.sum(axis=0))
 

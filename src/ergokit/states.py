@@ -26,6 +26,12 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_dimension(d) -> None:
+    """DimensionMismatch unless d is a positive integer; constructors run it before they build or draw anything."""
+    if not is_integer(d) or d < 1:
+        raise DimensionMismatch(f"dimension must be a positive integer, got {d!r}")
+
+
 def _philox_keys(seq: np.random.SeedSequence, trials: range) -> np.ndarray:
     """``SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (t,)).generate_state(2, np.uint64)`` for each t < 2^32
     in trials: seq.pool has mixed max(4, seed words) + spawn-key words, four hash steps per uint32 word; the
@@ -107,7 +113,13 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = hermitian_part(require_hermitian(self.op, what="density matrix"))
-        object.__setattr__(self, "eigenvalues", state_spectrum(mat))
+        defect = abs(float(np.trace(mat).real) - 1.0)
+        if defect > TOL:
+            raise InvalidState(f"density matrix trace deviates from 1 by {defect:.3e} > {TOL:.0e}")
+        w = np.linalg.eigvalsh(mat)
+        if float(w[0]) < -TOL:
+            raise InvalidState(f"density matrix has eigenvalue {float(w[0]):.3e} below {-TOL:.0e}")
+        object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "op", mat)
 
     @classmethod
@@ -127,17 +139,6 @@ class DensityMatrix:
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and the matching eigenvectors as columns."""
         return eig_hermitian(self.op)
-
-
-def state_spectrum(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (or each in a stack); InvalidState unless unit trace and PSD."""
-    defect = float(np.max(np.abs(np.trace(mat, axis1=-2, axis2=-1).real - 1.0)))
-    if defect > TOL:
-        raise InvalidState(f"density matrix trace deviates from 1 by {defect:.3e} > {TOL:.0e}")
-    w = np.linalg.eigvalsh(mat)
-    if float(np.min(w[..., 0])) < -TOL:
-        raise InvalidState(f"density matrix has eigenvalue {float(np.min(w[..., 0])):.3e} below {-TOL:.0e}")
-    return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,27 +167,22 @@ def _check_same_dim(rho: DensityMatrix, h: Hamiltonian) -> None:
         raise DimensionMismatch(f"state is {rho.dim}-dimensional but Hamiltonian is {h.dim}-dimensional")
 
 
-def mean_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
+def energy_populations(rho: DensityMatrix, h: Hamiltonian) -> np.ndarray:
+    """rho's populations p_k = <E_k|rho|E_k> in the Hamiltonian's (tie-broken) eigenbasis: tr(H rho) is sum_k E_k p_k."""
     _check_same_dim(rho, h)
-    return float(np.trace(h.op @ rho.op).real)
+    return diagonal_in_basis(rho.op, h.eigenbasis)
 
 
 def dephase(rho: DensityMatrix, h: Hamiltonian) -> DensityMatrix:
-    """Drop all off-diagonal elements of rho in the energy eigenbasis.
-
-    Uses the Hamiltonian's cached (tie-broken) rank-1 eigenbasis, so the
-    result is deterministic even for degenerate spectra. Trace and average
-    energy are preserved; the result's spectrum is rho's energy populations.
-    """
-    _check_same_dim(rho, h)
-    v = h.eigenbasis
-    return DensityMatrix._in_basis(v, diagonal_in_basis(rho.op, v))
+    """Drop all off-diagonal elements of rho in the energy eigenbasis: the state diag(p) of ``energy_populations``,
+    read in the Hamiltonian's cached (tie-broken) eigenbasis, so deterministic even for degenerate spectra. Trace
+    and average energy are preserved."""
+    return DensityMatrix._in_basis(h.eigenbasis, energy_populations(rho, h))
 
 
 def haar_unitary(d: int, rng: RandomSource) -> np.ndarray:
     """Haar-distributed d x d unitary from a complex Ginibre draw."""
-    if d < 1:
-        raise PreconditionFailed(f"dimension must be positive, got {d}")
+    check_dimension(d)
     return haar_from_ginibre(rng.complex_normal((d, d)))
 
 
@@ -206,7 +202,8 @@ def ginibre_state(g: np.ndarray) -> np.ndarray:
 def random_density(d: int, rank: int, rng: RandomSource) -> DensityMatrix:
     """Hilbert-Schmidt-style random state: ``ginibre_state`` of a d x rank complex Gaussian matrix, exactly
     Hermitian, unit-trace and PSD by construction, so only its eigenvalues are computed."""
-    if not 1 <= rank <= d:
+    check_dimension(d)
+    if not is_integer(rank) or not 1 <= rank <= d:
         raise InvalidRank(f"rank must satisfy 1 <= rank <= {d}, got {rank}")
     op = ginibre_state(rng.complex_normal((d, rank)))
     return unchecked(DensityMatrix, op=op, eigenvalues=np.linalg.eigvalsh(op))
@@ -215,6 +212,7 @@ def random_density(d: int, rank: int, rng: RandomSource) -> DensityMatrix:
 def random_hamiltonian(d: int, rng: RandomSource) -> Hamiltonian:
     """Random observable: sorted uniform [0, 1] levels conjugated by a Haar unitary. It
     is built from the levels and basis it drew, neither validated nor eigensolved."""
+    check_dimension(d)
     levels = np.sort(rng.uniform(d))
     basis = haar_unitary(d, rng)
     return unchecked(Hamiltonian, op=hermitian_part(operator_in_basis(basis, levels)), energies=levels, eigenbasis=basis)
@@ -232,6 +230,7 @@ def pure_state(vec) -> DensityMatrix:
 
 
 def maximally_mixed(d: int) -> DensityMatrix:
+    check_dimension(d)
     return DensityMatrix(np.eye(d) / d)
 
 
@@ -252,9 +251,9 @@ __all__ = [
     "dephase",
     "diagonal_hamiltonian",
     "diagonal_state",
+    "energy_populations",
     "haar_unitary",
     "maximally_mixed",
-    "mean_energy",
     "pure_state",
     "random_density",
     "random_hamiltonian",

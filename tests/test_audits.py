@@ -314,6 +314,13 @@ def test_theorem2_equality_gap_is_exact(d, rank):
     assert np.all(np.concatenate(gaps) == 0.0)
 
 
+def test_lemma1_counts_a_faulty_dense_estimate_as_violations(monkeypatch, capsys):
+    # the cross-check estimate is the audit's own, so a fault in it is a violation (exit 1), not a rejected state
+    monkeypatch.setattr(audits, "_dense_estimate", lambda *a, _f=audits._dense_estimate: (1 + 1e-6) * _f(*a))
+    assert cli.main(["verify", "lemma1", "--trials", "20"]) == 1
+    assert json.loads(capsys.readouterr().out)["violations"] == 20
+
+
 @pytest.mark.parametrize("builder", ["ginibre_state", "haar_from_ginibre"])
 def test_sample_property_catches_a_doubled_builder(monkeypatch, builder):
     monkeypatch.setattr(audits, builder, lambda z, _f=getattr(states, builder): 2.0 * _f(z))

@@ -297,6 +297,13 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert "[0, 1]" in err
 
+    def test_whole_grid_is_checked_before_the_first_row(self, qubit_file, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("ergokit.cli.observational_ergotropy", lambda *a: calls.append(a) or 0.0)
+        code, out, err = run_cli(capsys, "sweep", qubit_file, "--family", "mix", "--grid", "0,0.5,nan")
+        assert (code, out, len(calls)) == (2, "", 0)
+        assert "[0, 1]" in err
+
 
 def sweep_instance_file(tmp_path):
     """A random qubit with dense POVMs of 2 and 4 outcomes: a Haar basis and a random coarsening of another."""

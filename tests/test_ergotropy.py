@@ -14,18 +14,20 @@ from ergokit.ergotropy import (
     passive_energy_of_spectrum,
     passive_state,
     report,
+    work,
 )
 from ergokit.errors import DimensionMismatch, NonFinite
 from ergokit.instances import matrix_to_json
-from ergokit.linalg import adjoint, max_abs
+from ergokit.linalg import adjoint, energy_tol, max_abs
 from ergokit.measurement import FineGrainedMeasurement, Povm, StochasticMatrix, computational_basis, post_process, random_column_stochastic
 from ergokit.states import (
     RandomSource,
     diagonal_hamiltonian,
+    dephase,
     diagonal_state,
+    energy_populations,
     haar_unitary,
     maximally_mixed,
-    mean_energy,
     pure_state,
     random_density,
     random_hamiltonian,
@@ -108,7 +110,7 @@ def test_passive_state_properties_random():
         pi, u = passive_state(rho, h)
         assert max_abs(adjoint(u) @ u - np.eye(4)) <= 1e-10
         assert max_abs(u @ rho.op @ adjoint(u) - pi.op) <= 1e-9
-        assert abs(mean_energy(pi, h) - passive_energy(rho, h)) <= 1e-10
+        assert abs(np.trace(h.op @ pi.op).real - passive_energy(rho, h)) <= 1e-10
         assert ergotropy(pi, h) <= 1e-10
 
 
@@ -180,7 +182,7 @@ def test_observational_pure_state_in_own_basis():
     rho = random_density(3, 1, rng)
     h = random_hamiltonian(3, rng)
     basis = FineGrainedMeasurement.from_basis(rho.eig()[1])
-    expected = mean_energy(rho, h) - float(h.energies[0])
+    expected = np.trace(h.op @ rho.op).real - float(h.energies[0])
     assert observational_ergotropy(rho, h, basis) == pytest.approx(expected, abs=1e-10)
 
 
@@ -212,6 +214,17 @@ def test_incoherent_matches_energy_basis_measurement():
         energy_basis = FineGrainedMeasurement.from_basis(h.eigenbasis)
         assert observational_ergotropy(rho, h, energy_basis) == pytest.approx(
             incoherent_ergotropy(rho, h), abs=1e-10)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_theorem2_equality_is_exact_in_the_object_api(d):
+    # both sides are work(E, p, p) off the same energy populations p, which are positive for a full-rank state
+    rng = RandomSource(60 + d)
+    for t in range(75):
+        sub = rng.split(t)
+        rho, h = random_density(d, d, sub), random_hamiltonian(d, sub)
+        energy_basis = FineGrainedMeasurement.from_basis(h.eigenbasis)
+        assert observational_ergotropy(rho, h, energy_basis) == incoherent_ergotropy(rho, h)
 
 
 def test_coherent_ergotropy_plus_state():
@@ -256,6 +269,58 @@ def test_report_with_own_eigenbasis_measurement():
     basis = FineGrainedMeasurement.from_basis(rho.eig()[1])
     rep = report(rho, h, basis)
     assert rep.observational == pytest.approx(rep.ergotropy, abs=1e-10)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 16])
+def test_report_fields_equal_the_single_quantity_functions(d):
+    rng = RandomSource(62 + d)
+    rho, h = random_density(d, d, rng), random_hamiltonian(d, rng)
+    coarse = post_process(FineGrainedMeasurement.from_basis(haar_unitary(d, rng)), random_column_stochastic(3, d, rng))
+    for m in (None, coarse, Povm(coarse.elements)):
+        rep = report(rho, h, m)
+        assert (rep.passive_energy, rep.ergotropy, rep.incoherent, rep.coherent, rep.observational) == (
+            passive_energy(rho, h), ergotropy(rho, h), incoherent_ergotropy(rho, h), coherent_ergotropy(rho, h),
+            None if m is None else observational_ergotropy(rho, h, m))
+        assert rep.ergotropy == rep.mean_energy - rep.passive_energy
+        assert abs(rep.mean_energy - np.trace(h.op @ rho.op).real) <= energy_tol(d, rep.energy_scale)
+
+
+def test_report_and_incoherent_ergotropy_build_no_operator(monkeypatch):
+    # both read rho's energy populations once; neither builds the dephased state or any d x d operator
+    from ergokit import measurement, states
+
+    rng = RandomSource(66)
+    rho, h = random_density(4, 4, rng), random_hamiltonian(4, rng)
+    calls = []
+    for module in (states, measurement):
+        monkeypatch.setattr(module, "operator_in_basis", lambda *a, _f=module.operator_in_basis: calls.append(a) or _f(*a))
+    original = states.DensityMatrix._in_basis
+    monkeypatch.setattr(states.DensityMatrix, "_in_basis", lambda *a: calls.append(a) or original(*a))
+    report(rho, h)
+    report(rho, h, computational_basis(4))
+    incoherent_ergotropy(rho, h)
+    assert calls == []
+    dephase(rho, h)  # the spies do see a built state
+    assert len(calls) == 2
+
+
+def test_work_over_a_batch_equals_row_by_row_calls():
+    rng = RandomSource(67)
+    energies, populations, spectra = np.sort(rng.uniform((6, 5)), axis=-1), rng.exponential((6, 5)), rng.exponential((6, 5))
+    batch = work(energies, populations, spectra)
+    assert batch.shape == (6,)
+    assert batch.tolist() == [work(*row) for row in zip(energies, populations, spectra)]
+    assert all(type(work(*row)) is float for row in zip(energies, populations, spectra))
+
+
+def test_energy_populations_read_the_mean_energy():
+    rng = RandomSource(68)
+    for d in (1, 3, 8):
+        sub = rng.split(d)
+        rho, h = random_density(d, d, sub), random_hamiltonian(d, sub)
+        p = energy_populations(rho, h)
+        assert abs(np.sum(h.energies * p) - np.trace(h.op @ rho.op).real) <= energy_tol(d, np.abs(h.energies).max())
+        assert np.array_equal(np.sort(p), dephase(rho, h).eigenvalues)
 
 
 def test_report_csv_layout(tmp_path, capsys):

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from ergokit.audits import AuditConfig
-from ergokit.errors import DimensionMismatch, ErgokitError, InvalidConfig, NonFinite, PreconditionFailed
+from ergokit.errors import DimensionMismatch, ErgokitError, InvalidConfig, InvalidRank, NonFinite, PreconditionFailed
 from ergokit.instances import instance_from_dict
 from ergokit.linalg import as_matrix
 from ergokit.majorization import majorization_deficit, majorizes
-from ergokit.measurement import FineGrainedMeasurement, Povm, StochasticMatrix, computational_basis
+from ergokit.measurement import (FineGrainedMeasurement, Povm, StochasticMatrix, computational_basis,
+                                 random_column_stochastic)
 from ergokit.states import (DensityMatrix, Hamiltonian, RandomSource, diagonal_hamiltonian, diagonal_state, haar_unitary,
-                            pure_state)
+                            maximally_mixed, pure_state, random_density, random_hamiltonian)
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -69,6 +70,14 @@ BAD_INPUTS = {
     "majorization deficit whose partial sums overflow": lambda: majorization_deficit([1e308, 1e308], [1, 0]),
     "ragged diagonal state": lambda: diagonal_state([[1, 0], [0]]),
     "non-numeric diagonal hamiltonian": lambda: diagonal_hamiltonian(["a"]),
+    "computational basis of negative dimension": lambda: computational_basis(-1),
+    "maximally mixed state of negative dimension": lambda: maximally_mixed(-2),
+    "random hamiltonian of negative dimension": lambda: random_hamiltonian(-1, RandomSource(0)),
+    "computational basis of float dimension": lambda: computational_basis(2.5),
+    "haar unitary of float dimension": lambda: haar_unitary(2.5, RandomSource(0)),
+    "random density of float dimension": lambda: random_density(2.5, 1, RandomSource(0)),
+    "random stochastic matrix of float size": lambda: random_column_stochastic(2.5, 2, RandomSource(0)),
+    "random density of float rank": lambda: random_density(3, 1.5, RandomSource(0)),
 }
 
 
@@ -108,6 +117,14 @@ ERROR_CLASSES = {
     "majorization deficit whose partial sums overflow": NonFinite,
     "ragged diagonal state": DimensionMismatch,
     "non-numeric diagonal hamiltonian": DimensionMismatch,
+    "computational basis of negative dimension": DimensionMismatch,
+    "maximally mixed state of negative dimension": DimensionMismatch,
+    "random hamiltonian of negative dimension": DimensionMismatch,
+    "computational basis of float dimension": DimensionMismatch,
+    "haar unitary of float dimension": DimensionMismatch,
+    "random density of float dimension": DimensionMismatch,
+    "random stochastic matrix of float size": DimensionMismatch,
+    "random density of float rank": InvalidRank,
 }
 
 
