@@ -3,10 +3,11 @@
 Each audit draws seeded random instances, evaluates one claim per trial, and
 reports the trial count, the number of tolerance violations, and the worst
 signed margin (positive margins are violations) and the first trial with it.
-Trials run in chunks: each draws from its own stream and the claim is
-evaluated over the stacked draws with the library's kernels. Results are pure
-functions of the configuration, whatever the chunking, so re-running with the
-same seed reproduces them exactly. Sampling gives evidence, not a proof.
+``CLAIM_AUDITS`` declares the draws each claim makes. Trials run in chunks: each
+trial draws from its own stream, and the claim's evaluator reads the stacked
+draws with the library's kernels. Results are pure functions of the
+configuration, whatever the chunking, so re-running with the same seed
+reproduces them exactly. Sampling gives evidence, not a proof.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ class AuditConfig:
             raise InvalidConfig(f"trials must lie in [1, 2^32), got {self.trials}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be a non-negative integer, got {self.seed}")
-        if not (isinstance(self.tolerance, (float, np.floating)) or is_integer(self.tolerance)) or not self.tolerance > 0:
-            raise InvalidConfig(f"tolerance must be a positive number, got {self.tolerance!r}")
+        tol = self.tolerance  # finite: inf would pass every margin, and an int past the float range cannot be compared
+        if not (isinstance(tol, (float, np.floating)) or is_integer(tol)) or not 0 < tol <= np.finfo(float).max.item():
+            raise InvalidConfig(f"tolerance must be a finite positive number, got {tol!r}")
 
     @property
     def effective_rank(self) -> int:
@@ -93,16 +95,15 @@ def _draw(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -> 
 
 
 def _sample(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -> list:
-    """Build ``_draw``'s stacks, not checked again: "state", "hamiltonian" (ascending levels and the Haar basis of their
-    eigenvectors; no operator is built), "levels" (a hamiltonian's draws, its levels alone: no basis is built), "haar",
-    "post", "simplex"."""
+    """Build ``_draw``'s stacks, not checked again, one per kind but two for "hamiltonian": its ascending levels and the
+    Haar basis of their eigenvectors (no operator is built). "levels" is a hamiltonian's draws, its levels alone."""
     stacks, built = iter(_draw(cfg, root, trials, kinds)), []
     for kind in kinds:
         x = next(stacks)
         if kind == "state":
             built.append(ginibre_state(x))
         elif kind == "hamiltonian":
-            built.append((x, haar_from_ginibre(next(stacks))))
+            built += [x, haar_from_ginibre(next(stacks))]
         elif kind == "levels":
             next(stacks)
             built.append(x)
@@ -113,20 +114,18 @@ def _sample(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -
     return built
 
 
-def _monotonicity(cfg: AuditConfig, root: RandomSource, trials: range):
+def _monotonicity(cfg: AuditConfig, rho, energies, v, u, post):
     """Coarsening a fine-grained measurement must not raise observational
     ergotropy."""
-    rho, (energies, v), u, post = _sample(cfg, root, trials, ("state", "hamiltonian", "haar", "post"))
     p, fine = diagonal_in_basis(rho, v), diagonal_in_basis(rho, u)
     coarse_work = work(energies, p, estimate_spectrum(post, fine, 1.0))
     margin = coarse_work - work(energies, p, estimate_spectrum(np.eye(cfg.dimension), fine, 1.0))
     return margin, margin > cfg.tolerance
 
 
-def _incoherent_limit(cfg: AuditConfig, root: RandomSource, trials: range):
+def _incoherent_limit(cfg: AuditConfig, energies, v, rho, q):
     """The projective energy measurement attains exactly the incoherent
     ergotropy, and no energy-incoherent measurement beats it."""
-    (energies, v), rho, q = _sample(cfg, root, trials, ("hamiltonian", "state", "post"))
     p = diagonal_in_basis(rho, v)
     r_inc = work(energies, p, p)  # for p >= 0 the equality side is this same call: gap 0
     equality_gap = np.abs(work(energies, p, estimate_spectrum(np.eye(cfg.dimension), p, 1.0)) - r_inc)
@@ -134,10 +133,9 @@ def _incoherent_limit(cfg: AuditConfig, root: RandomSource, trials: range):
     return margin, margin > cfg.tolerance
 
 
-def _fine_grained_optimum(cfg: AuditConfig, root: RandomSource, trials: range):
+def _fine_grained_optimum(cfg: AuditConfig, rho, energies, v, u):
     """Measuring in the state's own eigenbasis attains full ergotropy; no
     fine-grained measurement exceeds it. Also gives sampled / full ergotropy."""
-    rho, (energies, v), u = _sample(cfg, root, trials, ("state", "hamiltonian", "haar"))
     p, (w, vectors) = diagonal_in_basis(rho, v), np.linalg.eigh(rho)
     eye = np.eye(cfg.dimension)
     r_full = work(energies, p, w)
@@ -159,11 +157,10 @@ def _dense_estimate(rho: np.ndarray, basis: np.ndarray, post: np.ndarray) -> np.
     return hermitian_part(estimate)
 
 
-def _spectrum_majorization(cfg: AuditConfig, root: RandomSource, trials: range):
+def _spectrum_majorization(cfg: AuditConfig, rho, u, post):
     """Coarse-graining only mixes the estimate's spectrum: the fine spectrum
     majorizes the coarse one (within cfg.tolerance), the linking matrix is bistochastic,
     and it maps the fine outcome distribution onto the coarse spectrum (within TOL)."""
-    rho, u, post = _sample(cfg, root, trials, ("state", "haar", "post"))
     fine = estimate_spectrum(np.eye(cfg.dimension), diagonal_in_basis(rho, u), 1.0)
     # Checked against the estimate built from the element matrices, not the kernel.
     spec_coarse = np.clip(np.linalg.eigvalsh(_dense_estimate(rho, u, post)), 0.0, None)
@@ -176,22 +173,22 @@ def _spectrum_majorization(cfg: AuditConfig, root: RandomSource, trials: range):
     return margin, violated
 
 
-def _schur_concavity(cfg: AuditConfig, root: RandomSource, trials: range):
+def _schur_concavity(cfg: AuditConfig, energies, x, u):
     """Mixing a spectrum with a bistochastic matrix cannot lower its passive
     energy."""
-    energies, x, u = _sample(cfg, root, trials, ("levels", "simplex", "haar"))
     y = (np.abs(u) ** 2 @ x[..., np.newaxis])[..., 0]
     margin = passive_energy_of_spectrum(energies, x) - passive_energy_of_spectrum(energies, y)
     return margin, margin > cfg.tolerance
 
 
-def _chunks(claim: str, cfg: AuditConfig, evaluate):
-    """Yield (first trial index, *evaluate(cfg, root, trials)) per chunk of at most CHUNK_BYTES.
-    Trial t draws from stream root.split(t) in any chunk, so per-trial results do not depend on the chunking."""
+def _chunks(claim: str, cfg: AuditConfig):
+    """Yield (first trial index, *evaluate(cfg, *stacks)) per chunk of at most CHUNK_BYTES, its stacks sampled once from
+    the claim's kinds. Trial t draws from stream root.split(t) in any chunk, so no result depends on the chunking."""
+    kinds, evaluate = CLAIM_AUDITS[claim]
     root = RandomSource(cfg.seed).split(list(CLAIM_AUDITS).index(claim) + 1)
     size = max(1, CHUNK_BYTES // (16 * cfg.dimension ** 2 * (cfg.outcomes + 8)))
     for first in range(0, cfg.trials, size):
-        yield (first, *evaluate(cfg, root, range(first, min(first + size, cfg.trials))))
+        yield (first, *evaluate(cfg, *_sample(cfg, root, range(first, min(first + size, cfg.trials)), kinds)))
 
 
 def _run(claim: str, cfg: AuditConfig) -> AuditResult:
@@ -199,7 +196,7 @@ def _run(claim: str, cfg: AuditConfig) -> AuditResult:
     and (theorem3) the largest sampled share of full ergotropy."""
     start = time.perf_counter()
     violations, worst, worst_trial, ratio = 0, -np.inf, 0, -np.inf
-    for first, margins, violated, *ratios in _chunks(claim, cfg, CLAIM_AUDITS[claim]):
+    for first, margins, violated, *ratios in _chunks(claim, cfg):
         violations += int(np.count_nonzero(violated))
         k = int(np.argmax(margins))
         if margins[k] > worst:
@@ -209,14 +206,14 @@ def _run(claim: str, cfg: AuditConfig) -> AuditResult:
                        {"max_sampled_ratio": ratio} if ratio > -np.inf else {})
 
 
-# Claim selectors exposed by the CLI and their evaluators, in execution order
-# for full-suite runs; claim k (from 1) draws from stream k of the seed.
+# The claims the CLI exposes, in full-suite order: name -> (the draws one trial makes, in stream order; the evaluator
+# of their built stacks). Claim k (from 1) draws from stream k of the seed, so entries are only ever appended.
 CLAIM_AUDITS = {
-    "theorem1": _monotonicity,
-    "theorem2": _incoherent_limit,
-    "theorem3": _fine_grained_optimum,
-    "lemma1": _spectrum_majorization,
-    "schur": _schur_concavity,
+    "theorem1": (("state", "hamiltonian", "haar", "post"), _monotonicity),
+    "theorem2": (("hamiltonian", "state", "post"), _incoherent_limit),
+    "theorem3": (("state", "hamiltonian", "haar"), _fine_grained_optimum),
+    "lemma1": (("state", "haar", "post"), _spectrum_majorization),
+    "schur": (("levels", "simplex", "haar"), _schur_concavity),
 }
 
 

@@ -152,6 +152,19 @@ def test_haar_conjugation_preserves_spectrum():
         np.testing.assert_allclose(np.sort(rotated.spectrum()), before, atol=1e-9)
 
 
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_haar_from_ginibre_matches_haar_moments(d):
+    # E[U_11] = 0, E|U_11|^2 = 1/d and E|tr U|^2 = 1 over Haar, each within 5 standard errors of 4,000 seeded draws;
+    # a QR that leaves R's diagonal phases in is not Haar, and misses the first and the last by tens of errors
+    z = np.empty((4000, 2, d, d))
+    RandomSource(d).fill(range(len(z)), [("normal", z)])
+    u = states.haar_from_ginibre((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
+    moments = [(u[:, 0, 0].real, 0.0), (u[:, 0, 0].imag, 0.0), (np.abs(u[:, 0, 0]) ** 2, 1.0 / d),
+               (np.abs(np.trace(u, axis1=-2, axis2=-1)) ** 2, 1.0)]
+    for sample, expected in moments:
+        assert abs(sample.mean() - expected) <= 5.0 * sample.std() / np.sqrt(len(sample))
+
+
 def test_random_density_rank_one_is_pure():
     rho = random_density(2, 1, RandomSource(5))
     np.testing.assert_allclose(np.sort(rho.spectrum()), [0.0, 1.0], atol=1e-10)
