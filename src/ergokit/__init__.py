@@ -16,7 +16,6 @@ from .ergotropy import (
 )
 from .majorization import majorizes
 from .measurement import (
-    FineGrainedMeasurement,
     Povm,
     StochasticMatrix,
     coarse_grained_state,
@@ -42,7 +41,6 @@ __all__ = [
     "AuditConfig",
     "AuditResult",
     "DensityMatrix",
-    "FineGrainedMeasurement",
     "Hamiltonian",
     "Povm",
     "RandomSource",

@@ -3,11 +3,12 @@
 Each audit draws seeded random instances, evaluates one claim per trial, and
 reports the trial count, the number of tolerance violations, and the worst
 signed margin (positive margins are violations) and the first trial with it.
-``CLAIM_AUDITS`` declares the draws each claim makes. Trials run in chunks: each
-trial draws from its own stream, and the claim's evaluator reads the stacked
-draws with the library's kernels. Results are pure functions of the
-configuration, whatever the chunking, so re-running with the same seed
-reproduces them exactly. Sampling gives evidence, not a proof.
+``CLAIM_AUDITS`` declares the kinds each claim draws. Trials run in chunks:
+``RandomSource.sample`` builds a chunk's stacks, row i from trial i's own
+stream, so trial t replays alone as ``root.split(t).sample(kinds, ...)``, and
+the claim's evaluator reads the stacks with the library's kernels. Results are
+pure functions of the configuration, whatever the chunking, so re-running with
+the same seed reproduces them exactly. Sampling gives evidence, not a proof.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .ergotropy import passive_energy_of_spectrum, work
 from .linalg import LOOSE_TOL, TOL, diagonal_in_basis, energy_tol, hermitian_part, operator_in_basis
 from .majorization import majorization_deficit
 from .measurement import born_probabilities, estimate_spectrum, link_matrix
-from .states import RandomSource, ginibre_state, haar_from_ginibre, is_integer
+from .states import RandomSource, is_integer
 
 # Bytes of stacked arrays one chunk of trials may hold, a trial counting as 16 d^2 (n + 8): its complex d x d
 # stacks plus n matrices. lemma1 holds ELEMENT_BLOCK of its n elements at a time, so n over-counts it, but the
@@ -32,6 +33,11 @@ CHUNK_BYTES = 4 << 20
 # its sums, and with them each trial's margin, do not depend on the chunking; a chunk then holds at most this many
 # elements per trial whatever n is.
 ELEMENT_BLOCK = 8
+
+
+def _trial_bytes(d, n) -> int:
+    """One trial's bytes as CHUNK_BYTES counts them, in Python integers so that numpy sizes cannot wrap."""
+    return 16 * int(d) ** 2 * (int(n) + 8)
 
 
 @dataclass(frozen=True)
@@ -58,6 +64,9 @@ class AuditConfig:
             raise InvalidConfig(f"trials must lie in [1, 2^32), got {self.trials}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be a non-negative integer, got {self.seed}")
+        if _trial_bytes(d, self.outcomes) > np.iinfo(np.intp).max:  # past what any array can hold
+            raise InvalidConfig(f"one trial at dimension {d} with {self.outcomes} outcomes counts "
+                                f"{_trial_bytes(d, self.outcomes)} bytes, past the largest array size")
         tol = self.tolerance  # finite: inf would pass every margin, and an int past the float range cannot be compared
         if not (isinstance(tol, (float, np.floating)) or is_integer(tol)) or not 0 < tol <= np.finfo(float).max.item():
             raise InvalidConfig(f"tolerance must be a finite positive number, got {tol!r}")
@@ -76,42 +85,6 @@ class AuditResult:
     wall_time_s: float
     worst_trial: int = 0
     details: dict = field(default_factory=dict)
-
-
-def _draw(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -> list:
-    """Row i of each stack is what root.split(trials[i]) draws alone in the order of ``kinds``: complex Gaussians for
-    "state", "haar" and "hamiltonian" after its sorted uniform levels, standard exponentials for "post" and "simplex".
-    "levels" draws what "hamiltonian" does, but its real Gaussian pairs stay as drawn: nothing reads them."""
-    d, n = cfg.dimension, cfg.outcomes
-    hamiltonian = [("uniform", (d,)), ("normal", (2, d, d))]
-    draws = {"state": [("normal", (2, d, cfg.effective_rank))], "hamiltonian": hamiltonian, "levels": hamiltonian,
-             "haar": [("normal", (2, d, d))], "post": [("exponential", (n, d))], "simplex": [("exponential", (d,))]}
-    plan = [(kind, name, np.empty((len(trials), *shape))) for kind in kinds for name, shape in draws[kind]]
-    root.fill(trials, [(name, out) for _, name, out in plan])
-    for levels in (out for _, name, out in plan if name == "uniform"):
-        levels.sort(axis=-1)
-    return [(z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0) if name == "normal" and kind != "levels" else z
-            for kind, name, z in plan]
-
-
-def _sample(cfg: AuditConfig, root: RandomSource, trials: range, kinds: tuple) -> list:
-    """Build ``_draw``'s stacks, not checked again, one per kind but two for "hamiltonian": its ascending levels and the
-    Haar basis of their eigenvectors (no operator is built). "levels" is a hamiltonian's draws, its levels alone."""
-    stacks, built = iter(_draw(cfg, root, trials, kinds)), []
-    for kind in kinds:
-        x = next(stacks)
-        if kind == "state":
-            built.append(ginibre_state(x))
-        elif kind == "hamiltonian":
-            built += [x, haar_from_ginibre(next(stacks))]
-        elif kind == "levels":
-            next(stacks)
-            built.append(x)
-        elif kind == "haar":
-            built.append(haar_from_ginibre(x))
-        else:
-            built.append(x / x.sum(axis=-2 if kind == "post" else -1, keepdims=True))
-    return built
 
 
 def _monotonicity(cfg: AuditConfig, rho, energies, v, u, post):
@@ -186,9 +159,10 @@ def _chunks(claim: str, cfg: AuditConfig):
     the claim's kinds. Trial t draws from stream root.split(t) in any chunk, so no result depends on the chunking."""
     kinds, evaluate = CLAIM_AUDITS[claim]
     root = RandomSource(cfg.seed).split(list(CLAIM_AUDITS).index(claim) + 1)
-    size = max(1, CHUNK_BYTES // (16 * cfg.dimension ** 2 * (cfg.outcomes + 8)))
+    size = max(1, CHUNK_BYTES // _trial_bytes(cfg.dimension, cfg.outcomes))
     for first in range(0, cfg.trials, size):
-        yield (first, *evaluate(cfg, *_sample(cfg, root, range(first, min(first + size, cfg.trials)), kinds)))
+        trials = range(first, min(first + size, cfg.trials))
+        yield (first, *evaluate(cfg, *root.sample(kinds, cfg.dimension, cfg.outcomes, cfg.effective_rank, trials)))
 
 
 def _run(claim: str, cfg: AuditConfig) -> AuditResult:

@@ -69,11 +69,10 @@ def cmd_sweep(args) -> int:
     if base is None:
         base = computational_basis(instance.dimension)
     grid = parse_grid(args.grid)
-    for value in grid:  # every value's checks, in their order, before the first row is computed
-        family_matrix(args.family, value, base.n_outcomes)
+    # every value's checks, in their order, before the first row is computed
+    posts = [family_matrix(args.family, value, base.n_outcomes) for value in grid]
     rows = [{"parameter": value, "observational_ergotropy": observational_ergotropy(
-        instance.state, instance.hamiltonian, post_process(base, family_matrix(args.family, value, base.n_outcomes)))}
-        for value in grid]
+        instance.state, instance.hamiltonian, post_process(base, post))} for value, post in zip(grid, posts)]
     _write_rows(rows, args.format, args.output)
     return 0
 

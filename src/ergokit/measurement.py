@@ -52,33 +52,37 @@ class Povm:
     all-zero rows.
 
     The base is a unitary U, whose elements M_j = U e_j e_j^dag U^dag are
-    rank-1 projectors of volume 1, or a dense (k, d, d) stack of positive
-    operators summing to the identity. ``Povm(base)`` validates a dense stack
-    once and sets D = I; zero elements are forbidden because coarse-grained
-    states divide by each element's volume (trace). Element matrices are
-    built only when ``elements`` is read.
+    rank-1 projectors of volume 1 (a fine-grained measurement onto U's
+    columns), or a dense (k, d, d) stack of positive operators summing to the
+    identity. ``Povm(base)`` validates either once and sets D = I; zero
+    elements are forbidden because coarse-grained states divide by each
+    element's volume (trace). Element matrices are built only when
+    ``elements`` is read.
     """
 
     base: np.ndarray
     post: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not len(self.base):
-            raise DegeneratePovm("a POVM needs at least one element")
-        mats = as_matrix([require_hermitian(e, what=f"POVM element {k}") for k, e in enumerate(self.base)], stack=True)
-        lows = np.linalg.eigvalsh(hermitian_part(mats))[:, 0]
-        k = int(np.argmin(lows))
-        if float(lows[k]) < -TOL:
-            raise InvalidPovm(f"POVM element {k} has eigenvalue {float(lows[k]):.3e} below {-TOL:.0e}")
-        volumes = np.trace(mats, axis1=1, axis2=2).real
-        k = int(np.argmin(volumes))
-        if float(volumes[k]) < TOL:
-            raise DegeneratePovm(f"POVM element {k} is (numerically) the zero operator")
-        defect = max_abs(mats.sum(axis=0) - np.eye(mats.shape[-1]))
-        if defect > LOOSE_TOL:
-            raise InvalidPovm(f"POVM elements sum to identity within {defect:.3e} > {LOOSE_TOL:.0e}")
-        object.__setattr__(self, "base", mats)
-        object.__setattr__(self, "post", np.eye(len(mats)))
+        base = as_matrix(self.base, stack=True)  # DimensionMismatch for an empty or ragged base
+        if base.ndim == 2:
+            base = require_unitary(base, what="basis")
+        else:
+            for k, e in enumerate(base):
+                require_hermitian(e, what=f"POVM element {k}")
+            lows = np.linalg.eigvalsh(hermitian_part(base))[:, 0]
+            k = int(np.argmin(lows))
+            if float(lows[k]) < -TOL:
+                raise InvalidPovm(f"POVM element {k} has eigenvalue {float(lows[k]):.3e} below {-TOL:.0e}")
+            volumes = np.trace(base, axis1=1, axis2=2).real
+            k = int(np.argmin(volumes))
+            if float(volumes[k]) < TOL:
+                raise DegeneratePovm(f"POVM element {k} is (numerically) the zero operator")
+            defect = max_abs(base.sum(axis=0) - np.eye(base.shape[-1]))
+            if defect > LOOSE_TOL:
+                raise InvalidPovm(f"POVM elements sum to identity within {defect:.3e} > {LOOSE_TOL:.0e}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "post", np.eye(len(base)))
 
     @property
     def dim(self) -> int:
@@ -106,28 +110,17 @@ class Povm:
         return (self.post @ self.base.reshape(len(self.base), -1)).reshape(-1, self.dim, self.dim)
 
 
-class FineGrainedMeasurement(Povm):
-    """Rank-1 projective measurement onto the columns of an orthonormal
-    basis: the unitary base with identity post-processing."""
-
-    @classmethod
-    def from_basis(cls, basis) -> "FineGrainedMeasurement":
-        u = require_unitary(basis, what="basis")
-        return unchecked(cls, base=u, post=np.eye(len(u)))
-
-
-def computational_basis(d: int) -> FineGrainedMeasurement:
+def computational_basis(d: int) -> Povm:
     check_dimension(d)
-    return unchecked(FineGrainedMeasurement, base=np.eye(d, dtype=complex), post=np.eye(d))
+    return unchecked(Povm, base=np.eye(d, dtype=complex), post=np.eye(d))
 
 
 def random_column_stochastic(n_out: int, n_in: int, rng: RandomSource) -> StochasticMatrix:
-    """Sample each column uniformly on the probability simplex (normalized
-    exponential variates); column-stochastic by construction, so not validated again."""
+    """Sample each column uniformly on the probability simplex (recipe "post"); column-stochastic by
+    construction, so not validated again."""
     check_dimension(n_out)
     check_dimension(n_in)
-    cols = rng.exponential((n_out, n_in))
-    return unchecked(StochasticMatrix, entries=cols / cols.sum(axis=0))
+    return unchecked(StochasticMatrix, entries=rng.sample(("post",), n_in, n_out)[0])
 
 
 def post_process(p: Povm, d: StochasticMatrix) -> Povm:
@@ -209,7 +202,6 @@ def coarse_grained_spectrum(rho: DensityMatrix, m: Povm) -> np.ndarray:
 
 
 __all__ = [
-    "FineGrainedMeasurement",
     "Povm",
     "StochasticMatrix",
     "coarse_grained_spectrum",

@@ -2,6 +2,8 @@
 
 All randomness flows through :class:`RandomSource`, an explicit value that
 callers pass in and may split per trial; nothing touches global RNG state.
+Constructors and audits alike build each random kind through
+``RandomSource.sample`` from its one entry in ``recipes``.
 """
 
 from __future__ import annotations
@@ -84,6 +86,19 @@ class RandomSource:
                                        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
             for draw, out in draws:
                 draw(out=out[i])
+
+    def sample(self, kinds, d: int, n: int = 1, rank: int | None = None, trials: range | None = None) -> list:
+        """The stacks ``recipes(d, n, rank)`` builds for ``kinds``, in order. Trials None draws from this stream itself;
+        a range draws row i through ``fill`` from ``split(trials[i])``, which alone samples the same row bit for bit."""
+        table = recipes(d, n, rank)
+        plan = [draw for kind in kinds for draw in table[kind][0]]
+        if trials is None:
+            draws = [getattr(self._gen, _FILL[name])(shape) for name, shape in plan]
+        else:
+            draws = [np.empty((len(trials), *shape)) for _, shape in plan]
+            self.fill(trials, [(name, out) for (name, _), out in zip(plan, draws)])
+        draws = iter(draws)
+        return [stack for kind in kinds for stack in table[kind][1](*(next(draws) for _ in table[kind][0]))]
 
     def normal(self, shape) -> np.ndarray:
         return self._gen.standard_normal(shape)
@@ -180,10 +195,9 @@ def dephase(rho: DensityMatrix, h: Hamiltonian) -> DensityMatrix:
     return DensityMatrix._in_basis(h.eigenbasis, energy_populations(rho, h))
 
 
-def haar_unitary(d: int, rng: RandomSource) -> np.ndarray:
-    """Haar-distributed d x d unitary from a complex Ginibre draw."""
-    check_dimension(d)
-    return haar_from_ginibre(rng.complex_normal((d, d)))
+def _complex_pairs(z: np.ndarray) -> np.ndarray:
+    """Standard complex Gaussians from real ones paired on axis -3: independent N(0, 1/2) real and imaginary parts."""
+    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
 
 
 def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
@@ -199,22 +213,42 @@ def ginibre_state(g: np.ndarray) -> np.ndarray:
     return hermitian_part(rho / np.trace(rho, axis1=-2, axis2=-1).real[..., np.newaxis, np.newaxis])
 
 
+def recipes(d: int, n: int = 1, rank: int | None = None) -> dict:
+    """Each random kind's one recipe at dimension d, n outcomes and state rank (default d): kind -> (its draws in stream
+    order as (fill name, shape), the builder of their stacks into a list; leading axes are a batch). "hamiltonian" builds
+    its ascending levels and their Haar eigenbasis (no operator); "levels" makes the same draws but keeps the levels
+    alone, so later kinds' draws do not move. What a builder returns holds as built and is not validated again."""
+    gaussians = ("normal", (2, d, d))
+    hamiltonian = [("uniform", (d,)), gaussians]
+    return {"state": ([("normal", (2, d, d if rank is None else rank))], lambda z: [ginibre_state(_complex_pairs(z))]),
+            "hamiltonian": (hamiltonian, lambda e, z: [np.sort(e, axis=-1), haar_from_ginibre(_complex_pairs(z))]),
+            "levels": (hamiltonian, lambda e, z: [np.sort(e, axis=-1)]),
+            "haar": ([gaussians], lambda z: [haar_from_ginibre(_complex_pairs(z))]),
+            "post": ([("exponential", (n, d))], lambda x: [x / x.sum(axis=-2, keepdims=True)]),
+            "simplex": ([("exponential", (d,))], lambda x: [x / x.sum(axis=-1, keepdims=True)])}
+
+
+def haar_unitary(d: int, rng: RandomSource) -> np.ndarray:
+    """Haar-distributed d x d unitary from a complex Ginibre draw."""
+    check_dimension(d)
+    return rng.sample(("haar",), d)[0]
+
+
 def random_density(d: int, rank: int, rng: RandomSource) -> DensityMatrix:
-    """Hilbert-Schmidt-style random state: ``ginibre_state`` of a d x rank complex Gaussian matrix, exactly
-    Hermitian, unit-trace and PSD by construction, so only its eigenvalues are computed."""
+    """Hilbert-Schmidt-style random state of the given rank (recipe "state"), exactly Hermitian, unit-trace and PSD
+    by construction, so only its eigenvalues are computed."""
     check_dimension(d)
     if not is_integer(rank) or not 1 <= rank <= d:
         raise InvalidRank(f"rank must satisfy 1 <= rank <= {d}, got {rank}")
-    op = ginibre_state(rng.complex_normal((d, rank)))
+    op = rng.sample(("state",), d, rank=rank)[0]
     return unchecked(DensityMatrix, op=op, eigenvalues=np.linalg.eigvalsh(op))
 
 
 def random_hamiltonian(d: int, rng: RandomSource) -> Hamiltonian:
-    """Random observable: sorted uniform [0, 1] levels conjugated by a Haar unitary. It
+    """Random observable: sorted uniform [0, 1] levels conjugated by a Haar unitary (recipe "hamiltonian"). It
     is built from the levels and basis it drew, neither validated nor eigensolved."""
     check_dimension(d)
-    levels = np.sort(rng.uniform(d))
-    basis = haar_unitary(d, rng)
+    levels, basis = rng.sample(("hamiltonian",), d)
     return unchecked(Hamiltonian, op=hermitian_part(operator_in_basis(basis, levels)), energies=levels, eigenbasis=basis)
 
 
@@ -257,4 +291,5 @@ __all__ = [
     "pure_state",
     "random_density",
     "random_hamiltonian",
+    "recipes",
 ]

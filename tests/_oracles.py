@@ -14,7 +14,6 @@ from ergokit.ergotropy import ergotropy, incoherent_ergotropy, observational_erg
 from ergokit.linalg import TOL, eig_hermitian, energy_tol, max_abs, unchecked
 from ergokit.majorization import majorization_deficit
 from ergokit.measurement import (
-    FineGrainedMeasurement,
     Povm,
     coarse_grained_state,
     energy_incoherent,
@@ -22,7 +21,7 @@ from ergokit.measurement import (
     post_process,
     random_column_stochastic,
 )
-from ergokit.states import haar_unitary, random_density, random_hamiltonian
+from ergokit.states import ginibre_state, haar_from_ginibre, haar_unitary, random_density, random_hamiltonian
 
 
 def sampled_min_energy(rho_op, h_op, samples, seed, batch=2000):
@@ -51,15 +50,25 @@ def qubit_sweep_closed_form(b):
     return ((3.0 + b) / 4.0) * (1.0 / (1.0 + b)) - 0.25
 
 
-def trial_draws(cfg, rng, kinds):
-    """One audit trial's raw draws from its own stream, one call per draw, in
-    the order of ``kinds`` (the reference for the chunked sampler's rows)."""
-    d, n = cfg.dimension, cfg.outcomes
-    draws = {"state": lambda: [rng.complex_normal((d, cfg.effective_rank))],
-             "hamiltonian": lambda: [np.sort(rng.uniform(d)), rng.complex_normal((d, d))],
-             "haar": lambda: [rng.complex_normal((d, d))],
-             "post": lambda: [rng.exponential((n, d))],
-             "simplex": lambda: [rng.exponential(d)]}
+def trial_draws(rng, kinds, d, n=1, rank=None):
+    """What one stream samples for ``kinds``, built from one per-draw call each (``complex_normal``, ``uniform``,
+    ``normal``, ``exponential``), not from ``states.recipes``: the reference for the rows of ``RandomSource.sample``."""
+    rank = d if rank is None else rank
+
+    def normalised(x):  # a vector, or each column of a matrix, onto the simplex
+        return x / x.sum(axis=0)
+
+    def levels():
+        energies = np.sort(rng.uniform(d))
+        rng.normal((2, d, d))  # the basis's Gaussians: drawn, so later draws stay put, and dropped
+        return [energies]
+
+    draws = {"state": lambda: [ginibre_state(rng.complex_normal((d, rank)))],
+             "hamiltonian": lambda: [np.sort(rng.uniform(d)), haar_from_ginibre(rng.complex_normal((d, d)))],
+             "levels": levels,
+             "haar": lambda: [haar_from_ginibre(rng.complex_normal((d, d)))],
+             "post": lambda: [normalised(rng.exponential((n, d)))],
+             "simplex": lambda: [normalised(rng.exponential(d))]}
     return [x for kind in kinds for x in draws[kind]()]
 
 
@@ -74,7 +83,7 @@ def monotonicity_trial(cfg, rng):
     d = cfg.dimension
     rho = random_density(d, cfg.effective_rank, rng)
     h = random_hamiltonian(d, rng)
-    fine = FineGrainedMeasurement.from_basis(haar_unitary(d, rng))
+    fine = Povm(haar_unitary(d, rng))
     dmat = random_column_stochastic(cfg.outcomes, d, rng)
     coarse = post_process(fine, dmat)
     margin = observational_ergotropy(rho, h, coarse) - observational_ergotropy(rho, h, fine)
@@ -88,7 +97,7 @@ def incoherent_limit_trial(cfg, rng):
     h = random_hamiltonian(d, rng)
     rho = random_density(d, cfg.effective_rank, rng)
     r_inc = incoherent_ergotropy(rho, h)
-    energy_basis = FineGrainedMeasurement.from_basis(h.eigenbasis)
+    energy_basis = Povm(h.eigenbasis)
     equality_gap = abs(observational_ergotropy(rho, h, energy_basis) - r_inc)
     q = random_column_stochastic(cfg.outcomes, d, rng)
     bound_margin = observational_ergotropy(rho, h, energy_incoherent(h, q)) - r_inc
@@ -103,9 +112,9 @@ def fine_grained_optimum_trial(cfg, rng):
     rho = random_density(d, cfg.effective_rank, rng)
     h = random_hamiltonian(d, rng)
     r_full = ergotropy(rho, h)
-    own_basis = FineGrainedMeasurement.from_basis(eig_hermitian(rho.op)[1])
+    own_basis = Povm(eig_hermitian(rho.op)[1])
     equality_gap = abs(observational_ergotropy(rho, h, own_basis) - r_full)
-    sampled = FineGrainedMeasurement.from_basis(haar_unitary(d, rng))
+    sampled = Povm(haar_unitary(d, rng))
     r_sampled = observational_ergotropy(rho, h, sampled)
     bound_margin = r_sampled - r_full
     ratio = (r_sampled / r_full, r_full) if r_full > energy_tol(d, max_abs(h.energies)) else None
@@ -119,7 +128,7 @@ def spectrum_majorization_trial(cfg, rng):
     the fine outcome distribution onto the coarse spectrum."""
     d = cfg.dimension
     rho = random_density(d, cfg.effective_rank, rng)
-    fine = FineGrainedMeasurement.from_basis(haar_unitary(d, rng))
+    fine = Povm(haar_unitary(d, rng))
     dmat = random_column_stochastic(cfg.outcomes, d, rng)
     coarse = post_process(fine, dmat)
     spec_fine = coarse_grained_state(rho, fine).spectrum()

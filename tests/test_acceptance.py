@@ -15,7 +15,7 @@ import pytest
 from ergokit.audits import AuditConfig, run_audit
 from ergokit.cli import main
 from ergokit.ergotropy import observational_ergotropy, passive_energy, report
-from ergokit.measurement import FineGrainedMeasurement, computational_basis
+from ergokit.measurement import Povm, computational_basis
 from ergokit.states import (
     RandomSource,
     diagonal_hamiltonian,
@@ -50,7 +50,7 @@ def test_criterion_2_coherence_advantage():
     plus = pure_state([1.0, 1.0])
     rep = report(plus, H01)
     energy_basis = computational_basis(2)
-    coherent_basis = FineGrainedMeasurement.from_basis(
+    coherent_basis = Povm(
         np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
     obs_energy = observational_ergotropy(plus, H01, energy_basis)
     obs_coherent = observational_ergotropy(plus, H01, coherent_basis)

@@ -119,7 +119,7 @@ def test_fine_grained_optimum_reports_sampled_ratio():
 def test_sampled_supremum_close_for_fixed_instance():
     # diagnostic, not the theorem: 10^3 Haar bases should come within a few
     # percent of the optimum for a generic qutrit instance (bound still holds)
-    from ergokit.measurement import FineGrainedMeasurement
+    from ergokit.measurement import Povm
     from ergokit.states import RandomSource, haar_unitary, random_density, random_hamiltonian
     from ergokit.ergotropy import ergotropy
 
@@ -129,7 +129,7 @@ def test_sampled_supremum_close_for_fixed_instance():
     target = ergotropy(rho, h)
     best = -np.inf
     for t in range(1000):
-        m = FineGrainedMeasurement.from_basis(haar_unitary(3, rng.split(t)))
+        m = Povm(haar_unitary(3, rng.split(t)))
         best = max(best, observational_ergotropy(rho, h, m))
     assert best <= target + 1e-9
     assert best >= 0.95 * target
@@ -253,7 +253,7 @@ def test_large_dimension_runs_one_trial_per_chunk():
 
 def test_theorem2_holds_on_tied_levels(monkeypatch):
     # levels rounded onto {0, 0.5, 1}: most trials carry exactly equal energies
-    fill, sample, levels = RandomSource.fill, audits._sample, []
+    fill, sample, levels = RandomSource.fill, RandomSource.sample, []
 
     def tied_fill(self, trials, plan):
         fill(self, trials, plan)
@@ -262,13 +262,13 @@ def test_theorem2_holds_on_tied_levels(monkeypatch):
                 np.round(2.0 * out, out=out)
                 out /= 2.0
 
-    def spy(cfg, root, trials, kinds):
-        built = sample(cfg, root, trials, kinds)
+    def spy(self, kinds, *args):
+        built = sample(self, kinds, *args)
         levels.append(built[kinds.index("hamiltonian")])  # theorem2 draws its Hamiltonian first: levels, basis
         return built
 
     monkeypatch.setattr(RandomSource, "fill", tied_fill)
-    monkeypatch.setattr(audits, "_sample", spy)
+    monkeypatch.setattr(RandomSource, "sample", spy)
     cfg = AuditConfig(dimension=3, outcomes=4, trials=500, seed=3)
     result = run_audit("theorem2", cfg)
     tied = np.count_nonzero((np.diff(np.concatenate(levels), axis=-1) == 0.0).any(axis=-1))
@@ -279,16 +279,16 @@ def test_theorem2_holds_on_tied_levels(monkeypatch):
 # --- what the engine builds and how often it eigensolves ---------------------
 
 
-def assert_sample_is_valid(cfg, seed, first):
-    """Every object ``_sample`` builds holds as built: unit-trace PSD states, ascending levels, unitary bases,
-    stochastic columns."""
+def assert_sample_is_valid(d, rank, seed, first):
+    """Every object ``RandomSource.sample`` builds holds as built: unit-trace PSD states, ascending levels, unitary
+    bases, stochastic columns."""
     trials = range(first, first + 3)
-    rho, levels, basis, u, post, x = audits._sample(cfg, RandomSource(seed), trials, DRAW_KINDS)
+    rho, levels, basis, u, post, x = RandomSource(seed).sample(DRAW_KINDS, d, 4, rank, trials)
     assert np.all(np.diff(levels, axis=-1) >= 0.0)
     assert np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max() <= TOL
     assert np.linalg.eigvalsh(rho).min() >= -TOL
     for v in (basis, u):
-        assert np.abs(adjoint(v) @ v - np.eye(cfg.dimension)).max() <= TOL
+        assert np.abs(adjoint(v) @ v - np.eye(d)).max() <= TOL
     assert np.abs(post.sum(axis=-2) - 1.0).max() <= TOL and np.abs(x.sum(axis=-1) - 1.0).max() <= TOL
 
 
@@ -297,14 +297,13 @@ def assert_sample_is_valid(cfg, seed, first):
 @given(seed=st.integers(0, 2 ** 64), first=st.integers(0, 2 ** 32 - 4))
 @settings(deadline=None, max_examples=10)
 def test_sampled_objects_need_no_check(d, full_rank, seed, first):
-    assert_sample_is_valid(AuditConfig(dimension=d, outcomes=4, rank=d if full_rank else 1), seed, first)
+    assert_sample_is_valid(d, d if full_rank else 1, seed, first)
 
 
 @pytest.mark.parametrize("d", [1, 3, 8, 64])
 def test_energy_from_populations_is_the_trace(d):
     # the audits read tr(H rho) as sum_k E_k p_k off rho's populations p in H's eigenbasis
-    cfg = AuditConfig(dimension=d, outcomes=4)
-    rho, levels, basis = audits._sample(cfg, RandomSource(d), range(5), ("state", "hamiltonian"))
+    rho, levels, basis = RandomSource(d).sample(("state", "hamiltonian"), d, 4, trials=range(5))
     mean = np.sum(levels * diagonal_in_basis(rho, basis), axis=-1)
     trace = np.trace(operator_in_basis(basis, levels) @ rho, axis1=-2, axis2=-1).real
     assert np.all(np.abs(mean - trace) <= energy_tol(d, np.abs(levels).max(axis=-1)))
@@ -328,9 +327,9 @@ def test_lemma1_counts_a_faulty_dense_estimate_as_violations(monkeypatch, capsys
 
 @pytest.mark.parametrize("builder", ["ginibre_state", "haar_from_ginibre"])
 def test_sample_property_catches_a_doubled_builder(monkeypatch, builder):
-    monkeypatch.setattr(audits, builder, lambda z, _f=getattr(states, builder): 2.0 * _f(z))
+    monkeypatch.setattr(states, builder, lambda z, _f=getattr(states, builder): 2.0 * _f(z))
     with pytest.raises(AssertionError):
-        assert_sample_is_valid(CFG_SMALL, 0, 0)
+        assert_sample_is_valid(3, 3, 0, 0)
 
 
 @pytest.mark.parametrize("claim, solves", [("theorem1", ["qr", "qr"]), ("theorem2", ["qr"]),
@@ -380,16 +379,17 @@ def assert_bitwise(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("kinds", [(kind,) for kind in DRAW_KINDS] + [DRAW_KINDS, ("hamiltonian", "state", "post")])
+@pytest.mark.parametrize("kinds", [(kind,) for kind in DRAW_KINDS] + [DRAW_KINDS, ("hamiltonian", "state", "post"),
+                                                                      ("levels", "simplex", "haar")])
 @pytest.mark.parametrize("first, size", [(0, 1), (0, 7), (0, 16), (5, 1), (5, 7), (5, 16)])
 def test_chunk_draws_equal_per_trial_streams(kinds, first, size):
-    # a two-word seed; trial t of any chunk draws what root.split(t) draws alone
-    cfg = AuditConfig(dimension=3, outcomes=4, rank=2, trials=16, seed=2 ** 32 + 3)
-    root = RandomSource(cfg.seed).split(3)
-    trials = range(first, min(first + size, cfg.trials))
-    stacks = audits._draw(cfg, root, trials, kinds)
+    # a two-word seed; trial t of any chunk builds what root.split(t) draws alone, one per-draw call at a time
+    d, n, rank = 3, 4, 2
+    root = RandomSource(2 ** 32 + 3).split(3)
+    trials = range(first, min(first + size, 16))
+    stacks = root.sample(kinds, d, n, rank, trials)
     for i, t in enumerate(trials):
-        expected = trial_draws(cfg, root.split(t), kinds)
+        expected = trial_draws(root.split(t), kinds, d, n, rank)
         assert len(stacks) == len(expected)
         for stack, reference in zip(stacks, expected):
             assert_bitwise(stack[i], reference)
@@ -397,13 +397,12 @@ def test_chunk_draws_equal_per_trial_streams(kinds, first, size):
 
 @pytest.mark.parametrize("after", [(), ("haar",), ("simplex", "haar")])
 def test_levels_kind_keeps_its_gaussians_real(after):
-    # schur reads only the levels of its Hamiltonian draw, so the Gaussian pairs stay as drawn; the streams do not move
-    cfg = AuditConfig(dimension=3, outcomes=4, trials=16, seed=5)
-    root, trials = RandomSource(cfg.seed).split(5), range(3, 10)
-    levels, pairs, *rest = audits._draw(cfg, root, trials, ("levels", *after))
-    energies, gaussians, *expected = audits._draw(cfg, root, trials, ("hamiltonian", *after))
-    assert pairs.dtype == np.float64 and pairs.shape == (len(trials), 2, 3, 3)
+    # schur reads only the levels of its Hamiltonian draw: "levels" makes the same draws, builds nothing from its
+    # Gaussian pairs, and leaves every later kind's draws where "hamiltonian" leaves them
+    root, trials = RandomSource(5).split(5), range(3, 10)
+    assert states.recipes(3, 4)["levels"][0] == states.recipes(3, 4)["hamiltonian"][0]
+    levels, *rest = root.sample(("levels", *after), 3, 4, trials=trials)
+    energies, _, *expected = root.sample(("hamiltonian", *after), 3, 4, trials=trials)
     assert_bitwise(levels, energies)
-    assert_bitwise((pairs[:, 0] + 1j * pairs[:, 1]) / np.sqrt(2.0), gaussians)
     for stack, reference in zip(rest, expected, strict=True):
         assert_bitwise(stack, reference)

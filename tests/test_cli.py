@@ -304,16 +304,25 @@ class TestSweep:
         assert (code, out, len(calls)) == (2, "", 0)
         assert "[0, 1]" in err
 
+    def test_each_family_matrix_is_built_once(self, qubit_file, capsys, monkeypatch):
+        from ergokit import cli
+
+        values = []
+        monkeypatch.setattr(cli, "family_matrix", lambda *a, _f=cli.family_matrix: values.append(a[1]) or _f(*a))
+        code, _, err = run_cli(capsys, "sweep", qubit_file, "--family", "mix", "--grid", "0:1:5")
+        assert code == 0, err
+        assert values == list(np.linspace(0.0, 1.0, 5))  # one call per grid value, in grid order
+
 
 def sweep_instance_file(tmp_path):
     """A random qubit with dense POVMs of 2 and 4 outcomes: a Haar basis and a random coarsening of another."""
     from ergokit.instances import matrix_to_json, povm_to_json
-    from ergokit.measurement import FineGrainedMeasurement, post_process, random_column_stochastic
+    from ergokit.measurement import Povm, post_process, random_column_stochastic
     from ergokit.states import RandomSource, haar_unitary, random_density, random_hamiltonian
 
     rng = RandomSource(17)
-    basis = FineGrainedMeasurement.from_basis(haar_unitary(2, rng))
-    general = post_process(FineGrainedMeasurement.from_basis(haar_unitary(2, rng)), random_column_stochastic(4, 2, rng))
+    basis = Povm(haar_unitary(2, rng))
+    general = post_process(Povm(haar_unitary(2, rng)), random_column_stochastic(4, 2, rng))
     doc = {"dimension": 2, "hamiltonian": matrix_to_json(random_hamiltonian(2, rng).op),
            "state": matrix_to_json(random_density(2, 2, rng).op),
            "measurements": {"basis": povm_to_json(basis), "general": povm_to_json(general)}}
@@ -400,15 +409,23 @@ class TestVerify:
         assert "seed must be a non-negative integer, got -1" in err
 
     def test_out_of_memory_exits_2(self, capsys, monkeypatch):
-        from ergokit import audits
+        from ergokit.states import RandomSource
 
         def exhausted(*args):
             raise MemoryError("Unable to allocate 549. MiB for an array")
 
-        monkeypatch.setattr(audits, "_sample", exhausted)
+        monkeypatch.setattr(RandomSource, "sample", exhausted)
         code, out, err = run_cli(capsys, "verify", "theorem1", "--trials", "1")
         assert (code, out) == (2, "")
         assert err == "error: Unable to allocate 549. MiB for an array\n"
+
+    @pytest.mark.parametrize("size", [["--d", "2", "--n", "4611686018427387904"], ["--d", "4294967296"]])
+    def test_trial_past_the_largest_array_exits_2(self, size):
+        # one trial's 16 d^2 (n + 8) bytes exceed what numpy can index, so the config is rejected before any draw
+        cmd = [sys.executable, "-m", "ergokit", "verify", "theorem1", *size, "--trials", "1"]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: one trial at dimension") and "Traceback" not in proc.stderr
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets RLIMIT_AS on the child")
     def test_out_of_memory_in_a_child_exits_2(self):

@@ -19,7 +19,7 @@ from ergokit.ergotropy import (
 from ergokit.errors import DimensionMismatch, NonFinite
 from ergokit.instances import matrix_to_json
 from ergokit.linalg import adjoint, energy_tol, max_abs
-from ergokit.measurement import FineGrainedMeasurement, Povm, StochasticMatrix, computational_basis, post_process, random_column_stochastic
+from ergokit.measurement import Povm, StochasticMatrix, computational_basis, post_process, random_column_stochastic
 from ergokit.states import (
     RandomSource,
     diagonal_hamiltonian,
@@ -144,13 +144,13 @@ def test_observational_ergotropy_eigenbasis_recovers_full():
     rng = RandomSource(36)
     rho = random_density(4, 4, rng)
     h = random_hamiltonian(4, rng)
-    basis = FineGrainedMeasurement.from_basis(rho.eig()[1])
+    basis = Povm(rho.eig()[1])
     assert observational_ergotropy(rho, h, basis) == pytest.approx(ergotropy(rho, h), abs=1e-10)
 
 
 def test_observational_ergotropy_can_be_negative():
     ground = diagonal_state([1.0, 0.0])
-    plus_minus = FineGrainedMeasurement.from_basis(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+    plus_minus = Povm(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
     assert observational_ergotropy(ground, H01, plus_minus) == pytest.approx(-0.5, abs=1e-12)
 
 
@@ -161,7 +161,7 @@ def test_observational_never_exceeds_ergotropy():
         sub = rng.split(t)
         rho = random_density(3, 3, sub)
         h = random_hamiltonian(3, sub)
-        m = post_process(FineGrainedMeasurement.from_basis(haar_unitary(3, sub)),
+        m = post_process(Povm(haar_unitary(3, sub)),
                          random_column_stochastic(5, 3, sub))
         assert observational_ergotropy(rho, h, m) <= ergotropy(rho, h) + 1e-9
 
@@ -181,7 +181,7 @@ def test_observational_pure_state_in_own_basis():
     rng = RandomSource(44)
     rho = random_density(3, 1, rng)
     h = random_hamiltonian(3, rng)
-    basis = FineGrainedMeasurement.from_basis(rho.eig()[1])
+    basis = Povm(rho.eig()[1])
     expected = np.trace(h.op @ rho.op).real - float(h.energies[0])
     assert observational_ergotropy(rho, h, basis) == pytest.approx(expected, abs=1e-10)
 
@@ -211,7 +211,7 @@ def test_incoherent_matches_energy_basis_measurement():
         sub = rng.split(t)
         rho = random_density(3, 3, sub)
         h = random_hamiltonian(3, sub)
-        energy_basis = FineGrainedMeasurement.from_basis(h.eigenbasis)
+        energy_basis = Povm(h.eigenbasis)
         assert observational_ergotropy(rho, h, energy_basis) == pytest.approx(
             incoherent_ergotropy(rho, h), abs=1e-10)
 
@@ -223,7 +223,7 @@ def test_theorem2_equality_is_exact_in_the_object_api(d):
     for t in range(75):
         sub = rng.split(t)
         rho, h = random_density(d, d, sub), random_hamiltonian(d, sub)
-        energy_basis = FineGrainedMeasurement.from_basis(h.eigenbasis)
+        energy_basis = Povm(h.eigenbasis)
         assert observational_ergotropy(rho, h, energy_basis) == incoherent_ergotropy(rho, h)
 
 
@@ -266,7 +266,7 @@ def test_report_with_own_eigenbasis_measurement():
     rng = RandomSource(42)
     rho = random_density(3, 3, rng)
     h = random_hamiltonian(3, rng)
-    basis = FineGrainedMeasurement.from_basis(rho.eig()[1])
+    basis = Povm(rho.eig()[1])
     rep = report(rho, h, basis)
     assert rep.observational == pytest.approx(rep.ergotropy, abs=1e-10)
 
@@ -275,7 +275,7 @@ def test_report_with_own_eigenbasis_measurement():
 def test_report_fields_equal_the_single_quantity_functions(d):
     rng = RandomSource(62 + d)
     rho, h = random_density(d, d, rng), random_hamiltonian(d, rng)
-    coarse = post_process(FineGrainedMeasurement.from_basis(haar_unitary(d, rng)), random_column_stochastic(3, d, rng))
+    coarse = post_process(Povm(haar_unitary(d, rng)), random_column_stochastic(3, d, rng))
     for m in (None, coarse, Povm(coarse.elements)):
         rep = report(rho, h, m)
         assert (rep.passive_energy, rep.ergotropy, rep.incoherent, rep.coherent, rep.observational) == (

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from ergokit.audits import AuditConfig
-from ergokit.errors import DimensionMismatch, ErgokitError, InvalidConfig, InvalidRank, NonFinite, PreconditionFailed
+from ergokit.errors import (DimensionMismatch, ErgokitError, InvalidConfig, InvalidRank, NonFinite, NotUnitary,
+                            PreconditionFailed)
 from ergokit.instances import instance_from_dict
 from ergokit.linalg import as_matrix
 from ergokit.majorization import majorization_deficit, majorizes
-from ergokit.measurement import (FineGrainedMeasurement, Povm, StochasticMatrix, computational_basis,
-                                 random_column_stochastic)
+from ergokit.measurement import Povm, StochasticMatrix, computational_basis, random_column_stochastic
 from ergokit.states import (DensityMatrix, Hamiltonian, RandomSource, diagonal_hamiltonian, diagonal_state, haar_unitary,
                             maximally_mixed, pure_state, random_density, random_hamiltonian)
 
@@ -54,12 +54,15 @@ BAD_INPUTS = {
     "float audit rank": lambda: AuditConfig(rank=1.5),
     "float audit trials": lambda: AuditConfig(trials=2.5),
     "string audit tolerance": lambda: AuditConfig(tolerance="a"),
+    "audit outcomes past the largest array": lambda: AuditConfig(dimension=2, outcomes=2 ** 62),
+    "audit dimension past the largest array": lambda: AuditConfig(dimension=2 ** 32),
     "majorizes with NaN": lambda: majorizes([np.nan], [1.0]),
     "majorization deficit with Inf": lambda: majorization_deficit([np.inf, 0.0], [1.0, 0.0]),
     "pure state with NaN": lambda: pure_state([np.nan, 1.0]),
     "empty hamiltonian": lambda: Hamiltonian(np.zeros((0, 0))),
     "empty state": lambda: DensityMatrix(np.zeros((0, 0))),
-    "empty basis": lambda: FineGrainedMeasurement.from_basis(np.eye(0)),
+    "empty basis": lambda: Povm(np.eye(0)),
+    "non-unitary basis": lambda: Povm(np.array([[1.0, 1.0], [0.0, 0.0]])),
     "computational basis of dimension 0": lambda: computational_basis(0),
     "empty stochastic matrix": lambda: StochasticMatrix(np.zeros((0, 3))),
     "ragged pure state vector": lambda: pure_state([[1, 0], [0]]),
@@ -101,12 +104,15 @@ ERROR_CLASSES = {
     "float audit rank": InvalidConfig,
     "float audit trials": InvalidConfig,
     "string audit tolerance": InvalidConfig,
+    "audit outcomes past the largest array": InvalidConfig,
+    "audit dimension past the largest array": InvalidConfig,
     "majorizes with NaN": NonFinite,
     "majorization deficit with Inf": NonFinite,
     "pure state with NaN": NonFinite,
     "empty hamiltonian": DimensionMismatch,
     "empty state": DimensionMismatch,
     "empty basis": DimensionMismatch,
+    "non-unitary basis": NotUnitary,
     "computational basis of dimension 0": DimensionMismatch,
     "empty stochastic matrix": DimensionMismatch,
     "ragged pure state vector": DimensionMismatch,

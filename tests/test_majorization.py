@@ -95,11 +95,11 @@ def test_qubit_merge_spectra_pair():
 
 
 def test_composed_matrix_maps_outcomes_to_coarse_spectrum():
-    from ergokit.measurement import FineGrainedMeasurement, coarse_grained_state, outcome_distribution
+    from ergokit.measurement import Povm, coarse_grained_state, outcome_distribution
 
     rng = RandomSource(56)
     rho = random_density(4, 4, rng)
-    fine = FineGrainedMeasurement.from_basis(haar_unitary(4, rng))
+    fine = Povm(haar_unitary(4, rng))
     coarse = post_process(fine, random_column_stochastic(6, 4, rng))
     mapped = np.sort(link_matrix(coarse.post) @ outcome_distribution(rho, fine))
     coarse_spectrum = np.sort(coarse_grained_state(rho, coarse).spectrum())

@@ -8,7 +8,6 @@ from ergokit.ergotropy import observational_ergotropy
 from ergokit.errors import DimensionMismatch
 from ergokit.linalg import TOL, adjoint, max_abs
 from ergokit.measurement import (
-    FineGrainedMeasurement,
     Povm,
     StochasticMatrix,
     coarse_grained_state,
@@ -76,7 +75,7 @@ class TestFineGrained:
         np.testing.assert_allclose(p.elements[1], KET1, atol=0.0)
 
     def test_projector_relations(self):
-        p = FineGrainedMeasurement.from_basis(haar_unitary(4, RandomSource(10)))
+        p = Povm(haar_unitary(4, RandomSource(10)))
         for i, ei in enumerate(p.elements):
             assert abs(float(np.trace(ei).real) - 1.0) <= 1e-12
             for j, ej in enumerate(p.elements):
@@ -85,7 +84,7 @@ class TestFineGrained:
 
     def test_rejects_non_unitary_basis(self):
         with pytest.raises(ValueError):
-            FineGrainedMeasurement.from_basis(np.array([[1.0, 1.0], [0.0, 0.0]]))
+            Povm(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
 class TestRandomColumnStochastic:
@@ -160,7 +159,7 @@ class TestPostProcess:
 
     def test_preserves_completeness(self):
         rng = RandomSource(12)
-        p = FineGrainedMeasurement.from_basis(haar_unitary(4, rng))
+        p = Povm(haar_unitary(4, rng))
         d = random_column_stochastic(7, 4, rng)
         q = post_process(p, d)
         total = sum(q.elements)
@@ -210,7 +209,7 @@ class TestCoarseGrainedState:
     def test_own_eigenbasis_reconstructs_state(self):
         rng = RandomSource(18)
         rho = random_density(4, 4, rng)
-        basis = FineGrainedMeasurement.from_basis(rho.eig()[1])
+        basis = Povm(rho.eig()[1])
         assert max_abs(coarse_grained_state(rho, basis).op - rho.op) <= 1e-12
 
     def test_qubit_merge_half(self):
@@ -234,7 +233,7 @@ class TestCoarseGrainedState:
 def test_fine_grained_spectrum_equals_outcome_distribution():
     rng = RandomSource(61)
     rho = random_density(4, 4, rng)
-    p = FineGrainedMeasurement.from_basis(haar_unitary(4, rng))
+    p = Povm(haar_unitary(4, rng))
     spectrum = np.sort(coarse_grained_state(rho, p).spectrum())
     probabilities = np.sort(outcome_distribution(rho, p))
     assert max_abs(spectrum - probabilities) <= 1e-12
@@ -257,7 +256,7 @@ class TestOutcomeDistribution:
     def test_sums_to_one(self):
         rng = RandomSource(20)
         rho = random_density(5, 3, rng)
-        m = post_process(FineGrainedMeasurement.from_basis(haar_unitary(5, rng)),
+        m = post_process(Povm(haar_unitary(5, rng)),
                          random_column_stochastic(7, 5, rng))
         assert float(outcome_distribution(rho, m).sum()) == pytest.approx(1.0, abs=1e-10)
 
@@ -279,7 +278,7 @@ def _kernel_instance(d, n_rel, seed, rank_frac, zero_rows, degenerate):
     if zero_rows and n > 1:
         entries[: (n + 1) // 2] = 0.0
         entries /= entries.sum(axis=0)
-    return rho, h, FineGrainedMeasurement.from_basis(haar_unitary(d, rng)), StochasticMatrix(entries)
+    return rho, h, Povm(haar_unitary(d, rng)), StochasticMatrix(entries)
 
 
 @given(d=st.sampled_from([1, 2, 3, 8]), n_rel=st.sampled_from(["fewer", "equal", "more"]),
@@ -329,7 +328,7 @@ def test_basis_measurement_kernel_makes_no_eigensolve(monkeypatch):
     rng = RandomSource(71)
     rho = random_density(5, 5, rng)
     h = random_hamiltonian(5, rng)
-    fine = FineGrainedMeasurement.from_basis(haar_unitary(5, rng))
+    fine = Povm(haar_unitary(5, rng))
     dmat = random_column_stochastic(7, 5, rng)
     calls = []
     for name in ("eigh", "eigvalsh"):
@@ -347,7 +346,7 @@ def test_basis_measurement_kernel_makes_no_eigensolve(monkeypatch):
 def test_dense_estimate_makes_one_eigensolve_and_no_validation(monkeypatch):
     rng = RandomSource(72)
     rho = random_density(4, 4, rng)
-    fine = FineGrainedMeasurement.from_basis(haar_unitary(4, rng))
+    fine = Povm(haar_unitary(4, rng))
     dense = Povm(post_process(fine, random_column_stochastic(6, 4, rng)).elements)
     calls = []
     for name in ("eigh", "eigvalsh"):

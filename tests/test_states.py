@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ergokit import states
+from ergokit import audits, states
 from ergokit.errors import DimensionMismatch, InvalidRank, NotHermitian
 from ergokit.linalg import TOL, adjoint, max_abs, require_unitary
+from ergokit.measurement import random_column_stochastic
 from ergokit.states import (
     DensityMatrix,
     Hamiltonian,
@@ -21,6 +22,8 @@ from ergokit.states import (
     random_density,
     random_hamiltonian,
 )
+
+from _oracles import trial_draws
 
 H01 = diagonal_hamiltonian([0.0, 1.0])
 PLUS = pure_state([1.0, 1.0])
@@ -237,3 +240,30 @@ def test_complex_normal_pairs_two_real_draws():
     z = RandomSource(11).normal((2, 3, 2))
     expected = (z[0] + 1j * z[1]) / np.sqrt(2.0)
     assert RandomSource(11).complex_normal((3, 2)).tobytes() == expected.tobytes()
+
+
+# One kind at a time, then each claim's kinds: trial t of a claim is root.split(t).sample(kinds, ...)
+REPLAY_KINDS = [(kind,) for kind in states.recipes(1)] + [kinds for kinds, _ in audits.CLAIM_AUDITS.values()]
+
+
+@pytest.mark.parametrize("kinds", REPLAY_KINDS, ids="-".join)
+@pytest.mark.parametrize("d, n, rank", [(1, 2, 1), (3, 4, 2), (8, 3, 8), (16, 19, 3)])
+def test_a_trial_replays_alone(kinds, d, n, rank):
+    root, trials = RandomSource(2 ** 32 + 9).split(4), range(3, 9)
+    stacks = root.sample(kinds, d, n, rank, trials)
+    for i, t in enumerate(trials):
+        alone = root.split(t).sample(kinds, d, n, rank)
+        assert len(alone) == len(stacks)
+        for stack, row in zip(stacks, alone):
+            assert (stack[i].dtype, stack[i].shape, stack[i].tobytes()) == (row.dtype, row.shape, row.tobytes())
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 16])
+def test_constructors_build_what_one_call_per_draw_builds(d):
+    # the four public constructors on one stream, against the per-draw reference of their kinds in the same order
+    rng = RandomSource(d)
+    h = random_hamiltonian(d, rng)
+    built = [h.energies, h.eigenbasis, random_density(d, 1, rng).op, haar_unitary(d, rng),
+             random_column_stochastic(5, d, rng).entries]
+    expected = trial_draws(RandomSource(d), ("hamiltonian", "state", "haar", "post"), d, 5, 1)
+    assert [(x.dtype, x.shape, x.tobytes()) for x in built] == [(x.dtype, x.shape, x.tobytes()) for x in expected]

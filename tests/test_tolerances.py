@@ -14,7 +14,6 @@ from ergokit.ergotropy import WorkReport, report
 from ergokit.errors import DegeneratePovm, InconsistentReport, NonFinite, NotHermitian
 from ergokit.linalg import LOOSE_TOL, TOL, adjoint, energy_tol, hermitian_part, max_abs, require_hermitian
 from ergokit.measurement import (
-    FineGrainedMeasurement,
     Povm,
     StochasticMatrix,
     computational_basis,
@@ -111,7 +110,7 @@ def test_verdicts_and_work_quantities_scale_with_the_hamiltonian(seed, d, asymme
     h = (u * (levels - levels.mean())) @ adjoint(u)  # not symmetrised: roundoff asymmetry stays in
     h[0, 1] += asymmetry * max_abs(h)
     rho = random_density(d, d, rng)
-    m = post_process(FineGrainedMeasurement.from_basis(haar_unitary(d, rng)), random_column_stochastic(d, d, rng))
+    m = post_process(Povm(haar_unitary(d, rng)), random_column_stochastic(d, d, rng))
     reports = {}
     for c in SCALES:
         try:
