@@ -23,7 +23,7 @@ from .ergotropy import passive_energy_of_spectrum, work
 from .linalg import LOOSE_TOL, TOL, diagonal_in_basis, energy_tol, hermitian_part, operator_in_basis
 from .majorization import majorization_deficit
 from .measurement import born_probabilities, estimate_spectrum, link_matrix
-from .states import RandomSource, is_integer
+from .states import RandomSource, is_integer, require_int
 
 # Bytes of stacked arrays one chunk of trials may hold, a trial counting as 16 d^2 (n + 8): its complex d x d
 # stacks plus n matrices. lemma1 holds ELEMENT_BLOCK of its n elements at a time, so n over-counts it, but the
@@ -50,20 +50,11 @@ class AuditConfig:
     tolerance: float = LOOSE_TOL
 
     def __post_init__(self):
-        for name in ("dimension", "outcomes", "trials", "seed") + (("rank",) if self.rank is not None else ()):
-            if not is_integer(getattr(self, name)):
-                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
-        d, rank = self.dimension, self.effective_rank
-        if d < 1:
-            raise InvalidConfig(f"dimension must be positive, got {d}")
-        if self.outcomes < 1:
-            raise InvalidConfig(f"outcome count must be positive, got {self.outcomes}")
-        if not 1 <= rank <= d:
-            raise InvalidConfig(f"rank must satisfy 1 <= rank <= {d}, got {rank}")
-        if not 1 <= self.trials < 1 << 32:  # a trial index enters its stream's key as one uint32 word
-            raise InvalidConfig(f"trials must lie in [1, 2^32), got {self.trials}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be a non-negative integer, got {self.seed}")
+        d = require_int(self.dimension, "dimension", 1, error=InvalidConfig)
+        require_int(self.outcomes, "outcomes", 1, error=InvalidConfig)
+        require_int(self.effective_rank, "rank", 1, d, InvalidConfig)
+        require_int(self.trials, "trials", 1, (1 << 32) - 1, InvalidConfig)  # a trial index is one key word
+        require_int(self.seed, "seed", 0, error=InvalidConfig)
         if _trial_bytes(d, self.outcomes) > np.iinfo(np.intp).max:  # past what any array can hold
             raise InvalidConfig(f"one trial at dimension {d} with {self.outcomes} outcomes counts "
                                 f"{_trial_bytes(d, self.outcomes)} bytes, past the largest array size")

@@ -20,7 +20,6 @@ from .audits import CLAIM_AUDITS, AuditConfig, run_all, run_audit
 from .errors import ErgokitError, NonFinite, ValidationError
 from .ergotropy import observational_ergotropy, report
 from .instances import family_matrix, load_instance, parse_grid
-from .linalg import LOOSE_TOL
 from .measurement import computational_basis, post_process
 
 
@@ -126,12 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run randomized audits of the core claims")
     p_verify.add_argument("claim", help="one of: " + ", ".join([*CLAIM_AUDITS, "all"]))
-    p_verify.add_argument("--d", type=int, default=3, help="Hilbert space dimension (default: 3)")
-    p_verify.add_argument("--n", type=int, default=4, help="coarse outcome count (default: 4)")
-    p_verify.add_argument("--rank", type=int, default=None, help="state rank (default: full)")
-    p_verify.add_argument("--trials", type=int, default=1000, help="trials per audit (default: 1000)")
-    p_verify.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
-    p_verify.add_argument("--tol", type=float, default=LOOSE_TOL, help="violation tolerance (default: %(default)g)")
+    add = p_verify.add_argument
+    add("--d", type=int, default=AuditConfig.dimension, help="Hilbert space dimension (default: %(default)s)")
+    add("--n", type=int, default=AuditConfig.outcomes, help="coarse outcome count (default: %(default)s)")
+    add("--rank", type=int, default=AuditConfig.rank, help="state rank (default: full)")
+    add("--trials", type=int, default=AuditConfig.trials, help="trials per audit (default: %(default)s)")
+    add("--seed", type=int, default=AuditConfig.seed, help="random seed (default: %(default)s)")
+    add("--tol", type=float, default=AuditConfig.tolerance, help="violation tolerance (default: %(default)g)")
     _add_output_flags(p_verify, "json")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidGrid, NonFinite, ParseError, UnknownFamily, ValidationError
 from .linalg import unchecked
 from .measurement import Povm, StochasticMatrix
-from .states import DensityMatrix, Hamiltonian
+from .states import DensityMatrix, Hamiltonian, require_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +81,7 @@ def instance_from_dict(doc, source: str = "instance") -> Instance:
         raise ValidationError(f"{source}: top level must be a JSON object")
     if "dimension" not in doc:
         raise ValidationError("dimension: missing required field")
-    dim = doc["dimension"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise ValidationError(f"dimension: expected a positive integer, got {dim!r}")
+    dim = require_int(doc["dimension"], "dimension", 1, error=ValidationError)
     for key in ("hamiltonian", "state"):
         if key not in doc:
             raise ValidationError(f"{key}: missing required field")

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DegeneratePovm, DimensionMismatch, InvalidPovm, NotStochastic
 from .linalg import (LOOSE_TOL, TOL, as_matrix, diagonal_in_basis, hermitian_part, max_abs, operator_in_basis,
                      require_hermitian, require_unitary, unchecked)
-from .states import DensityMatrix, Hamiltonian, RandomSource, check_dimension
+from .states import DensityMatrix, Hamiltonian, RandomSource, require_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,15 +111,13 @@ class Povm:
 
 
 def computational_basis(d: int) -> Povm:
-    check_dimension(d)
+    d = require_int(d, "dimension", 1, error=DimensionMismatch)
     return unchecked(Povm, base=np.eye(d, dtype=complex), post=np.eye(d))
 
 
 def random_column_stochastic(n_out: int, n_in: int, rng: RandomSource) -> StochasticMatrix:
     """Sample each column uniformly on the probability simplex (recipe "post"); column-stochastic by
     construction, so not validated again."""
-    check_dimension(n_out)
-    check_dimension(n_in)
     return unchecked(StochasticMatrix, entries=rng.sample(("post",), n_in, n_out)[0])
 
 

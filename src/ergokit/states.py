@@ -18,7 +18,7 @@ from .linalg import (TOL, adjoint, as_matrix, diagonal_in_basis, eig_hermitian, 
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its k-th step xors INIT·MULT^k and multiplies
-# by INIT·MULT^(k+1) mod 2^32, whatever the data. fill's names map to the Generator methods that take out=.
+# by INIT·MULT^(k+1) mod 2^32, whatever the data. _FILL maps draw names to the Generator methods that take out=.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, 0x4973F715
 _FILL = {"normal": "standard_normal", "uniform": "random", "exponential": "standard_exponential"}
 
@@ -28,10 +28,14 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_dimension(d) -> None:
-    """DimensionMismatch unless d is a positive integer; constructors run it before they build or draw anything."""
-    if not is_integer(d) or d < 1:
-        raise DimensionMismatch(f"dimension must be a positive integer, got {d!r}")
+def require_int(value, what: str, low: int, high: int | None = None, error=PreconditionFailed) -> int:
+    """int(value) for an integer (``is_integer``) with low <= value <= high, unbounded above if high is None (then
+    low is 0 or 1); otherwise ``error`` naming what and the range. The one check of every integer argument taken."""
+    if is_integer(value) and low <= value and (high is None or value <= high):
+        return int(value)
+    bound = (f"an integer in [{low}, {high}]" if high is not None else
+             "a positive integer" if low else "a non-negative integer")
+    raise error(f"{what} must be {bound}, got {value!r}")
 
 
 def _philox_keys(seq: np.random.SeedSequence, trials: range) -> np.ndarray:
@@ -57,46 +61,45 @@ class RandomSource:
     The same (seed, path of splits) yields the same samples on every
     platform. ``split(i)`` derives an independent child stream, so audits
     hand stream i to trial i and get identical results for any chunking of
-    the trials. ``fill`` draws many children bitwise as ``split`` would, re-keying
-    one generator per child with SeedSequence's hash vectorised over the indices.
+    the trials. ``sample`` over a range of trials draws many children bitwise as
+    ``split`` would, re-keying one generator per child with SeedSequence's hash
+    vectorised over the indices.
     """
 
     def __init__(self, seed: int, _key: tuple[int, ...] = ()):
-        if not is_integer(seed) or seed < 0:
-            raise PreconditionFailed(f"seed must be a non-negative integer, got {seed!r}")
-        self.seed = int(seed)
+        self.seed = require_int(seed, "seed", 0)
         self._key = _key
         self._seq = np.random.SeedSequence(self.seed, spawn_key=_key)
         self._gen = np.random.Generator(np.random.Philox(self._seq))
 
     def split(self, index: int) -> "RandomSource":
-        if not is_integer(index) or index < 0:
-            raise PreconditionFailed(f"split index must be a non-negative integer, got {index!r}")
-        return RandomSource(self.seed, self._key + (int(index),))
-
-    def fill(self, trials: range, plan) -> None:
-        """For (name, out) pairs in plan order, set ``out[i]`` to ``getattr(self.split(t), name)(out.shape[1:])``
-        for the i-th t of trials (0 <= t < 2^32), name one of "normal", "uniform", "exponential"."""
-        if trials and not all(0 <= t < 1 << 32 for t in (trials[0], trials[-1])):
-            raise PreconditionFailed(f"trial indices must lie in [0, 2^32), got {trials}")
-        gen = np.random.Generator(np.random.Philox(key=0))
-        draws = [(getattr(gen, _FILL[name]), out) for name, out in plan]
-        for i, key in enumerate(_philox_keys(self._seq, trials).tolist()):
-            gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
-                                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-            for draw, out in draws:
-                draw(out=out[i])
+        return RandomSource(self.seed, self._key + (require_int(index, "split index", 0),))
 
     def sample(self, kinds, d: int, n: int = 1, rank: int | None = None, trials: range | None = None) -> list:
         """The stacks ``recipes(d, n, rank)`` builds for ``kinds``, in order. Trials None draws from this stream itself;
-        a range draws row i through ``fill`` from ``split(trials[i])``, which alone samples the same row bit for bit."""
-        table = recipes(d, n, rank)
+        a range (0 <= t < 2^32) draws row i from ``split(trials[i])``, which alone samples the same row bit for bit.
+        Every argument is checked before the first draw, so a rejected call leaves the stream where it was."""
+        d = require_int(d, "dimension", 1, error=DimensionMismatch)
+        table = recipes(d, require_int(n, "outcome count", 1, error=DimensionMismatch),
+                        require_int(d if rank is None else rank, "rank", 1, d, InvalidRank))
+        for kind in kinds:
+            if kind not in table:
+                raise PreconditionFailed(f"unknown random kind {kind!r} (expected one of: {', '.join(table)})")
+        ends = (trials[0], trials[-1]) if isinstance(trials, range) and trials else ()
+        if trials is not None and not (isinstance(trials, range) and all(0 <= t < 1 << 32 for t in ends)):
+            raise PreconditionFailed(f"trials must be None or a range within [0, 2^32), got {trials!r}")
         plan = [draw for kind in kinds for draw in table[kind][0]]
         if trials is None:
             draws = [getattr(self._gen, _FILL[name])(shape) for name, shape in plan]
-        else:
+        else:  # one generator re-keyed per trial, its draw methods bound once
+            gen = np.random.Generator(np.random.Philox(key=0))
             draws = [np.empty((len(trials), *shape)) for _, shape in plan]
-            self.fill(trials, [(name, out) for (name, _), out in zip(plan, draws)])
+            bound = [(getattr(gen, _FILL[name]), out) for (name, _), out in zip(plan, draws)]
+            for i, key in enumerate(_philox_keys(self._seq, trials).tolist()):
+                gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+                                           "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+                for draw, out in bound:
+                    draw(out=out[i])
         draws = iter(draws)
         return [stack for kind in kinds for stack in table[kind][1](*(next(draws) for _ in table[kind][0]))]
 
@@ -166,8 +169,8 @@ class Hamiltonian:
     eigenbasis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = require_hermitian(self.op, what="Hamiltonian")
-        energies, basis = eig_hermitian(hermitian_part(mat))
+        mat = hermitian_part(require_hermitian(self.op, what="Hamiltonian"))
+        energies, basis = eig_hermitian(mat)
         object.__setattr__(self, "op", mat)
         object.__setattr__(self, "energies", energies)
         object.__setattr__(self, "eigenbasis", basis)
@@ -215,7 +218,7 @@ def ginibre_state(g: np.ndarray) -> np.ndarray:
 
 def recipes(d: int, n: int = 1, rank: int | None = None) -> dict:
     """Each random kind's one recipe at dimension d, n outcomes and state rank (default d): kind -> (its draws in stream
-    order as (fill name, shape), the builder of their stacks into a list; leading axes are a batch). "hamiltonian" builds
+    order as (draw name, shape), the builder of their stacks into a list; leading axes are a batch). "hamiltonian" builds
     its ascending levels and their Haar eigenbasis (no operator); "levels" makes the same draws but keeps the levels
     alone, so later kinds' draws do not move. What a builder returns holds as built and is not validated again."""
     gaussians = ("normal", (2, d, d))
@@ -230,16 +233,12 @@ def recipes(d: int, n: int = 1, rank: int | None = None) -> dict:
 
 def haar_unitary(d: int, rng: RandomSource) -> np.ndarray:
     """Haar-distributed d x d unitary from a complex Ginibre draw."""
-    check_dimension(d)
     return rng.sample(("haar",), d)[0]
 
 
 def random_density(d: int, rank: int, rng: RandomSource) -> DensityMatrix:
     """Hilbert-Schmidt-style random state of the given rank (recipe "state"), exactly Hermitian, unit-trace and PSD
     by construction, so only its eigenvalues are computed."""
-    check_dimension(d)
-    if not is_integer(rank) or not 1 <= rank <= d:
-        raise InvalidRank(f"rank must satisfy 1 <= rank <= {d}, got {rank}")
     op = rng.sample(("state",), d, rank=rank)[0]
     return unchecked(DensityMatrix, op=op, eigenvalues=np.linalg.eigvalsh(op))
 
@@ -247,7 +246,6 @@ def random_density(d: int, rank: int, rng: RandomSource) -> DensityMatrix:
 def random_hamiltonian(d: int, rng: RandomSource) -> Hamiltonian:
     """Random observable: sorted uniform [0, 1] levels conjugated by a Haar unitary (recipe "hamiltonian"). It
     is built from the levels and basis it drew, neither validated nor eigensolved."""
-    check_dimension(d)
     levels, basis = rng.sample(("hamiltonian",), d)
     return unchecked(Hamiltonian, op=hermitian_part(operator_in_basis(basis, levels)), energies=levels, eigenbasis=basis)
 
@@ -264,7 +262,7 @@ def pure_state(vec) -> DensityMatrix:
 
 
 def maximally_mixed(d: int) -> DensityMatrix:
-    check_dimension(d)
+    d = require_int(d, "dimension", 1, error=DimensionMismatch)
     return DensityMatrix(np.eye(d) / d)
 
 

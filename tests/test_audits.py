@@ -253,22 +253,17 @@ def test_large_dimension_runs_one_trial_per_chunk():
 
 def test_theorem2_holds_on_tied_levels(monkeypatch):
     # levels rounded onto {0, 0.5, 1}: most trials carry exactly equal energies
-    fill, sample, levels = RandomSource.fill, RandomSource.sample, []
+    sample, levels = RandomSource.sample, []
 
-    def tied_fill(self, trials, plan):
-        fill(self, trials, plan)
-        for name, out in plan:
-            if name == "uniform":
-                np.round(2.0 * out, out=out)
-                out /= 2.0
-
-    def spy(self, kinds, *args):
+    def rounded(self, kinds, *args):
         built = sample(self, kinds, *args)
-        levels.append(built[kinds.index("hamiltonian")])  # theorem2 draws its Hamiltonian first: levels, basis
+        energies = built[kinds.index("hamiltonian")]  # theorem2 draws its Hamiltonian first: levels, basis
+        np.round(2.0 * energies, out=energies)  # rounding keeps the sorted levels sorted
+        energies /= 2.0
+        levels.append(energies)
         return built
 
-    monkeypatch.setattr(RandomSource, "fill", tied_fill)
-    monkeypatch.setattr(RandomSource, "sample", spy)
+    monkeypatch.setattr(RandomSource, "sample", rounded)
     cfg = AuditConfig(dimension=3, outcomes=4, trials=500, seed=3)
     result = run_audit("theorem2", cfg)
     tied = np.count_nonzero((np.diff(np.concatenate(levels), axis=-1) == 0.0).any(axis=-1))

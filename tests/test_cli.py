@@ -402,6 +402,25 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "schur", "--trials", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--d", "0"], "dimension must be a positive integer, got 0"),
+        (["--n", "0"], "outcomes must be a positive integer, got 0"),
+        (["--trials", "0"], "trials must be an integer in [1, 4294967295], got 0"),
+        (["--d", "3", "--rank", "4"], "rank must be an integer in [1, 3], got 4"),
+    ])
+    def test_out_of_range_sizes_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", "all", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_defaults_are_the_audit_config_defaults(self, capsys, monkeypatch):
+        import ergokit.cli
+        from ergokit.audits import AuditConfig
+
+        configs = []
+        monkeypatch.setattr(ergokit.cli, "run_all", lambda cfg: configs.append(cfg) or [])
+        assert run_cli(capsys, "verify", "all")[0] == 0
+        assert configs == [AuditConfig()]
+
     def test_negative_seed_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "verify", "all", "--seed", "-1")
         assert code == 2

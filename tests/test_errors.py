@@ -41,7 +41,12 @@ BAD_INPUTS = {
     "haar dimension": lambda: haar_unitary(0, RandomSource(0)),
     "negative seed": lambda: RandomSource(-1),
     "negative split index": lambda: RandomSource(0).split(-1),
-    "trial index past 2^32": lambda: RandomSource(0).fill(range(2 ** 32 - 1, 2 ** 32 + 1), []),
+    "trial index past 2^32": lambda: RandomSource(0).sample(("haar",), 2, trials=range(2 ** 32 - 1, 2 ** 32 + 1)),
+    "sample of an unknown kind": lambda: RandomSource(0).sample(("bogus",), 3),
+    "sample of negative dimension": lambda: RandomSource(0).sample(("haar",), -1),
+    "sample over a list of trials": lambda: RandomSource(0).sample(("haar",), 2, trials=[0, 1]),
+    "sample of zero outcomes": lambda: RandomSource(0).sample(("post",), 3, 0),
+    "sample of rank past the dimension": lambda: RandomSource(0).sample(("state",), 3, 1, 5),
     "pure zero vector": lambda: pure_state([0.0, 0.0]),
     "float seed": lambda: RandomSource(1.5),
     "string seed": lambda: RandomSource("3"),
@@ -97,6 +102,12 @@ ERROR_CLASSES = {
     "string seed": PreconditionFailed,
     "bool seed": PreconditionFailed,
     "float split index": PreconditionFailed,
+    "trial index past 2^32": PreconditionFailed,
+    "sample of an unknown kind": PreconditionFailed,
+    "sample of negative dimension": DimensionMismatch,
+    "sample over a list of trials": PreconditionFailed,
+    "sample of zero outcomes": DimensionMismatch,
+    "sample of rank past the dimension": InvalidRank,
     "float audit seed": InvalidConfig,
     "float audit dimension": InvalidConfig,
     "bool audit dimension": InvalidConfig,

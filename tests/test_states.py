@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergokit import audits, states
-from ergokit.errors import DimensionMismatch, InvalidRank, NotHermitian
+from ergokit.errors import DimensionMismatch, ErgokitError, InvalidRank, NotHermitian
 from ergokit.linalg import TOL, adjoint, max_abs, require_unitary
 from ergokit.measurement import random_column_stochastic
 from ergokit.states import (
@@ -85,6 +85,12 @@ class TestHamiltonian:
         v = require_unitary(h.eigenbasis)
         assert max_abs(adjoint(v) @ h.op @ v - np.diag(h.energies)) <= tol
 
+    def test_keeps_the_operator_it_eigensolved(self):
+        # within TOL of Hermitian, so accepted; the operator kept is the Hermitian part the energies come from
+        h = Hamiltonian([[0, 1 + 1e-12], [1, 1]])
+        assert np.array_equal(h.op, adjoint(h.op))
+        assert np.array_equal(np.linalg.eigvalsh(h.op), h.energies)
+
 
 def test_dephase_plus_state():
     # populations of |+><+| in the energy basis are both 1/2
@@ -159,9 +165,7 @@ def test_haar_conjugation_preserves_spectrum():
 def test_haar_from_ginibre_matches_haar_moments(d):
     # E[U_11] = 0, E|U_11|^2 = 1/d and E|tr U|^2 = 1 over Haar, each within 5 standard errors of 4,000 seeded draws;
     # a QR that leaves R's diagonal phases in is not Haar, and misses the first and the last by tens of errors
-    z = np.empty((4000, 2, d, d))
-    RandomSource(d).fill(range(len(z)), [("normal", z)])
-    u = states.haar_from_ginibre((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
+    u, = RandomSource(d).sample(("haar",), d, trials=range(4000))
     moments = [(u[:, 0, 0].real, 0.0), (u[:, 0, 0].imag, 0.0), (np.abs(u[:, 0, 0]) ** 2, 1.0 / d),
                (np.abs(np.trace(u, axis1=-2, axis2=-1)) ** 2, 1.0)]
     for sample, expected in moments:
@@ -227,13 +231,13 @@ def test_vectorised_keys_equal_seed_sequence(seed, key, first, count):
 
 @pytest.mark.parametrize("seed", [0, 9, 2 ** 32, 2 ** 64 + 1])
 def test_fill_equals_split_draws(seed):
-    root = RandomSource(seed).split(4)
-    plan = [("uniform", np.empty((5, 3))), ("normal", np.empty((5, 2, 3, 2))), ("exponential", np.empty((5, 4, 3)))]
-    root.fill(range(2, 7), plan)
-    for i, t in enumerate(range(2, 7)):
-        rng = root.split(t)
-        for name, out in plan:
-            assert out[i].tobytes() == getattr(rng, name)(out.shape[1:]).tobytes()
+    # sample over a range fills row i of each uniform, normal and exponential draw from split(trials[i]), keyed
+    # through _philox_keys (multi-word entropy for the last two seeds): the per-draw reference on that stream
+    root, trials, kinds = RandomSource(seed).split(4), range(2, 7), ("hamiltonian", "state", "post")
+    stacks = root.sample(kinds, 3, 4, 2, trials)
+    for i, t in enumerate(trials):
+        expected = trial_draws(root.split(t), kinds, 3, 4, 2)
+        assert [stack[i].tobytes() for stack in stacks] == [x.tobytes() for x in expected]
 
 
 def test_complex_normal_pairs_two_real_draws():
@@ -267,3 +271,28 @@ def test_constructors_build_what_one_call_per_draw_builds(d):
              random_column_stochastic(5, d, rng).entries]
     expected = trial_draws(RandomSource(d), ("hamiltonian", "state", "haar", "post"), d, 5, 1)
     assert [(x.dtype, x.shape, x.tobytes()) for x in built] == [(x.dtype, x.shape, x.tobytes()) for x in expected]
+
+
+REJECTED_CALLS = {
+    "unknown kind": lambda rng: rng.sample(("bogus",), 3),
+    "negative dimension": lambda rng: rng.sample(("haar",), -1),
+    "list of trials": lambda rng: rng.sample(("haar",), 2, trials=[0, 1]),
+    "zero outcomes": lambda rng: rng.sample(("post",), 3, 0),
+    "rank past the dimension": lambda rng: rng.sample(("state",), 3, 1, 5),
+    "trial index past 2^32": lambda rng: rng.sample(("haar",), 2, trials=range(2 ** 32, 2 ** 32 + 1)),
+    "haar unitary of dimension 0": lambda rng: haar_unitary(0, rng),
+    "random density of rank 4 > 3": lambda rng: random_density(3, 4, rng),
+    "random hamiltonian of float dimension": lambda rng: random_hamiltonian(1.5, rng),
+    "random stochastic matrix of 0 outcomes": lambda rng: random_column_stochastic(0, 3, rng),
+}
+
+
+@pytest.mark.parametrize("name", list(REJECTED_CALLS))
+def test_a_rejected_call_leaves_the_stream_where_it_was(name):
+    rng = RandomSource(7)
+    with pytest.raises(ErgokitError):
+        REJECTED_CALLS[name](rng)
+    fresh = RandomSource(7)
+    for build in (lambda r: haar_unitary(3, r), lambda r: random_density(3, 2, r).op,
+                  lambda r: random_hamiltonian(3, r).op, lambda r: random_column_stochastic(4, 3, r).entries):
+        assert build(rng).tobytes() == build(fresh).tobytes()
