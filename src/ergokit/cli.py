@@ -16,10 +16,12 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .audits import CLAIM_AUDITS, AuditConfig, run_all, run_audit
 from .errors import ErgokitError, NonFinite, ValidationError
 from .ergotropy import observational_ergotropy, report
-from .instances import family_matrix, load_instance, parse_grid
+from .instances import FAMILIES, family_matrix, load_instance, parse_grid
 from .measurement import computational_basis, post_process
 
 
@@ -115,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="scan a post-processing family over a parameter grid")
     p_sweep.add_argument("instance", help="path to a JSON instance file")
-    p_sweep.add_argument("--family", required=True, help="post-processing family name (merge, mix)")
+    p_sweep.add_argument("--family", required=True, help=f"post-processing family name ({', '.join(FAMILIES)})")
     p_sweep.add_argument("--grid", required=True,
                          help="parameter grid: start:stop:count or comma-separated values")
     p_sweep.add_argument("--measurement", metavar="NAME", default=None,
@@ -143,7 +145,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ErgokitError, OSError, MemoryError) as exc:  # MemoryError: a size past this machine's memory
+    # LinAlgError: an eigensolve that did not converge; MemoryError: a size past this machine's memory
+    except (ErgokitError, np.linalg.LinAlgError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

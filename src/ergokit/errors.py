@@ -33,10 +33,6 @@ class InvalidPovm(ErgokitError):
     """Elements are not positive or do not sum to the identity."""
 
 
-class NoConvergence(ErgokitError):
-    """The eigensolver did not converge."""
-
-
 class InvalidRank(ErgokitError):
     """Requested state rank is outside 1..dimension."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NonFinite, NotHermitian, NotUnitary
+from .errors import DimensionMismatch, NonFinite, NotHermitian, NotUnitary
 
 # Dimensionless tolerance: unitarity, trace, sums and PSD floors of objects normalised to 1, and
 # max |A - A^dag| relative to max |A|.
@@ -59,8 +59,9 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Coerce to a square matrix with max |A - A^dag| <= TOL * max |A| and 4 d max |A| finite: mean minus
-    passive energy, each at most d max |A| in size, then cannot overflow."""
+    """The Hermitian part of a square matrix with max |A - A^dag| <= TOL * max |A| and 4 d max |A| finite: mean
+    minus passive energy, each at most d max |A| in size, then cannot overflow. The one acceptance of a Hermitian
+    operator: states, Hamiltonians and dense POVM elements keep what it returns."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got {a.shape}")
@@ -70,7 +71,7 @@ def require_hermitian(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     defect = max_abs(a - adjoint(a))
     if defect > TOL * scale:
         raise NotHermitian(f"{what} is not Hermitian: max |A - A^dag| = {defect:.3e} > {TOL * scale:.1e}")
-    return a
+    return hermitian_part(a)
 
 
 def require_unitary(a, what: str = "matrix") -> np.ndarray:
@@ -105,13 +106,3 @@ def unchecked(cls, **fields):
         object.__setattr__(obj, name, value)
     return obj
 
-
-def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenvectors) of a Hermitian matrix the package has
-    already validated, as np.linalg.eigh returns them: ascending, with
-    column k the unit eigenvector of eigenvalue k. LAPACK orders degenerate
-    eigenvalues deterministically, so sorted quantities repeat run to run."""
-    try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is pathological
-        raise NoConvergence(f"eigensolver did not converge: {exc}") from exc

@@ -54,10 +54,10 @@ class Povm:
     The base is a unitary U, whose elements M_j = U e_j e_j^dag U^dag are
     rank-1 projectors of volume 1 (a fine-grained measurement onto U's
     columns), or a dense (k, d, d) stack of positive operators summing to the
-    identity. ``Povm(base)`` validates either once and sets D = I; zero
-    elements are forbidden because coarse-grained states divide by each
-    element's volume (trace). Element matrices are built only when
-    ``elements`` is read.
+    identity. ``Povm(base)`` validates either once, keeping a dense stack's
+    Hermitian part, and sets D = I; zero elements are forbidden because
+    coarse-grained states divide by each element's volume (trace). Element
+    matrices are built only when ``elements`` is read.
     """
 
     base: np.ndarray
@@ -68,9 +68,8 @@ class Povm:
         if base.ndim == 2:
             base = require_unitary(base, what="basis")
         else:
-            for k, e in enumerate(base):
-                require_hermitian(e, what=f"POVM element {k}")
-            lows = np.linalg.eigvalsh(hermitian_part(base))[:, 0]
+            base = np.stack([require_hermitian(e, f"POVM element {k}") for k, e in enumerate(base)])
+            lows = np.linalg.eigvalsh(base)[:, 0]
             k = int(np.argmin(lows))
             if float(lows[k]) < -TOL:
                 raise InvalidPovm(f"POVM element {k} has eigenvalue {float(lows[k]):.3e} below {-TOL:.0e}")

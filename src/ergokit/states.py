@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidRank, InvalidState, PreconditionFailed
-from .linalg import (TOL, adjoint, as_matrix, diagonal_in_basis, eig_hermitian, hermitian_part, operator_in_basis,
-                     require_hermitian, unchecked)
+from .linalg import (TOL, adjoint, as_matrix, diagonal_in_basis, hermitian_part, operator_in_basis, require_hermitian,
+                     unchecked)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its k-th step xors INIT·MULT^k and multiplies
@@ -76,9 +76,10 @@ class RandomSource:
         return RandomSource(self.seed, self._key + (require_int(index, "split index", 0),))
 
     def sample(self, kinds, d: int, n: int = 1, rank: int | None = None, trials: range | None = None) -> list:
-        """The stacks ``recipes(d, n, rank)`` builds for ``kinds``, in order. Trials None draws from this stream itself;
-        a range (0 <= t < 2^32) draws row i from ``split(trials[i])``, which alone samples the same row bit for bit.
-        Every argument is checked before the first draw, so a rejected call leaves the stream where it was."""
+        """The stacks ``recipes(d, n, rank)`` builds for ``kinds``, in order; rank None is full rank d. Trials None draws
+        from this stream itself; a range (0 <= t < 2^32) draws row i from ``split(trials[i])``, which alone samples the
+        same row bit for bit. Every argument is checked before the first draw, so a rejected call leaves the stream
+        where it was."""
         d = require_int(d, "dimension", 1, error=DimensionMismatch)
         table = recipes(d, require_int(n, "outcome count", 1, error=DimensionMismatch),
                         require_int(d if rank is None else rank, "rank", 1, d, InvalidRank))
@@ -130,7 +131,7 @@ class DensityMatrix:
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = hermitian_part(require_hermitian(self.op, what="density matrix"))
+        mat = require_hermitian(self.op, what="density matrix")
         defect = abs(float(np.trace(mat).real) - 1.0)
         if defect > TOL:
             raise InvalidState(f"density matrix trace deviates from 1 by {defect:.3e} > {TOL:.0e}")
@@ -156,7 +157,7 @@ class DensityMatrix:
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and the matching eigenvectors as columns."""
-        return eig_hermitian(self.op)
+        return np.linalg.eigh(self.op)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,8 +170,8 @@ class Hamiltonian:
     eigenbasis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = hermitian_part(require_hermitian(self.op, what="Hamiltonian"))
-        energies, basis = eig_hermitian(mat)
+        mat = require_hermitian(self.op, what="Hamiltonian")
+        energies, basis = np.linalg.eigh(mat)
         object.__setattr__(self, "op", mat)
         object.__setattr__(self, "energies", energies)
         object.__setattr__(self, "eigenbasis", basis)
@@ -216,14 +217,14 @@ def ginibre_state(g: np.ndarray) -> np.ndarray:
     return hermitian_part(rho / np.trace(rho, axis1=-2, axis2=-1).real[..., np.newaxis, np.newaxis])
 
 
-def recipes(d: int, n: int = 1, rank: int | None = None) -> dict:
-    """Each random kind's one recipe at dimension d, n outcomes and state rank (default d): kind -> (its draws in stream
+def recipes(d: int, n: int, rank: int) -> dict:
+    """Each random kind's one recipe at dimension d, n outcomes and state rank: kind -> (its draws in stream
     order as (draw name, shape), the builder of their stacks into a list; leading axes are a batch). "hamiltonian" builds
     its ascending levels and their Haar eigenbasis (no operator); "levels" makes the same draws but keeps the levels
     alone, so later kinds' draws do not move. What a builder returns holds as built and is not validated again."""
     gaussians = ("normal", (2, d, d))
     hamiltonian = [("uniform", (d,)), gaussians]
-    return {"state": ([("normal", (2, d, d if rank is None else rank))], lambda z: [ginibre_state(_complex_pairs(z))]),
+    return {"state": ([("normal", (2, d, rank))], lambda z: [ginibre_state(_complex_pairs(z))]),
             "hamiltonian": (hamiltonian, lambda e, z: [np.sort(e, axis=-1), haar_from_ginibre(_complex_pairs(z))]),
             "levels": (hamiltonian, lambda e, z: [np.sort(e, axis=-1)]),
             "haar": ([gaussians], lambda z: [haar_from_ginibre(_complex_pairs(z))]),

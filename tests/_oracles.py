@@ -11,7 +11,7 @@ batched audit engine is checked trial by trial.
 import numpy as np
 
 from ergokit.ergotropy import ergotropy, incoherent_ergotropy, observational_ergotropy, passive_energy_of_spectrum
-from ergokit.linalg import TOL, eig_hermitian, energy_tol, max_abs, unchecked
+from ergokit.linalg import TOL, energy_tol, max_abs, unchecked
 from ergokit.majorization import majorization_deficit
 from ergokit.measurement import (
     Povm,
@@ -112,7 +112,7 @@ def fine_grained_optimum_trial(cfg, rng):
     rho = random_density(d, cfg.effective_rank, rng)
     h = random_hamiltonian(d, rng)
     r_full = ergotropy(rho, h)
-    own_basis = Povm(eig_hermitian(rho.op)[1])
+    own_basis = Povm(rho.eig()[1])
     equality_gap = abs(observational_ergotropy(rho, h, own_basis) - r_full)
     sampled = Povm(haar_unitary(d, rng))
     r_sampled = observational_ergotropy(rho, h, sampled)

@@ -395,7 +395,7 @@ def test_levels_kind_keeps_its_gaussians_real(after):
     # schur reads only the levels of its Hamiltonian draw: "levels" makes the same draws, builds nothing from its
     # Gaussian pairs, and leaves every later kind's draws where "hamiltonian" leaves them
     root, trials = RandomSource(5).split(5), range(3, 10)
-    assert states.recipes(3, 4)["levels"][0] == states.recipes(3, 4)["hamiltonian"][0]
+    assert states.recipes(3, 4, 3)["levels"][0] == states.recipes(3, 4, 3)["hamiltonian"][0]
     levels, *rest = root.sample(("levels", *after), 3, 4, trials=trials)
     energies, _, *expected = root.sample(("hamiltonian", *after), 3, 4, trials=trials)
     assert_bitwise(levels, energies)

@@ -438,6 +438,16 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: Unable to allocate 549. MiB for an array\n"
 
+    def test_eigensolver_failure_in_an_audit_exits_2(self, capsys, monkeypatch):
+        # theorem3 eigensolves each trial's state itself: LAPACK's failure is a usage-level error, not a violation
+        def diverges(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", diverges)
+        code, out, err = run_cli(capsys, "verify", "theorem3", "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: Eigenvalues did not converge\n"
+
     @pytest.mark.parametrize("size", [["--d", "2", "--n", "4611686018427387904"], ["--d", "4294967296"]])
     def test_trial_past_the_largest_array_exits_2(self, size):
         # one trial's 16 d^2 (n + 8) bytes exceed what numpy can index, so the config is rejected before any draw

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from ergokit.audits import AuditConfig
-from ergokit.errors import (DimensionMismatch, ErgokitError, InvalidConfig, InvalidRank, NonFinite, NotUnitary,
-                            PreconditionFailed)
+from ergokit.errors import (DimensionMismatch, ErgokitError, InvalidConfig, InvalidRank, NonFinite, NotHermitian,
+                            NotUnitary, PreconditionFailed)
 from ergokit.instances import instance_from_dict
 from ergokit.linalg import as_matrix
 from ergokit.majorization import majorization_deficit, majorizes
@@ -86,6 +86,10 @@ BAD_INPUTS = {
     "random density of float dimension": lambda: random_density(2.5, 1, RandomSource(0)),
     "random stochastic matrix of float size": lambda: random_column_stochastic(2.5, 2, RandomSource(0)),
     "random density of float rank": lambda: random_density(3, 1.5, RandomSource(0)),
+    "state given a stack": lambda: DensityMatrix(np.stack([KET0, KET1, KET0])),
+    "hamiltonian given a stack": lambda: Hamiltonian(np.zeros((3, 2, 2))),
+    "povm second element not Hermitian": lambda: Povm((KET0, KET1 + np.array([[0.0, 0.5], [0.0, 0.0]]))),
+    "povm second element near float max": lambda: Povm((KET0, np.full((2, 2), 1.7e308))),
 }
 
 
@@ -142,6 +146,16 @@ ERROR_CLASSES = {
     "random density of float dimension": DimensionMismatch,
     "random stochastic matrix of float size": DimensionMismatch,
     "random density of float rank": InvalidRank,
+    "state given a stack": DimensionMismatch,
+    "hamiltonian given a stack": DimensionMismatch,
+    "povm second element not Hermitian": NotHermitian,
+    "povm second element near float max": NonFinite,
+}
+
+# Entries whose message must name the offending part.
+ERROR_MESSAGES = {
+    "povm second element not Hermitian": "POVM element 1",
+    "povm second element near float max": "POVM element 1",
 }
 
 
@@ -151,3 +165,4 @@ def test_domain_failures_raise_ergokit_errors(name):
     with pytest.raises(ERROR_CLASSES.get(name, ErgokitError)) as info:
         BAD_INPUTS[name]()
     assert isinstance(info.value, ValueError)
+    assert ERROR_MESSAGES.get(name, "") in str(info.value)

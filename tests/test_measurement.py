@@ -63,6 +63,18 @@ class TestPovm:
         with pytest.raises(ValueError):
             Povm((bump, np.eye(2) - bump))
 
+    def test_dense_base_keeps_the_hermitian_part(self):
+        # Haar-rotated elements carry roundoff asymmetry, and one more 1e-12 within TOL: the base is their Hermitian
+        # part bit for bit, as a state or Hamiltonian keeps, so it is exactly Hermitian
+        u = haar_unitary(3, RandomSource(7))
+        stack = np.stack([(u * w) @ adjoint(u) for w in ([0.2, 0.5, 0.7], [0.8, 0.5, 0.3])])
+        stack[0, 0, 1] += 1e-12
+        stack[1, 0, 1] -= 1e-12
+        assert max_abs(stack - adjoint(stack)) > 0.0
+        base = Povm(stack).base
+        assert base.tobytes() == linalg.hermitian_part(stack).tobytes()
+        assert np.array_equal(base, adjoint(base))
+
     def test_volumes(self):
         p = Povm((0.5 * np.eye(2), 0.5 * np.eye(2)))
         np.testing.assert_allclose(p.volumes, [1.0, 1.0])

@@ -247,7 +247,7 @@ def test_complex_normal_pairs_two_real_draws():
 
 
 # One kind at a time, then each claim's kinds: trial t of a claim is root.split(t).sample(kinds, ...)
-REPLAY_KINDS = [(kind,) for kind in states.recipes(1)] + [kinds for kinds, _ in audits.CLAIM_AUDITS.values()]
+REPLAY_KINDS = [(kind,) for kind in states.recipes(1, 1, 1)] + [kinds for kinds, _ in audits.CLAIM_AUDITS.values()]
 
 
 @pytest.mark.parametrize("kinds", REPLAY_KINDS, ids="-".join)
