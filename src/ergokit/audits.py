@@ -52,7 +52,8 @@ class AuditConfig:
     def __post_init__(self):
         d = require_int(self.dimension, "dimension", 1, error=InvalidConfig)
         require_int(self.outcomes, "outcomes", 1, error=InvalidConfig)
-        require_int(self.effective_rank, "rank", 1, d, InvalidConfig)
+        if self.rank is not None:  # None is full rank, which RandomSource.sample resolves
+            require_int(self.rank, "rank", 1, d, InvalidConfig)
         require_int(self.trials, "trials", 1, (1 << 32) - 1, InvalidConfig)  # a trial index is one key word
         require_int(self.seed, "seed", 0, error=InvalidConfig)
         if _trial_bytes(d, self.outcomes) > np.iinfo(np.intp).max:  # past what any array can hold
@@ -61,10 +62,6 @@ class AuditConfig:
         tol = self.tolerance  # finite: inf would pass every margin, and an int past the float range cannot be compared
         if not (isinstance(tol, (float, np.floating)) or is_integer(tol)) or not 0 < tol <= np.finfo(float).max.item():
             raise InvalidConfig(f"tolerance must be a finite positive number, got {tol!r}")
-
-    @property
-    def effective_rank(self) -> int:
-        return self.rank if self.rank is not None else self.dimension
 
 
 @dataclass(frozen=True)
@@ -153,12 +150,15 @@ def _chunks(claim: str, cfg: AuditConfig):
     size = max(1, CHUNK_BYTES // _trial_bytes(cfg.dimension, cfg.outcomes))
     for first in range(0, cfg.trials, size):
         trials = range(first, min(first + size, cfg.trials))
-        yield (first, *evaluate(cfg, *root.sample(kinds, cfg.dimension, cfg.outcomes, cfg.effective_rank, trials)))
+        yield (first, *evaluate(cfg, *root.sample(kinds, cfg.dimension, cfg.outcomes, cfg.rank, trials)))
 
 
-def _run(claim: str, cfg: AuditConfig) -> AuditResult:
-    """Reduce the chunks: violation count, worst margin and its first trial,
+def run_audit(claim: str, cfg: AuditConfig) -> AuditResult:
+    """Check the claim's name, then reduce its chunks: violation count, worst margin and its first trial,
     and (theorem3) the largest sampled share of full ergotropy."""
+    if claim not in CLAIM_AUDITS:
+        known = ", ".join([*CLAIM_AUDITS, "all"])
+        raise InvalidClaim(f"unknown claim {claim!r} (expected one of: {known})")
     start = time.perf_counter()
     violations, worst, worst_trial, ratio = 0, -np.inf, 0, -np.inf
     for first, margins, violated, *ratios in _chunks(claim, cfg):
@@ -182,16 +182,9 @@ CLAIM_AUDITS = {
 }
 
 
-def run_audit(claim: str, cfg: AuditConfig) -> AuditResult:
-    if claim not in CLAIM_AUDITS:
-        known = ", ".join([*CLAIM_AUDITS, "all"])
-        raise InvalidClaim(f"unknown claim {claim!r} (expected one of: {known})")
-    return _run(claim, cfg)
-
-
 def run_all(cfg: AuditConfig) -> list[AuditResult]:
     """Run every audit with per-claim split seeds; order is fixed."""
-    return [_run(claim, cfg) for claim in CLAIM_AUDITS]
+    return [run_audit(claim, cfg) for claim in CLAIM_AUDITS]
 
 
 __all__ = [

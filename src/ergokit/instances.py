@@ -76,6 +76,17 @@ def _domain(path: str, build, parsed):
         raise ValidationError(f"{path}: {exc}") from exc
 
 
+def _povm(node, path: str, dim: int) -> Povm:
+    if not isinstance(node, list) or not node:
+        raise ValidationError(f"{path}: expected a non-empty list of POVM elements")
+    return _domain(path, Povm, tuple(_matrix(el, f"{path}[{k}]", dim) for k, el in enumerate(node)))
+
+
+# The optional fields, each an object of named entries (null reads as absent), and the reader of one entry.
+_SECTIONS = {"measurements": _povm,
+             "post_processing": lambda node, path, dim: _domain(path, StochasticMatrix, _matrix(node, path))}
+
+
 def instance_from_dict(doc, source: str = "instance") -> Instance:
     if not isinstance(doc, dict):
         raise ValidationError(f"{source}: top level must be a JSON object")
@@ -85,47 +96,36 @@ def instance_from_dict(doc, source: str = "instance") -> Instance:
     for key in ("hamiltonian", "state"):
         if key not in doc:
             raise ValidationError(f"{key}: missing required field")
-    known = {"dimension", "hamiltonian", "state", "measurements", "post_processing"}
     for key in doc:
-        if key not in known:
+        if key not in ("dimension", "hamiltonian", "state", *_SECTIONS):
             raise ValidationError(f"{key}: unknown field")
 
     hamiltonian = _domain("hamiltonian", Hamiltonian, _matrix(doc["hamiltonian"], "hamiltonian", dim))
     state = _domain("state", DensityMatrix, _matrix(doc["state"], "state", dim))
-
-    measurements = {}
-    for name, node in _named_section(doc, "measurements").items():
-        path = f"measurements.{name}"
-        if not isinstance(node, list) or not node:
-            raise ValidationError(f"{path}: expected a non-empty list of POVM elements")
-        elements = tuple(_matrix(el, f"{path}[{k}]", dim) for k, el in enumerate(node))
-        measurements[name] = _domain(path, Povm, elements)
-
-    post_processing = {}
-    for name, node in _named_section(doc, "post_processing").items():
-        path = f"post_processing.{name}"
-        post_processing[name] = _domain(path, StochasticMatrix, _matrix(node, path))
-
-    return Instance(dimension=dim, hamiltonian=hamiltonian, state=state,
-                    measurements=measurements, post_processing=post_processing)
+    sections = {}
+    for key, read in _SECTIONS.items():
+        section = {} if doc.get(key) is None else doc[key]
+        if not isinstance(section, dict):
+            raise ValidationError(f"{key}: expected an object mapping names to entries")
+        sections[key] = {name: read(node, f"{key}.{name}", dim) for name, node in section.items()}
+    return Instance(dim, hamiltonian, state, **sections)
 
 
-def _named_section(doc: dict, key: str) -> dict:
-    section = doc.get(key)
-    if section is None:
-        return {}
-    if not isinstance(section, dict):
-        raise ValidationError(f"{key}: expected an object mapping names to entries")
-    return section
+def _object(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key is an error, not a silent overwrite."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"repeated key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return dict(pairs)
 
 
 def load_instance(path) -> Instance:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:  # not UTF-8, an integer past Python's digit limit, or deep nesting
+    except (ValueError, RecursionError) as exc:  # not UTF-8, past int's digit limit, too deep, or a repeated key
         raise ParseError(f"{path}: {exc}") from exc
     return instance_from_dict(doc, source=str(path))
 

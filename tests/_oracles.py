@@ -81,7 +81,7 @@ def monotonicity_trial(cfg, rng):
     """Coarsening a fine-grained measurement must not raise observational
     ergotropy."""
     d = cfg.dimension
-    rho = random_density(d, cfg.effective_rank, rng)
+    rho = random_density(d, cfg.rank, rng)
     h = random_hamiltonian(d, rng)
     fine = Povm(haar_unitary(d, rng))
     dmat = random_column_stochastic(cfg.outcomes, d, rng)
@@ -95,7 +95,7 @@ def incoherent_limit_trial(cfg, rng):
     ergotropy, and no energy-incoherent measurement beats it."""
     d = cfg.dimension
     h = random_hamiltonian(d, rng)
-    rho = random_density(d, cfg.effective_rank, rng)
+    rho = random_density(d, cfg.rank, rng)
     r_inc = incoherent_ergotropy(rho, h)
     energy_basis = Povm(h.eigenbasis)
     equality_gap = abs(observational_ergotropy(rho, h, energy_basis) - r_inc)
@@ -109,7 +109,7 @@ def fine_grained_optimum_trial(cfg, rng):
     """Measuring in the state's own eigenbasis attains full ergotropy; no
     fine-grained measurement exceeds it."""
     d = cfg.dimension
-    rho = random_density(d, cfg.effective_rank, rng)
+    rho = random_density(d, cfg.rank, rng)
     h = random_hamiltonian(d, rng)
     r_full = ergotropy(rho, h)
     own_basis = Povm(rho.eig()[1])
@@ -127,7 +127,7 @@ def spectrum_majorization_trial(cfg, rng):
     majorizes the coarse one, the linking matrix is bistochastic, and it maps
     the fine outcome distribution onto the coarse spectrum."""
     d = cfg.dimension
-    rho = random_density(d, cfg.effective_rank, rng)
+    rho = random_density(d, cfg.rank, rng)
     fine = Povm(haar_unitary(d, rng))
     dmat = random_column_stochastic(cfg.outcomes, d, rng)
     coarse = post_process(fine, dmat)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -30,7 +31,7 @@ STREAMS = {"theorem1": 1, "theorem2": 2, "theorem3": 3, "lemma1": 4, "schur": 5}
 class TestAuditConfig:
     def test_defaults_are_valid(self):
         cfg = AuditConfig()
-        assert cfg.effective_rank == cfg.dimension
+        assert cfg.rank is None
 
     @pytest.mark.parametrize("kwargs", [
         {"dimension": 0},
@@ -102,6 +103,12 @@ def test_audits_differ_across_seeds():
 def test_pure_state_rank_config():
     result = run_audit("theorem1", AuditConfig(dimension=3, outcomes=3, rank=1, trials=50, seed=3))
     assert result.violations == 0
+
+
+def test_rank_none_is_full_rank():
+    full, default = (run_all(AuditConfig(dimension=3, outcomes=4, rank=rank, trials=30, seed=5)) for rank in (3, None))
+    for a, b in zip(full, default, strict=True):
+        assert dataclasses.replace(a, wall_time_s=0.0) == dataclasses.replace(b, wall_time_s=0.0)
 
 
 def test_degenerate_one_dimensional_space():

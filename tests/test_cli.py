@@ -45,6 +45,17 @@ def write_instance(tmp_path, doc, name="instance.json"):
     return str(path)
 
 
+ABSENT = object()  # a field value that deletes the field
+
+
+def edited_instance(field, value):
+    """QUBIT_INSTANCE with ``field`` set to ``value``, or deleted if value is ABSENT."""
+    doc = dict(QUBIT_INSTANCE, **{field: value})
+    if value is ABSENT:
+        del doc[field]
+    return doc
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -190,10 +201,41 @@ class TestReportErrors:
         ("post_processing", {"x": [[True]]}, "post_processing.x[0][0]: expected a real number, got True"),
         ("state", [[0.25, [0, -10 ** 400]], [0, 0.75]], "state[0][1]: integer too large for a float"),
         ("state", [[0.25, 0], [[0, float("nan")], 0.75]], "state[1][0]: expected a finite number, got nan"),
+        # the schema: field None stands for the whole document, ABSENT for a deleted field
+        (None, [1], "<path>: top level must be a JSON object"),
+        ("dimension", ABSENT, "dimension: missing required field"),
+        ("state", ABSENT, "state: missing required field"),
+        ("dimension", 2.0, "dimension must be a positive integer, got 2.0"),
+        ("dimension", True, "dimension must be a positive integer, got True"),
+        ("dimension", 0, "dimension must be a positive integer, got 0"),
+        ("states", QUBIT_INSTANCE["state"], "states: unknown field"),
+        ("measurements", [], "measurements: expected an object mapping names to entries"),
+        ("post_processing", "x", "post_processing: expected an object mapping names to entries"),
+        ("measurements", {"m": []}, "measurements.m: expected a non-empty list of POVM elements"),
+        ("measurements", {"m": {}}, "measurements.m: expected a non-empty list of POVM elements"),
     ])
     def test_reader_messages(self, tmp_path, capsys, field, value, message):
-        code, out, err = run_cli(capsys, "report", write_instance(tmp_path, dict(QUBIT_INSTANCE, **{field: value})))
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        path = write_instance(tmp_path, value if field is None else edited_instance(field, value))
+        code, out, err = run_cli(capsys, "report", path)
+        assert (code, out, err) == (2, "", f"error: {message}\n".replace("<path>", path))
+
+    @pytest.mark.parametrize("field", ["measurements", "post_processing"])
+    def test_null_section_is_absent(self, tmp_path, capsys, field):
+        code, out, err = run_cli(capsys, "report", write_instance(tmp_path, edited_instance(field, None)))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["observational"] is None
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"dimension": 2, "hamiltonian": [[0, 0], [0, 1]], "state": [[1, 0], [0, 0]], "state": [[0, 0], [0, 1]]}',
+         "state"),
+        ('{"dimension": 2, "hamiltonian": [[0, 0], [0, 1]], "state": [[1, 0], [0, 0]], '
+         '"measurements": {"m": [[[1, 0], [0, 1]]], "m": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}}', "m"),
+    ], ids=["top", "nested"])
+    def test_repeated_key_is_a_parse_error(self, tmp_path, capsys, text, key):
+        path = tmp_path / "instance.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: repeated key {key!r}\n")
 
     def test_signed_zeros_and_subnormals_parse_exactly(self, monkeypatch):
         import numpy as np
