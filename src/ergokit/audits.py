@@ -79,8 +79,8 @@ def _monotonicity(cfg: AuditConfig, rho, energies, v, u, post):
     """Coarsening a fine-grained measurement must not raise observational
     ergotropy."""
     p, fine = diagonal_in_basis(rho, v), diagonal_in_basis(rho, u)
-    coarse_work = work(energies, p, estimate_spectrum(post, fine, 1.0))
-    margin = coarse_work - work(energies, p, estimate_spectrum(np.eye(cfg.dimension), fine, 1.0))
+    coarse_work = work(energies, p, estimate_spectrum(post, fine))
+    margin = coarse_work - work(energies, p, estimate_spectrum(np.eye(cfg.dimension), fine))
     return margin, margin > cfg.tolerance
 
 
@@ -89,8 +89,8 @@ def _incoherent_limit(cfg: AuditConfig, energies, v, rho, q):
     ergotropy, and no energy-incoherent measurement beats it."""
     p = diagonal_in_basis(rho, v)
     r_inc = work(energies, p, p)  # for p >= 0 the equality side is this same call: gap 0
-    equality_gap = np.abs(work(energies, p, estimate_spectrum(np.eye(cfg.dimension), p, 1.0)) - r_inc)
-    margin = np.maximum(equality_gap, work(energies, p, estimate_spectrum(q, p, 1.0)) - r_inc)
+    equality_gap = np.abs(work(energies, p, estimate_spectrum(np.eye(cfg.dimension), p)) - r_inc)
+    margin = np.maximum(equality_gap, work(energies, p, estimate_spectrum(q, p)) - r_inc)
     return margin, margin > cfg.tolerance
 
 
@@ -100,8 +100,8 @@ def _fine_grained_optimum(cfg: AuditConfig, rho, energies, v, u):
     p, (w, vectors) = diagonal_in_basis(rho, v), np.linalg.eigh(rho)
     eye = np.eye(cfg.dimension)
     r_full = work(energies, p, w)
-    equality_gap = np.abs(work(energies, p, estimate_spectrum(eye, diagonal_in_basis(rho, vectors), 1.0)) - r_full)
-    r_sampled = work(energies, p, estimate_spectrum(eye, diagonal_in_basis(rho, u), 1.0))
+    equality_gap = np.abs(work(energies, p, estimate_spectrum(eye, diagonal_in_basis(rho, vectors))) - r_full)
+    r_sampled = work(energies, p, estimate_spectrum(eye, diagonal_in_basis(rho, u)))
     positive = r_full > energy_tol(cfg.dimension, np.abs(energies).max(axis=-1))  # ratios only where r_full is not roundoff
     margin = np.maximum(equality_gap, r_sampled - r_full)
     return margin, margin > cfg.tolerance, r_sampled[positive] / r_full[positive]
@@ -122,7 +122,7 @@ def _spectrum_majorization(cfg: AuditConfig, rho, u, post):
     """Coarse-graining only mixes the estimate's spectrum: the fine spectrum
     majorizes the coarse one (within cfg.tolerance), the linking matrix is bistochastic,
     and it maps the fine outcome distribution onto the coarse spectrum (within TOL)."""
-    fine = estimate_spectrum(np.eye(cfg.dimension), diagonal_in_basis(rho, u), 1.0)
+    fine = estimate_spectrum(np.eye(cfg.dimension), diagonal_in_basis(rho, u))
     # Checked against the estimate built from the element matrices, not the kernel.
     spec_coarse = np.clip(np.linalg.eigvalsh(_dense_estimate(rho, u, post)), 0.0, None)
     deficit = majorization_deficit(np.sort(fine), spec_coarse)

@@ -5,9 +5,9 @@ projective) are the informationally sharpest ones; applying a
 column-stochastic matrix to the outcomes coarsens them. The
 coarse-grained state is the maximum-ignorance estimate of the input state
 consistent with the observed outcome statistics. Every measurement is kept
-as (base, post-processing D), the base a unitary or a dense element stack,
-and every estimate comes from one Lemma 1 formula over the base; over a
-unitary base the estimate's spectrum is vector arithmetic.
+as rank-1 projectors of volume 1 (a base of unit columns) and weights D, and
+every estimate comes from one Lemma 1 formula over them; over a square
+(unitary) base the estimate's spectrum is vector arithmetic.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegeneratePovm, DimensionMismatch, InvalidPovm, NotStochastic
-from .linalg import (LOOSE_TOL, TOL, as_matrix, diagonal_in_basis, hermitian_part, max_abs, operator_in_basis,
-                     require_hermitian, require_unitary, unchecked)
+from .linalg import (LOOSE_TOL, TOL, as_matrix, diagonal_in_basis, energy_tol, hermitian_part, max_abs,
+                     operator_in_basis, require_hermitian, require_unitary, unchecked)
 from .states import DensityMatrix, Hamiltonian, RandomSource, require_int
 
 
@@ -47,17 +47,20 @@ class StochasticMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Finite POVM kept as a base and a post-processing: element i is
-    sum_j D[i, j] M_j, with D = ``post`` column-stochastic and free of
-    all-zero rows.
+    """Finite POVM kept as rank-1 projectors and weights: element i is
+    sum_j D[i, j] v_j v_j^dag over the unit columns v_j of ``base`` (d x K),
+    with D = ``post`` nonnegative and free of all-zero rows. Column j of D
+    sums to v_j's weight in the identity, so D is column-stochastic only
+    over a unitary base.
 
-    The base is a unitary U, whose elements M_j = U e_j e_j^dag U^dag are
-    rank-1 projectors of volume 1 (a fine-grained measurement onto U's
-    columns), or a dense (k, d, d) stack of positive operators summing to the
-    identity. ``Povm(base)`` validates either once, keeping a dense stack's
-    Hermitian part, and sets D = I; zero elements are forbidden because
-    coarse-grained states divide by each element's volume (trace). Element
-    matrices are built only when ``elements`` is read.
+    ``Povm(U)`` takes a unitary U, the fine-grained measurement onto its
+    columns, and sets D = I. ``Povm(stack)`` validates a dense (k, d, d)
+    stack once, with one batched eigensolve, and keeps each element's
+    eigenvectors of eigenvalue above the roundoff floor energy_tol(d, its
+    largest), those eigenvalues as D's entries. Zero elements are forbidden
+    because estimates divide by each element's volume. Element matrices are
+    built only when ``elements`` is read; a dense stack seeds that cache
+    with its validated Hermitian part.
     """
 
     base: np.ndarray
@@ -66,47 +69,45 @@ class Povm:
     def __post_init__(self):
         base = as_matrix(self.base, stack=True)  # DimensionMismatch for an empty or ragged base
         if base.ndim == 2:
-            base = require_unitary(base, what="basis")
+            base, post = require_unitary(base, what="basis"), np.eye(len(base))
         else:
-            base = np.stack([require_hermitian(e, f"POVM element {k}") for k, e in enumerate(base)])
-            lows = np.linalg.eigvalsh(base)[:, 0]
-            k = int(np.argmin(lows))
-            if float(lows[k]) < -TOL:
-                raise InvalidPovm(f"POVM element {k} has eigenvalue {float(lows[k]):.3e} below {-TOL:.0e}")
-            volumes = np.trace(base, axis1=1, axis2=2).real
+            stack = np.stack([require_hermitian(e, f"POVM element {k}") for k, e in enumerate(base)])
+            values, vectors = np.linalg.eigh(stack)
+            k = int(np.argmin(values[:, 0]))
+            if float(values[k, 0]) < -TOL:
+                raise InvalidPovm(f"POVM element {k} has eigenvalue {float(values[k, 0]):.3e} below {-TOL:.0e}")
+            volumes = np.trace(stack, axis1=1, axis2=2).real
             k = int(np.argmin(volumes))
             if float(volumes[k]) < TOL:
                 raise DegeneratePovm(f"POVM element {k} is (numerically) the zero operator")
-            defect = max_abs(base.sum(axis=0) - np.eye(base.shape[-1]))
+            defect = max_abs(stack.sum(axis=0) - np.eye(stack.shape[-1]))
             if defect > LOOSE_TOL:
                 raise InvalidPovm(f"POVM elements sum to identity within {defect:.3e} > {LOOSE_TOL:.0e}")
+            kept = values > energy_tol(stack.shape[-1], values[:, -1:])
+            owner = np.nonzero(kept)[0]  # the element each kept eigenvector belongs to
+            base = np.swapaxes(vectors, 1, 2)[kept].T
+            post = np.where(owner == np.arange(len(stack))[:, np.newaxis], values[kept], 0.0)
+            object.__setattr__(self, "elements", stack)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "post", np.eye(len(base)))
+        object.__setattr__(self, "post", post)
 
     @property
     def dim(self) -> int:
-        return self.base.shape[-1]
+        return self.base.shape[0]
 
     @property
     def n_outcomes(self) -> int:
         return self.post.shape[0]
 
     @property
-    def _base_volumes(self) -> np.ndarray | float:
-        """V_j = tr M_j of the base elements: 1 for a unitary base."""
-        return 1.0 if self.base.ndim == 2 else np.trace(self.base, axis1=1, axis2=2).real
-
-    @property
     def volumes(self) -> np.ndarray:
-        """Trace D V of each element: the dimension-weight of its maximum-ignorance ensemble."""
-        return (self.post * self._base_volumes).sum(axis=-1)
+        """tr N_i = sum_j D_ij of each element: the dimension-weight of its maximum-ignorance ensemble."""
+        return self.post.sum(axis=-1)
 
     @cached_property
     def elements(self) -> np.ndarray:
         """Element matrices as one (k, d, d) array, built on first access."""
-        if self.base.ndim == 2:
-            return operator_in_basis(self.base, self.post)
-        return (self.post @ self.base.reshape(len(self.base), -1)).reshape(-1, self.dim, self.dim)
+        return operator_in_basis(self.base, self.post)
 
 
 def computational_basis(d: int) -> Povm:
@@ -151,10 +152,10 @@ def born_probabilities(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
 
 
 def _base_probabilities(rho: DensityMatrix, m: Povm) -> np.ndarray:
-    """p_j = tr(rho M_j) of the base elements: populations in a unitary base, Born's rule on a dense one."""
+    """p_j = tr(rho v_j v_j^dag) = <v_j|rho|v_j> of the base projectors."""
     if rho.dim != m.dim:
         raise DimensionMismatch(f"state is {rho.dim}-dimensional but measurement is {m.dim}-dimensional")
-    return diagonal_in_basis(rho.op, m.base) if m.base.ndim == 2 else born_probabilities(rho.op, m.base)
+    return diagonal_in_basis(rho.op, m.base)
 
 
 def outcome_distribution(rho: DensityMatrix, m: Povm) -> np.ndarray:
@@ -162,39 +163,40 @@ def outcome_distribution(rho: DensityMatrix, m: Povm) -> np.ndarray:
     return np.clip(m.post @ _base_probabilities(rho, m), 0.0, None)
 
 
-def estimate_spectrum(post: np.ndarray, populations: np.ndarray, volumes: np.ndarray | float) -> np.ndarray:
-    """Lemma 1: the coarse estimate sum_i q_i N_i / tr N_i, N_i = sum_j D_ij M_j, is sum_j w_j M_j with
-    w = D^T (D p / D V) for base probabilities p and volumes V, D p clipped of negative roundoff. Over a
-    unitary base (V = 1) w is the estimate's spectrum. Leading axes of post and populations are a batch."""
+def estimate_spectrum(post: np.ndarray, populations: np.ndarray) -> np.ndarray:
+    """Lemma 1: over base projectors M_j of volume 1, the coarse estimate sum_i q_i N_i / tr N_i,
+    N_i = sum_j D_ij M_j, is sum_j w_j M_j with w = D^T (D p / D 1) for base probabilities p, the
+    row sums D 1 being the volumes tr N_i and D p clipped of negative roundoff. Over a unitary base
+    w is the estimate's spectrum. Leading axes of post and populations are a batch."""
     probs = np.clip((post @ populations[..., np.newaxis])[..., 0], 0.0, None)
-    return (np.swapaxes(post, -1, -2) @ (probs / (post * volumes).sum(axis=-1))[..., np.newaxis])[..., 0]
+    return (np.swapaxes(post, -1, -2) @ (probs / post.sum(axis=-1))[..., np.newaxis])[..., 0]
 
 
 def link_matrix(post: np.ndarray) -> np.ndarray:
-    """Lemma 1's link B = (D / rowsum D)^T D over a unitary base: link_matrix(D) @ p is
-    estimate_spectrum(D, p, 1.0) written as a matrix, so B maps the fine outcome distribution
-    onto the coarse estimate's spectrum. Bistochastic for D column-stochastic without zero rows.
-    Leading axes of post are a batch."""
+    """Lemma 1's link B = (D / rowsum D)^T D: link_matrix(D) @ p is estimate_spectrum(D, p) written as a
+    matrix, so over a unitary base B maps the fine outcome distribution onto the coarse estimate's spectrum.
+    Bistochastic for D column-stochastic without zero rows. Leading axes of post are a batch."""
     return np.swapaxes(post / post.sum(axis=-1, keepdims=True), -1, -2) @ post
 
 
 def coarse_grained_state(rho: DensityMatrix, m: Povm) -> DensityMatrix:
     """Maximum-ignorance estimate sum_i q_i N_i / tr N_i of rho given one round
-    of outcome statistics q from m: sum_j w_j M_j over the base (estimate_spectrum).
-    Over a unitary base this is U diag(w) U^dag, whose spectrum needs no eigensolve. A dense
-    estimate is not validated again: it is a nonnegative mix of PSD elements of trace sum_i q_i."""
-    w = estimate_spectrum(m.post, _base_probabilities(rho, m), m._base_volumes)
-    if m.base.ndim == 2:
+    of outcome statistics q from m: sum_j w_j v_j v_j^dag over the base (estimate_spectrum).
+    Over a square base this is V diag(w) V^dag, whose spectrum needs no eigensolve; any
+    other base takes one eigvalsh. The estimate is not validated again: it is a nonnegative
+    mix of projectors of trace sum_i q_i."""
+    w = estimate_spectrum(m.post, _base_probabilities(rho, m))
+    if m.base.shape[0] == m.base.shape[1]:  # d unit columns completing the identity within LOOSE_TOL: a unitary
         return DensityMatrix._in_basis(m.base, w)
-    estimate = hermitian_part((w[np.newaxis, :] @ m.base.reshape(len(w), -1)).reshape(m.dim, m.dim))
+    estimate = hermitian_part(operator_in_basis(m.base, w))
     return unchecked(DensityMatrix, op=estimate, eigenvalues=np.linalg.eigvalsh(estimate))
 
 
 def coarse_grained_spectrum(rho: DensityMatrix, m: Povm) -> np.ndarray:
-    """Eigenvalues of coarse_grained_state(rho, m) in no set order; over a unitary base
+    """Eigenvalues of coarse_grained_state(rho, m) in no set order; over a square base
     they are the kernel's w, and no operator is built."""
-    if m.base.ndim == 2:
-        return estimate_spectrum(m.post, _base_probabilities(rho, m), 1.0)
+    if m.base.shape[0] == m.base.shape[1]:
+        return estimate_spectrum(m.post, _base_probabilities(rho, m))
     return coarse_grained_state(rho, m).eigenvalues
 
 

@@ -104,20 +104,6 @@ class RandomSource:
         draws = iter(draws)
         return [stack for kind in kinds for stack in table[kind][1](*(next(draws) for _ in table[kind][0]))]
 
-    def normal(self, shape) -> np.ndarray:
-        return self._gen.standard_normal(shape)
-
-    def complex_normal(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Standard complex Gaussian: independent N(0, 1/2) real and imaginary parts."""
-        z = self._gen.standard_normal((2, *shape))
-        return (z[0] + 1j * z[1]) / np.sqrt(2.0)
-
-    def uniform(self, shape=None) -> np.ndarray:
-        return self._gen.uniform(size=shape)
-
-    def exponential(self, shape=None) -> np.ndarray:
-        return self._gen.standard_exponential(size=shape)
-
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, key={self._key})"
 
@@ -150,10 +136,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.op.shape[0]
-
-    def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues, tiny negatives clipped to 0."""
-        return np.clip(self.eigenvalues, 0.0, None)
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and the matching eigenvectors as columns."""

@@ -8,10 +8,13 @@ of each claim: one trial at a time through the public object API
 batched audit engine is checked trial by trial.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from ergokit.ergotropy import ergotropy, incoherent_ergotropy, observational_ergotropy, passive_energy_of_spectrum
-from ergokit.linalg import TOL, energy_tol, max_abs, unchecked
+from ergokit.linalg import TOL, energy_tol, max_abs
 from ergokit.majorization import majorization_deficit
 from ergokit.measurement import (
     Povm,
@@ -44,31 +47,50 @@ def sampled_min_energy(rho_op, h_op, samples, seed, batch=2000):
     return best
 
 
+def bench_oracle():
+    """The benchmark's plain-numpy oracle (bench/oracle.py), which does not import ergokit."""
+    spec = importlib.util.spec_from_file_location("bench_oracle", Path(__file__).resolve().parents[1] / "bench" / "oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def qubit_sweep_closed_form(b):
     """Observational ergotropy of the diag(1/4, 3/4) / diag(0, 1) instance
     after folding the two computational outcomes together at rate b."""
     return ((3.0 + b) / 4.0) * (1.0 / (1.0 + b)) - 0.25
 
 
-def trial_draws(rng, kinds, d, n=1, rank=None):
-    """What one stream samples for ``kinds``, built from one per-draw call each (``complex_normal``, ``uniform``,
-    ``normal``, ``exponential``), not from ``states.recipes``: the reference for the rows of ``RandomSource.sample``."""
+def stream(seed, key=()):
+    """The generator behind ``RandomSource(seed)`` split along ``key``, for draws one raw call at a time."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def complex_normal(gen, shape):
+    """Standard complex Gaussians: independent N(0, 1/2) real and imaginary parts, the real parts drawn first."""
+    z = gen.standard_normal((2, *shape))
+    return (z[0] + 1j * z[1]) / np.sqrt(2.0)
+
+
+def trial_draws(gen, kinds, d, n=1, rank=None):
+    """What generator ``gen`` samples for ``kinds``, built from one raw draw call each, not from
+    ``states.recipes``: the reference for the rows of ``RandomSource.sample``."""
     rank = d if rank is None else rank
 
     def normalised(x):  # a vector, or each column of a matrix, onto the simplex
         return x / x.sum(axis=0)
 
     def levels():
-        energies = np.sort(rng.uniform(d))
-        rng.normal((2, d, d))  # the basis's Gaussians: drawn, so later draws stay put, and dropped
+        energies = np.sort(gen.random(d))
+        gen.standard_normal((2, d, d))  # the basis's Gaussians: drawn, so later draws stay put, and dropped
         return [energies]
 
-    draws = {"state": lambda: [ginibre_state(rng.complex_normal((d, rank)))],
-             "hamiltonian": lambda: [np.sort(rng.uniform(d)), haar_from_ginibre(rng.complex_normal((d, d)))],
+    draws = {"state": lambda: [ginibre_state(complex_normal(gen, (d, rank)))],
+             "hamiltonian": lambda: [np.sort(gen.random(d)), haar_from_ginibre(complex_normal(gen, (d, d)))],
              "levels": levels,
-             "haar": lambda: [haar_from_ginibre(rng.complex_normal((d, d)))],
-             "post": lambda: [normalised(rng.exponential((n, d)))],
-             "simplex": lambda: [normalised(rng.exponential(d))]}
+             "haar": lambda: [haar_from_ginibre(complex_normal(gen, (d, d)))],
+             "post": lambda: [normalised(gen.standard_exponential((n, d)))],
+             "simplex": lambda: [normalised(gen.standard_exponential(d))]}
     return [x for kind in kinds for x in draws[kind]()]
 
 
@@ -131,10 +153,11 @@ def spectrum_majorization_trial(cfg, rng):
     fine = Povm(haar_unitary(d, rng))
     dmat = random_column_stochastic(cfg.outcomes, d, rng)
     coarse = post_process(fine, dmat)
-    spec_fine = coarse_grained_state(rho, fine).spectrum()
-    # Checked against the element matrices' estimate, not the Lemma 1 kernel.
-    dense = unchecked(Povm, base=coarse.elements, post=np.eye(coarse.n_outcomes))
-    spec_coarse = coarse_grained_state(rho, dense).spectrum()
+    spec_fine = np.clip(coarse_grained_state(rho, fine).eigenvalues, 0.0, None)
+    # Checked against the estimate sum_i tr(rho N_i) N_i / tr N_i of the element matrices, not the Lemma 1 kernel.
+    elements = coarse.elements
+    weights = np.einsum("ij,kji->k", rho.op, elements).real / np.einsum("kii->k", elements).real
+    spec_coarse = np.clip(np.linalg.eigvalsh(np.einsum("k,kij->ij", weights, elements)), 0.0, None)
     deficit = majorization_deficit(spec_fine, spec_coarse)
     # The link from its definition, not the library's kernel: q(j|i) = D_ij V_j / sum_k D_ik V_k
     # is the chance that coarse outcome i came from fine outcome j, and B = q^T D.
@@ -154,8 +177,7 @@ def schur_concavity_trial(cfg, rng):
     energy."""
     d = cfg.dimension
     h = random_hamiltonian(d, rng)
-    x = rng.exponential(d)
-    x = x / x.sum()
+    x = rng.sample(("simplex",), d)[0]
     y = np.abs(haar_unitary(d, rng)) ** 2 @ x  # |U|^2 of a unitary is bistochastic
     margin = passive_energy_of_spectrum(h.energies, x) - passive_energy_of_spectrum(h.energies, y)
     return margin, margin > cfg.tolerance, None

@@ -21,7 +21,7 @@ from ergokit.linalg import TOL, adjoint, diagonal_in_basis, energy_tol, operator
 from ergokit.measurement import StochasticMatrix, computational_basis, post_process
 from ergokit.states import RandomSource, diagonal_hamiltonian, diagonal_state
 
-from _oracles import TRIAL_ORACLES, trial_draws
+from _oracles import TRIAL_ORACLES, stream, trial_draws
 
 CFG_SMALL = AuditConfig(dimension=3, outcomes=4, trials=100, seed=7)
 # Each claim's stream of the seed, pinned: a claim keeps its stream, so its results do not move when claims are added
@@ -385,13 +385,13 @@ def assert_bitwise(actual, expected):
                                                                       ("levels", "simplex", "haar")])
 @pytest.mark.parametrize("first, size", [(0, 1), (0, 7), (0, 16), (5, 1), (5, 7), (5, 16)])
 def test_chunk_draws_equal_per_trial_streams(kinds, first, size):
-    # a two-word seed; trial t of any chunk builds what root.split(t) draws alone, one per-draw call at a time
-    d, n, rank = 3, 4, 2
-    root = RandomSource(2 ** 32 + 3).split(3)
+    # a two-word seed; trial t of any chunk builds what root.split(t)'s generator draws, one raw call at a time
+    d, n, rank, seed = 3, 4, 2, 2 ** 32 + 3
+    root = RandomSource(seed).split(3)
     trials = range(first, min(first + size, 16))
     stacks = root.sample(kinds, d, n, rank, trials)
     for i, t in enumerate(trials):
-        expected = trial_draws(root.split(t), kinds, d, n, rank)
+        expected = trial_draws(stream(seed, (3, t)), kinds, d, n, rank)
         assert len(stacks) == len(expected)
         for stack, reference in zip(stacks, expected):
             assert_bitwise(stack[i], reference)

@@ -1,15 +1,13 @@
-import importlib.util
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ergokit.cli import main
 
-from _oracles import qubit_sweep_closed_form
+from _oracles import bench_oracle, qubit_sweep_closed_form
 
 QUBIT_INSTANCE = {
     "dimension": 2,
@@ -522,17 +520,9 @@ class TestVerify:
         assert json.loads(target.read_text())["claim"] == "schur"
 
 
-def _bench_oracle():
-    """The benchmark's plain-numpy oracle (bench/oracle.py), which does not import ergokit."""
-    spec = importlib.util.spec_from_file_location("bench_oracle", Path(__file__).resolve().parents[1] / "bench" / "oracle.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("d", [2, 5, 16])
 def test_dense_report_and_sweep_match_bench_oracle(d, tmp_path, capsys):
-    oracle = _bench_oracle()
+    oracle = bench_oracle()
     inst = oracle.make_instance(0, 0, d)
     path = write_instance(tmp_path, oracle.instance_document(inst))
     tol = oracle.tolerance(inst)
@@ -599,8 +589,8 @@ def test_passive_state_at_large_energy_scale(tmp_path, capsys, seed):
 
     rng = RandomSource(seed)
     h = random_hamiltonian(16, rng)
-    populations = np.sort(rng.exponential(16))[::-1]
-    rho = (h.eigenbasis * (populations / populations.sum())) @ adjoint(h.eigenbasis)
+    populations = np.sort(rng.sample(("simplex",), 16)[0])[::-1]
+    rho = (h.eigenbasis * populations) @ adjoint(h.eigenbasis)
     doc = {"dimension": 16, "hamiltonian": matrix_to_json(1e7 * h.op), "state": matrix_to_json(rho)}
     code, out, err = run_cli(capsys, "report", write_instance(tmp_path, doc))
     assert code == 0, err
@@ -668,7 +658,7 @@ def large_scale_instance(seed, asymmetry=0.0):
 
     rng = RandomSource(seed)
     u = haar_unitary(16, rng)
-    h = (u * (1e7 * np.sort(rng.uniform(16)))) @ adjoint(u)
+    h = (u * (1e7 * rng.sample(("levels",), 16)[0])) @ adjoint(u)
     assert max_abs(h - adjoint(h)) > 1e-10  # roundoff alone exceeds an absolute 1e-10
     h[0, 1] += asymmetry
     return {"dimension": 16, "hamiltonian": matrix_to_json(h), "state": matrix_to_json(random_density(16, 16, rng).op)}

@@ -33,7 +33,7 @@ from ergokit.states import (
     random_hamiltonian,
 )
 
-from _oracles import qubit_sweep_closed_form, sampled_min_energy
+from _oracles import qubit_sweep_closed_form, sampled_min_energy, stream
 
 H01 = diagonal_hamiltonian([0.0, 1.0])
 RHO = diagonal_state([0.25, 0.75])
@@ -305,8 +305,9 @@ def test_report_and_incoherent_ergotropy_build_no_operator(monkeypatch):
 
 
 def test_work_over_a_batch_equals_row_by_row_calls():
-    rng = RandomSource(67)
-    energies, populations, spectra = np.sort(rng.uniform((6, 5)), axis=-1), rng.exponential((6, 5)), rng.exponential((6, 5))
+    gen = stream(67)
+    energies = np.sort(gen.random((6, 5)), axis=-1)
+    populations, spectra = gen.standard_exponential((6, 5)), gen.standard_exponential((6, 5))
     batch = work(energies, populations, spectra)
     assert batch.shape == (6,)
     assert batch.tolist() == [work(*row) for row in zip(energies, populations, spectra)]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ergokit import linalg, measurement, states
 from ergokit.ergotropy import observational_ergotropy
 from ergokit.errors import DimensionMismatch
-from ergokit.linalg import TOL, adjoint, max_abs
+from ergokit.linalg import LOOSE_TOL, TOL, adjoint, energy_tol, max_abs
 from ergokit.measurement import (
     Povm,
     StochasticMatrix,
@@ -23,12 +23,15 @@ from ergokit.states import (
     DensityMatrix,
     Hamiltonian,
     RandomSource,
+    diagonal_hamiltonian,
     diagonal_state,
     haar_unitary,
     maximally_mixed,
     random_density,
     random_hamiltonian,
 )
+
+from _oracles import bench_oracle, complex_normal, stream
 
 RHO = diagonal_state([0.25, 0.75])
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -65,19 +68,38 @@ class TestPovm:
 
     def test_dense_base_keeps_the_hermitian_part(self):
         # Haar-rotated elements carry roundoff asymmetry, and one more 1e-12 within TOL: the base is their Hermitian
-        # part bit for bit, as a state or Hamiltonian keeps, so it is exactly Hermitian
+        # part bit for bit, as a state or Hamiltonian keeps, so its elements are exactly Hermitian
         u = haar_unitary(3, RandomSource(7))
         stack = np.stack([(u * w) @ adjoint(u) for w in ([0.2, 0.5, 0.7], [0.8, 0.5, 0.3])])
         stack[0, 0, 1] += 1e-12
         stack[1, 0, 1] -= 1e-12
         assert max_abs(stack - adjoint(stack)) > 0.0
-        base = Povm(stack).base
-        assert base.tobytes() == linalg.hermitian_part(stack).tobytes()
-        assert np.array_equal(base, adjoint(base))
+        elements = Povm(stack).elements
+        assert elements.tobytes() == linalg.hermitian_part(stack).tobytes()
+        assert np.array_equal(elements, adjoint(elements))
 
     def test_volumes(self):
         p = Povm((0.5 * np.eye(2), 0.5 * np.eye(2)))
         np.testing.assert_allclose(p.volumes, [1.0, 1.0])
+
+    def test_dense_stack_keeps_each_elements_eigenvectors(self):
+        # the bench instance's 32 elements have rank 2: each keeps two unit columns, whose weights (the column
+        # sums of D) complete the identity
+        p = Povm(bench_oracle().make_instance(0, 0, 16)["povm"])
+        assert p.base.shape == (16, 64)
+        np.testing.assert_array_equal(np.count_nonzero(p.post, axis=1), np.full(32, 2))
+        assert max_abs(np.linalg.norm(p.base, axis=0) - 1.0) <= TOL
+        assert max_abs((p.base * p.post.sum(axis=0)) @ adjoint(p.base) - np.eye(16)) <= LOOSE_TOL
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_element_keeps_its_eigenvectors(self):
+        # 0.6e-10 I has trace 1.2e-10 >= TOL, so it is not a zero element; a floor of TOL on its eigenvalues would
+        # drop both of its columns and divide 0 by 0, the floor energy_tol(d, its largest eigenvalue) keeps them
+        tiny = 0.6e-10 * np.eye(2)
+        m = Povm((tiny, np.eye(2) - tiny))
+        assert m.base.shape == (2, 4)
+        work = observational_ergotropy(diagonal_state([0.3, 0.7]), diagonal_hamiltonian([0.0, 1.0]), m)
+        assert work == pytest.approx(0.2, abs=1e-12)
 
 
 class TestFineGrained:
@@ -134,8 +156,8 @@ def test_random_constructors_equal_the_validated_construction(d, rank, monkeypat
         patched.setattr(StochasticMatrix, "__post_init__", refuse)
         rho = random_density(d, rank, root.split(0))
         post = random_column_stochastic(rank, d, root.split(1))
-    validated = DensityMatrix(states.ginibre_state(root.split(0).complex_normal((d, rank))))
-    cols = root.split(1).exponential((rank, d))
+    validated = DensityMatrix(states.ginibre_state(complex_normal(stream(d, (rank, 0)), (d, rank))))
+    cols = stream(d, (rank, 1)).standard_exponential((rank, d))
     validated_post = StochasticMatrix(cols / cols.sum(axis=0))
     for actual, expected in ((rho.op, validated.op), (rho.eigenvalues, validated.eigenvalues),
                              (post.entries, validated_post.entries)):
@@ -246,7 +268,7 @@ def test_fine_grained_spectrum_equals_outcome_distribution():
     rng = RandomSource(61)
     rho = random_density(4, 4, rng)
     p = Povm(haar_unitary(4, rng))
-    spectrum = np.sort(coarse_grained_state(rho, p).spectrum())
+    spectrum = np.sort(np.clip(coarse_grained_state(rho, p).eigenvalues, 0.0, None))
     probabilities = np.sort(outcome_distribution(rho, p))
     assert max_abs(spectrum - probabilities) <= 1e-12
 
@@ -281,7 +303,7 @@ def _kernel_instance(d, n_rel, seed, rank_frac, zero_rows, degenerate):
     rho = random_density(d, rank, rng)
     if degenerate:
         u = haar_unitary(d, rng)
-        levels = 1.0 + np.floor(3.0 * rng.uniform(d)) / 2.0  # at most three distinct energies
+        levels = 1.0 + np.floor(3.0 * rng.sample(("levels",), d)[0]) / 2.0  # at most three distinct energies
         h = Hamiltonian(u @ np.diag(levels) @ adjoint(u))
     else:
         h = random_hamiltonian(d, rng)
@@ -303,7 +325,7 @@ def test_kernel_matches_dense_elements(d, n_rel, seed, rank_frac, zero_rows, deg
     # A general (non-projective) dense base coarsened by D, against its explicitly mixed elements.
     general = Povm(post_process(fine, random_column_stochastic(d, d, RandomSource(seed).split(1))).elements)
     coarse = post_process(general, dmat)
-    mixed = np.tensordot(dmat.entries, general.base, axes=1)[np.flatnonzero(dmat.entries @ general.volumes >= TOL)]
+    mixed = np.tensordot(dmat.entries, general.elements, axes=1)[np.flatnonzero(dmat.entries @ general.volumes >= TOL)]
     cases = [(m, m.elements) for m in (fine, post_process(fine, dmat), energy_incoherent(h, dmat))]
     for structured, elements in [*cases, (coarse, mixed)]:
         dense = Povm(elements)
@@ -323,15 +345,29 @@ def test_post_processing_drops_zero_rows_of_basis_measurements():
     np.testing.assert_array_equal(n.post, dead_rows.entries[[1, 3]])
 
 
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_dense_projectors_take_the_square_path(d):
+    # U e_j e_j^dag U^dag as a dense stack keeps one column each, a square base, and agrees with Povm(U) under any
+    # coarsening, one that drops an all-zero row among them
+    rng = RandomSource(74 + d)
+    rho, h, u = random_density(d, d, rng), random_hamiltonian(d, rng), haar_unitary(d, rng)
+    dense = Povm(np.stack([np.outer(u[:, j], np.conj(u[:, j])) for j in range(d)]))
+    assert dense.base.shape == (d, d)
+    dead_row = np.vstack([random_column_stochastic(2, d, rng).entries, np.zeros(d)])
+    for post in (np.eye(d), random_column_stochastic(d + 2, d, rng).entries, dead_row, np.ones((1, d))):
+        dmat = StochasticMatrix(post)
+        by_stack, by_basis = (observational_ergotropy(rho, h, post_process(m, dmat)) for m in (dense, Povm(u)))
+        assert abs(by_stack - by_basis) <= energy_tol(d, max_abs(h.energies))
+
+
 @pytest.mark.parametrize("d, n", [(1, 2), (3, 4), (8, 5), (8, 1), (64, 64)])
 def test_link_matrix_is_the_kernel_as_a_matrix(d, n):
     rng = RandomSource(73 + d + n)
     posts = np.stack([random_column_stochastic(n, d, rng).entries for _ in range(3)])
-    populations = rng.exponential((3, d))
-    populations /= populations.sum(axis=-1, keepdims=True)
+    populations = rng.sample(("simplex",), d, trials=range(3))[0]
     links = link_matrix(posts)
     for post, p, link in zip(posts, populations, links):
-        assert max_abs(link @ p - estimate_spectrum(post, p, 1.0)) <= linalg.TOL
+        assert max_abs(link @ p - estimate_spectrum(post, p)) <= linalg.TOL
         assert max(max_abs(link.sum(axis=0) - 1.0), max_abs(link.sum(axis=1) - 1.0)) <= linalg.TOL  # bistochastic
         assert link.tobytes() == link_matrix(post).tobytes()
 
@@ -342,6 +378,7 @@ def test_basis_measurement_kernel_makes_no_eigensolve(monkeypatch):
     h = random_hamiltonian(5, rng)
     fine = Povm(haar_unitary(5, rng))
     dmat = random_column_stochastic(7, 5, rng)
+    projectors = Povm(fine.elements)  # rank-1 dense elements: a square base
     calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
@@ -350,7 +387,7 @@ def test_basis_measurement_kernel_makes_no_eigensolve(monkeypatch):
         original = module.operator_in_basis
         monkeypatch.setattr(module, "operator_in_basis", lambda *a, _f=original, **k: calls.append("operator_in_basis") or _f(*a, **k))
     q = random_column_stochastic(3, 5, rng)
-    for m in (fine, post_process(fine, dmat), energy_incoherent(h, q)):
+    for m in (fine, post_process(fine, dmat), energy_incoherent(h, q), post_process(projectors, dmat)):
         observational_ergotropy(rho, h, m)
     assert calls == []
 

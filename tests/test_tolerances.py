@@ -106,7 +106,7 @@ def test_verdicts_and_work_quantities_scale_with_the_hamiltonian(seed, d, asymme
     spectra make it depend on the choice of that basis."""
     rng = RandomSource(seed)
     u = haar_unitary(d, rng)
-    levels = np.cumsum(0.2 + rng.uniform(d))
+    levels = np.cumsum(0.2 + rng.sample(("levels",), d)[0])
     h = (u * (levels - levels.mean())) @ adjoint(u)  # not symmetrised: roundoff asymmetry stays in
     h[0, 1] += asymmetry * max_abs(h)
     rho = random_density(d, d, rng)
