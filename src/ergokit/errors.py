@@ -50,7 +50,7 @@ class PreconditionFailed(ErgokitError):
 
 
 class InconsistentReport(ErgokitError):
-    """Computed work quantities break an identity they satisfy exactly in theory."""
+    """Computed work quantities break a bound they satisfy in theory: a negative ergotropy."""
 
 
 class InvalidConfig(ErgokitError):

@@ -311,15 +311,6 @@ def test_energy_from_populations_is_the_trace(d):
     assert np.all(np.abs(mean - trace) <= energy_tol(d, np.abs(levels).max(axis=-1)))
 
 
-@pytest.mark.parametrize("d, rank", [(1, 1), (3, 3), (8, 1), (8, 8), (64, 64)])
-def test_theorem2_equality_gap_is_exact(d, rank):
-    # both sides are sum_k E_k p_k - passive(p) off the same populations, so the energy-basis gap is exactly 0;
-    # with one outcome the bound side is passive(p) - passive(uniform) <= 0, so each margin is that gap
-    cfg = AuditConfig(dimension=d, outcomes=1, rank=rank, trials=40 if d < 64 else 2, seed=d)
-    gaps = [margin for _, margin, _ in audits._chunks("theorem2", cfg)]
-    assert np.all(np.concatenate(gaps) == 0.0)
-
-
 def test_lemma1_counts_a_faulty_dense_estimate_as_violations(monkeypatch, capsys):
     # the cross-check estimate is the audit's own, so a fault in it is a violation (exit 1), not a rejected state
     monkeypatch.setattr(audits, "_dense_estimate", lambda *a, _f=audits._dense_estimate: (1 + 1e-6) * _f(*a))

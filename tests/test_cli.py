@@ -602,14 +602,25 @@ def test_inconsistent_report_exits_2(qubit_file, capsys, monkeypatch):
     from ergokit.ergotropy import WorkReport
 
     def broken_report(rho, h, m=None):
-        return WorkReport(dimension=2, mean_energy=1.0, passive_energy=0.25, ergotropy=0.5,
-                          incoherent=0.5, coherent=0.0)
+        return WorkReport(dimension=2, mean_energy=0.25, passive_energy=0.5, ergotropy=-0.25,
+                          incoherent=-0.25, coherent=0.0, energy_scale=1.0)
 
     monkeypatch.setattr(cli, "report", broken_report)
     code, out, err = run_cli(capsys, "report", qubit_file)
     assert code == 2
     assert out == ""
-    assert "ergotropy must equal" in err
+    assert "ergotropy is negative" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_sweep_row_exits_2_and_prints_nothing(qubit_file, capsys, monkeypatch, fmt):
+    # a result that reaches the writer non-finite is caught there, before any row is written
+    from ergokit import cli
+
+    monkeypatch.setattr(cli, "observational_ergotropy", lambda *args: float("nan"))
+    code, out, err = run_cli(capsys, "sweep", qubit_file, "--family", "mix", "--grid", "0,1", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert "not a finite number" in err
 
 
 @pytest.mark.parametrize("command", [["report"], ["sweep", "--family", "mix", "--grid", "0,1"]], ids=["report", "sweep"])

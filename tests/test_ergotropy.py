@@ -16,7 +16,7 @@ from ergokit.ergotropy import (
     report,
     work,
 )
-from ergokit.errors import DimensionMismatch, NonFinite
+from ergokit.errors import DimensionMismatch, InconsistentReport, NonFinite
 from ergokit.instances import matrix_to_json
 from ergokit.linalg import adjoint, energy_tol, max_abs
 from ergokit.measurement import Povm, StochasticMatrix, computational_basis, post_process, random_column_stochastic
@@ -112,6 +112,14 @@ def test_passive_state_properties_random():
         assert max_abs(u @ rho.op @ adjoint(u) - pi.op) <= 1e-9
         assert abs(np.trace(h.op @ pi.op).real - passive_energy(rho, h)) <= 1e-10
         assert ergotropy(pi, h) <= 1e-10
+
+
+def test_passive_state_keeps_the_state_spectrum():
+    # the passive state carries the eigenvalues rho kept at validation, not a second eigensolve's
+    rng = RandomSource(34)
+    for d in (2, 5, 16, 64):
+        rho, h = random_density(d, d, rng.split(d)), random_hamiltonian(d, rng.split(d))
+        assert passive_state(rho, h)[0].eigenvalues.tobytes() == np.sort(rho.eigenvalues).tobytes()
 
 
 def test_ergotropy_hand_values():
@@ -332,7 +340,7 @@ def test_report_csv_layout(tmp_path, capsys):
 
 
 def test_work_report_rejects_non_finite_fields():
-    # NaN compares false, so without a finiteness check it would pass every identity check
+    # NaN compares false, so without a finiteness check it would pass the negative-ergotropy check
     nan = float("nan")
     with pytest.raises(NonFinite):
         WorkReport(dimension=2, mean_energy=nan, passive_energy=nan, ergotropy=nan,
@@ -343,9 +351,9 @@ def test_work_report_rejects_non_finite_fields():
 
 
 def test_work_report_rejects_inconsistent_fields():
-    with pytest.raises(ValueError):
-        WorkReport(dimension=2, mean_energy=1.0, passive_energy=0.25,
-                   ergotropy=0.5, incoherent=0.5, coherent=0.0)
-    with pytest.raises(ValueError):
-        WorkReport(dimension=2, mean_energy=0.75, passive_energy=0.25,
-                   ergotropy=0.5, incoherent=0.1, coherent=0.0)
+    # a negative ergotropy past energy_tol(2, 1) ~ 7e-15 is rejected; one within roundoff is kept
+    with pytest.raises(InconsistentReport, match="ergotropy is negative"):
+        WorkReport(dimension=2, mean_energy=0.25, passive_energy=0.25 + 1e-13, ergotropy=-1e-13,
+                   incoherent=-1e-13, coherent=0.0, energy_scale=1.0)
+    WorkReport(dimension=2, mean_energy=0.25, passive_energy=0.25 + 1e-15, ergotropy=-1e-15,
+               incoherent=-1e-15, coherent=0.0, energy_scale=1.0)

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from ergokit.audits import AuditConfig
+from ergokit.ergotropy import observational_ergotropy
 from ergokit.errors import (DimensionMismatch, ErgokitError, InvalidConfig, InvalidRank, NonFinite, NotHermitian,
                             NotUnitary, PreconditionFailed)
 from ergokit.instances import instance_from_dict
 from ergokit.linalg import as_matrix
 from ergokit.majorization import majorization_deficit, majorizes
-from ergokit.measurement import Povm, StochasticMatrix, computational_basis, random_column_stochastic
+from ergokit.measurement import Povm, StochasticMatrix, computational_basis, outcome_distribution, random_column_stochastic
 from ergokit.states import (DensityMatrix, Hamiltonian, RandomSource, diagonal_hamiltonian, diagonal_state, haar_unitary,
                             maximally_mixed, pure_state, random_density, random_hamiltonian)
 
@@ -88,6 +89,12 @@ BAD_INPUTS = {
     "random density of float rank": lambda: random_density(3, 1.5, RandomSource(0)),
     "state given a stack": lambda: DensityMatrix(np.stack([KET0, KET1, KET0])),
     "hamiltonian given a stack": lambda: Hamiltonian(np.zeros((3, 2, 2))),
+    "non-square state": lambda: DensityMatrix(np.full((2, 3), 0.5)),
+    "non-square hamiltonian": lambda: Hamiltonian(np.zeros((2, 3))),
+    "outcome distribution of a 3-dim state under a 2-dim povm":
+        lambda: outcome_distribution(maximally_mixed(3), computational_basis(2)),
+    "observational ergotropy of a 3-dim state under a 2-dim povm":
+        lambda: observational_ergotropy(maximally_mixed(3), diagonal_hamiltonian([0.0, 1.0, 2.0]), computational_basis(2)),
     "povm second element not Hermitian": lambda: Povm((KET0, KET1 + np.array([[0.0, 0.5], [0.0, 0.0]]))),
     "povm second element near float max": lambda: Povm((KET0, np.full((2, 2), 1.7e308))),
 }
@@ -148,6 +155,10 @@ ERROR_CLASSES = {
     "random density of float rank": InvalidRank,
     "state given a stack": DimensionMismatch,
     "hamiltonian given a stack": DimensionMismatch,
+    "non-square state": DimensionMismatch,
+    "non-square hamiltonian": DimensionMismatch,
+    "outcome distribution of a 3-dim state under a 2-dim povm": DimensionMismatch,
+    "observational ergotropy of a 3-dim state under a 2-dim povm": DimensionMismatch,
     "povm second element not Hermitian": NotHermitian,
     "povm second element near float max": NonFinite,
 }
@@ -156,6 +167,10 @@ ERROR_CLASSES = {
 ERROR_MESSAGES = {
     "povm second element not Hermitian": "POVM element 1",
     "povm second element near float max": "POVM element 1",
+    "non-square state": "must be square",
+    "non-square hamiltonian": "must be square",
+    "outcome distribution of a 3-dim state under a 2-dim povm": "measurement is 2-dimensional",
+    "observational ergotropy of a 3-dim state under a 2-dim povm": "measurement is 2-dimensional",
 }
 
 

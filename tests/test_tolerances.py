@@ -69,11 +69,12 @@ def test_tiny_non_hermitian_hamiltonian_is_rejected():
 
 
 def test_work_report_at_small_energy_scale_is_checked_at_that_scale():
-    # ergotropy off by 1e-13 at max|E| = 1e-12 is far past roundoff at that scale
-    with pytest.raises(InconsistentReport):
-        WorkReport(dimension=2, mean_energy=1e-12, passive_energy=0.0, ergotropy=1.1e-12, incoherent=1.1e-12,
+    # ergotropy -1e-25 at max|E| = 1e-12 is far past roundoff at that scale (energy_tol ~ 7e-27),
+    # though it is within the tolerance at scale 1
+    with pytest.raises(InconsistentReport, match="ergotropy is negative"):
+        WorkReport(dimension=2, mean_energy=0.0, passive_energy=1e-25, ergotropy=-1e-25, incoherent=-1e-25,
                    coherent=0.0, energy_scale=1e-12)
-    WorkReport(dimension=2, mean_energy=1e-12, passive_energy=0.0, ergotropy=1e-12, incoherent=1e-12,
+    WorkReport(dimension=2, mean_energy=0.0, passive_energy=1e-27, ergotropy=-1e-27, incoherent=-1e-27,
                coherent=0.0, energy_scale=1e-12)
 
 
