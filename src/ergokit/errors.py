@@ -38,7 +38,7 @@ class InvalidRank(ErgokitError):
 
 
 class DegeneratePovm(ErgokitError):
-    """Post-processing left no nonzero measurement outcome."""
+    """A dense POVM element is (numerically) zero: its trace, the volume an estimate divides by, is below TOL."""
 
 
 class LengthMismatch(ErgokitError):

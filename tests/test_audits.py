@@ -143,9 +143,9 @@ def test_sampled_supremum_close_for_fixed_instance():
 
 
 def test_impossible_tolerance_counts_violations():
-    # theorem3's equality compares rho's eigenvalues with its populations in its eigenvectors, equal only to ~1e-16
+    # lemma1's majorization compares the traces of its fine and coarse spectra, equal only to ~1e-16
     cfg = AuditConfig(dimension=3, outcomes=4, trials=50, seed=11, tolerance=1e-300)
-    result = run_audit("theorem3", cfg)
+    result = run_audit("lemma1", cfg)
     assert result.violations > 0
     assert result.violations <= result.trials
     assert result.worst_margin > 0.0
@@ -326,11 +326,11 @@ def test_sample_property_catches_a_doubled_builder(monkeypatch, builder):
 
 
 @pytest.mark.parametrize("claim, solves", [("theorem1", ["qr", "qr"]), ("theorem2", ["qr"]),
-                                           ("theorem3", ["qr", "qr", "eigh"]), ("lemma1", ["qr", "eigvalsh"]),
+                                           ("theorem3", ["qr", "qr", "eigvalsh"]), ("lemma1", ["qr", "eigvalsh"]),
                                            ("schur", ["qr"])])
 def test_audits_eigensolve_only_what_the_claim_needs(monkeypatch, claim, solves):
-    # one QR per Haar basis a claim reads (schur reads its Hamiltonian's levels alone); theorem3 takes r_full and
-    # the own-basis measurement from one eigh; lemma1's eigvalsh is the dense cross-check
+    # one QR per Haar basis a claim reads (schur reads its Hamiltonian's levels alone); theorem3 takes r_full from
+    # one eigvalsh; lemma1's eigvalsh is the dense cross-check
     monkeypatch.setattr(audits, "CHUNK_BYTES", 7 * per_trial_bytes(CFG_SMALL))
     calls = []
     for name in ("qr", "eigh", "eigvalsh"):

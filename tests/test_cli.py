@@ -428,7 +428,7 @@ class TestVerify:
         assert lines[1].startswith("schur,10,0,")
 
     def test_violations_exit_code(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "theorem3", "--trials", "20", "--seed", "11",
+        code, out, _ = run_cli(capsys, "verify", "lemma1", "--trials", "20", "--seed", "11",
                                "--tol", "1e-300")
         assert code == 1
         assert json.loads(out)["violations"] > 0
@@ -483,7 +483,7 @@ class TestVerify:
         def diverges(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", diverges)
+        monkeypatch.setattr(np.linalg, "eigvalsh", diverges)
         code, out, err = run_cli(capsys, "verify", "theorem3", "--trials", "1")
         assert (code, out) == (2, "")
         assert err == "error: Eigenvalues did not converge\n"

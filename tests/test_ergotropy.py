@@ -149,11 +149,16 @@ def test_observational_ergotropy_merge_family(b):
 
 
 def test_observational_ergotropy_eigenbasis_recovers_full():
-    rng = RandomSource(36)
-    rho = random_density(4, 4, rng)
-    h = random_hamiltonian(4, rng)
-    basis = Povm(rho.eig()[1])
-    assert observational_ergotropy(rho, h, basis) == pytest.approx(ergotropy(rho, h), abs=1e-10)
+    # Theorem 3's equality, which verify theorem3 leaves to tier-1: rho's own eigenbasis attains the ergotropy
+    # within energy_tol at every size and rank (the largest gap seen is ~0.1 energy_tol), the eigensolver's residual
+    for d in (1, 2, 3, 8, 16, 64):
+        rng = RandomSource(36 + d)
+        for t in range(20 if d == 64 else 80):
+            sub = rng.split(t)
+            rank = d if t % 2 else 1
+            rho, h = random_density(d, rank, sub), random_hamiltonian(d, sub)
+            gap = observational_ergotropy(rho, h, Povm(rho.eig()[1])) - ergotropy(rho, h)
+            assert abs(gap) <= energy_tol(d, max_abs(h.energies)), (d, rank, t, gap)
 
 
 def test_observational_ergotropy_can_be_negative():
