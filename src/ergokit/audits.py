@@ -121,10 +121,10 @@ def _spectrum_majorization(cfg: AuditConfig, rho, u, post):
     fine = estimate_spectrum(np.eye(cfg.dimension), diagonal_in_basis(rho, u))
     # Checked against the estimate built from the element matrices, not the kernel.
     spec_coarse = np.clip(np.linalg.eigvalsh(_dense_estimate(rho, u, post)), 0.0, None)
-    deficit = majorization_deficit(np.sort(fine), spec_coarse)
+    deficit = majorization_deficit(fine, spec_coarse)
     link = link_matrix(post)
     bisto_residual = np.maximum(np.abs(link.sum(axis=-2) - 1.0).max(axis=-1), np.abs(link.sum(axis=-1) - 1.0).max(axis=-1))
-    mapped_residual = np.abs(np.sort((link @ fine[..., np.newaxis])[..., 0]) - np.sort(spec_coarse)).max(axis=-1)
+    mapped_residual = np.abs(np.sort((link @ fine[..., np.newaxis])[..., 0]) - spec_coarse).max(axis=-1)
     margin = np.maximum(deficit, np.maximum(bisto_residual, mapped_residual))
     violated = (deficit > cfg.tolerance) | (bisto_residual > TOL) | (mapped_residual > TOL)
     return margin, violated

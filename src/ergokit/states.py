@@ -138,8 +138,8 @@ class DensityMatrix:
         return self.op.shape[0]
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and the matching eigenvectors as columns."""
-        return np.linalg.eigh(self.op)
+        """The kept ascending eigenvalues and the matching eigenvectors as columns."""
+        return self.eigenvalues, np.linalg.eigh(self.op)[1]
 
 
 @dataclass(frozen=True, eq=False)

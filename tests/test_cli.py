@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,12 @@ import pytest
 from ergokit.cli import main
 
 from _oracles import bench_oracle, qubit_sweep_closed_form
+
+# every CLI contract holds with RuntimeWarnings as errors: a bad input exits 2 before any overflow is computed
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+ROOT = Path(__file__).resolve().parents[1]
+FORMATS = ("json", "csv")
 
 QUBIT_INSTANCE = {
     "dimension": 2,
@@ -58,6 +65,34 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*argv):
+    """Exit code, stdout and stderr of ``python -W error::RuntimeWarning *argv`` (``-m ergokit ...`` or a script)."""
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *argv], capture_output=True)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def usage_error(capsys, *argv, child=False):
+    """The stderr of argv, in-process or in a child: in each output format it must exit 2, print nothing on stdout
+    and one "error:" line."""
+    errs = set()
+    for fmt in FORMATS:
+        code, out, err = run_child("-m", "ergokit", *argv, "--format", fmt) if child else \
+            run_cli(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, (fmt, code, out, err)
+        errs.add(err)
+    assert len(errs) == 1, errs
+    return errs.pop()
+
+
+def same_bytes_as_a_child(capsys, argv, *child_argv):
+    """The stdout of argv through ``cli.main``: it must exit 0 and print the bytes ``run_child(*child_argv)`` prints."""
+    child_code, child_out, child_err = run_child(*child_argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert (child_code, code) == (0, 0), (child_err, err)
+    assert child_out == out
+    return out
 
 
 class TestReport:
@@ -164,8 +199,7 @@ class TestReportErrors:
         ("post_processing", {"x": [[10 ** 400]]}, "post_processing.x[0][0]"),
     ])
     def test_integer_past_the_float_range_exits_2(self, tmp_path, capsys, field, value, path):
-        code, out, err = run_cli(capsys, "report", write_instance(tmp_path, dict(QUBIT_INSTANCE, **{field: value})))
-        assert (code, out) == (2, "")
+        err = usage_error(capsys, "report", write_instance(tmp_path, dict(QUBIT_INSTANCE, **{field: value})))
         assert f"error: {path}: integer too large for a float" in err
 
     @pytest.mark.parametrize("content, reason", [
@@ -175,8 +209,7 @@ class TestReportErrors:
     def test_unreadable_file_is_a_parse_error(self, tmp_path, capsys, content, reason):
         path = tmp_path / "instance.json"
         path.write_bytes(content)
-        code, out, err = run_cli(capsys, "report", str(path))
-        assert (code, out) == (2, "")
+        err = usage_error(capsys, "report", str(path))
         assert err.startswith(f"error: {path}: ") and reason in err
 
     @pytest.mark.parametrize("entry", ["1e400", "NaN", "-Infinity", "[0, 1e400]"])
@@ -214,8 +247,7 @@ class TestReportErrors:
     ])
     def test_reader_messages(self, tmp_path, capsys, field, value, message):
         path = write_instance(tmp_path, value if field is None else edited_instance(field, value))
-        code, out, err = run_cli(capsys, "report", path)
-        assert (code, out, err) == (2, "", f"error: {message}\n".replace("<path>", path))
+        assert usage_error(capsys, "report", path) == f"error: {message}\n".replace("<path>", path)
 
     @pytest.mark.parametrize("field", ["measurements", "post_processing"])
     def test_null_section_is_absent(self, tmp_path, capsys, field):
@@ -232,8 +264,7 @@ class TestReportErrors:
     def test_repeated_key_is_a_parse_error(self, tmp_path, capsys, text, key):
         path = tmp_path / "instance.json"
         path.write_text(text)
-        code, out, err = run_cli(capsys, "report", str(path))
-        assert (code, out, err) == (2, "", f"error: {path}: repeated key {key!r}\n")
+        assert usage_error(capsys, "report", str(path)) == f"error: {path}: repeated key {key!r}\n"
 
     def test_signed_zeros_and_subnormals_parse_exactly(self, monkeypatch):
         import numpy as np
@@ -259,9 +290,7 @@ class TestReportErrors:
     def test_deeply_nested_json_exits_2(self, tmp_path, capsys, nested):
         path = tmp_path / "instance.json"
         path.write_text('{"dimension": 1, "hamiltonian": %s, "state": [[1]]}' % nested)
-        code, out, err = run_cli(capsys, "report", str(path))
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ")
+        usage_error(capsys, "report", str(path))
 
     def test_bad_entry_reports_cell_path(self, tmp_path, capsys):
         doc = dict(QUBIT_INSTANCE)
@@ -340,9 +369,8 @@ class TestSweep:
     def test_whole_grid_is_checked_before_the_first_row(self, qubit_file, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr("ergokit.cli.observational_ergotropy", lambda *a: calls.append(a) or 0.0)
-        code, out, err = run_cli(capsys, "sweep", qubit_file, "--family", "mix", "--grid", "0,0.5,nan")
-        assert (code, out, len(calls)) == (2, "", 0)
-        assert "[0, 1]" in err
+        assert "[0, 1]" in usage_error(capsys, "sweep", qubit_file, "--family", "mix", "--grid", "0,0.5,nan")
+        assert calls == []
 
     def test_each_family_matrix_is_built_once(self, qubit_file, capsys, monkeypatch):
         from ergokit import cli
@@ -431,7 +459,7 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "lemma1", "--trials", "20", "--seed", "11",
                                "--tol", "1e-300")
         assert code == 1
-        assert json.loads(out)["violations"] > 0
+        assert len(out.splitlines()) == 1 and json.loads(out)["violations"] > 0
 
     def test_bogus_claim(self, capsys):
         code, _, err = run_cli(capsys, "verify", "bogus")
@@ -443,14 +471,15 @@ class TestVerify:
         assert code == 2
 
     @pytest.mark.parametrize("argv, message", [
-        (["--d", "0"], "dimension must be a positive integer, got 0"),
-        (["--n", "0"], "outcomes must be a positive integer, got 0"),
-        (["--trials", "0"], "trials must be an integer in [1, 4294967295], got 0"),
-        (["--d", "3", "--rank", "4"], "rank must be an integer in [1, 3], got 4"),
+        (["all", "--d", "0"], "dimension must be a positive integer, got 0"),
+        (["all", "--n", "0"], "outcomes must be a positive integer, got 0"),
+        (["all", "--trials", "0"], "trials must be an integer in [1, 4294967295], got 0"),
+        (["all", "--d", "3", "--rank", "4"], "rank must be an integer in [1, 3], got 4"),
+        (["theorem1", "--trials", "1", "--tol", "inf"], "tolerance must be a finite positive number, got inf"),
+        (["theorem1", "--trials", "1", "--tol", "1e400"], "tolerance must be a finite positive number, got inf"),
     ])
     def test_out_of_range_sizes_exit_2(self, capsys, argv, message):
-        code, out, err = run_cli(capsys, "verify", "all", *argv)
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert usage_error(capsys, "verify", *argv) == f"error: {message}\n"
 
     def test_defaults_are_the_audit_config_defaults(self, capsys, monkeypatch):
         import ergokit.cli
@@ -489,12 +518,10 @@ class TestVerify:
         assert err == "error: Eigenvalues did not converge\n"
 
     @pytest.mark.parametrize("size", [["--d", "2", "--n", "4611686018427387904"], ["--d", "4294967296"]])
-    def test_trial_past_the_largest_array_exits_2(self, size):
+    def test_trial_past_the_largest_array_exits_2(self, capsys, size):
         # one trial's 16 d^2 (n + 8) bytes exceed what numpy can index, so the config is rejected before any draw
-        cmd = [sys.executable, "-m", "ergokit", "verify", "theorem1", *size, "--trials", "1"]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.startswith("error: one trial at dimension") and "Traceback" not in proc.stderr
+        err = usage_error(capsys, "verify", "theorem1", *size, "--trials", "1", child=True)
+        assert err.startswith("error: one trial at dimension")
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets RLIMIT_AS on the child")
     def test_out_of_memory_in_a_child_exits_2(self):
@@ -563,13 +590,52 @@ def test_povm_json_round_trip(tmp_path, capsys):
     assert json.loads(out)["observational"] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
-def test_identical_invocations_are_byte_identical():
-    cmd = [sys.executable, "-m", "ergokit", "verify", "all", "--d", "2", "--n", "3",
-           "--trials", "25", "--seed", "9"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
-    assert first.returncode == 0 and second.returncode == 0
-    assert first.stdout == second.stdout
+# argvs that must print the same bytes in a fresh child as in-process, in both formats; {dense} and {qubit} are
+# bench/oracle.py's d = 16 and d = 2 instance files (a dense 32-element POVM, rank-1 projectors and a merge that
+# drops an outcome at b = 1), {golden} the pinned d = 4 instance
+REPEATS = [
+    *(f"verify all {args}" for args in [
+        "--d 3 --n 4 --trials 200 --seed 0", "--d 64 --n 64 --trials 2 --seed 0",
+        "--d 1 --n 2 --trials 200 --seed 0", "--d 3 --n 4 --trials 200 --seed 4294967296",
+        "--d 8 --n 1 --trials 200 --seed 0", "--d 8 --n 4 --rank 1 --trials 200 --seed 0",
+        "--d 16 --n 16 --rank 1 --trials 300 --seed 0", "--d 2 --n 3 --trials 25 --seed 9"]),
+    "report --measurement general {dense}",
+    "sweep --family mix --grid 0:1:101 --measurement general {dense}",
+    "sweep --family mix --grid 0:1:2001 --measurement general {dense}",
+    "report {dense}",
+    "sweep --family mix --grid 0:1:101 {dense}",
+    "sweep --family merge --grid 0:1:11 {qubit}",
+    "report --measurement basis {golden}",
+    "sweep --family mix --grid 0:1:101 --measurement basis {golden}",
+]
+
+
+@pytest.fixture(scope="module")
+def repeat_files(tmp_path_factory):
+    oracle = bench_oracle()
+    folder = tmp_path_factory.mktemp("repeats")
+    files = {name: write_instance(folder, oracle.instance_document(oracle.make_instance(0, 0, d)), f"{name}.json")
+             for name, d in (("dense", 16), ("qubit", 2))}
+    return {**files, "golden": str(ROOT / "tests" / "golden" / "instance.json")}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("args", REPEATS)
+def test_repeats_are_byte_identical(repeat_files, capsys, args, fmt):
+    argv = [repeat_files[a[1:-1]] if a.startswith("{") else a for a in args.split()] + ["--format", fmt]
+    same_bytes_as_a_child(capsys, argv, "-m", "ergokit", *argv)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_large_prints_the_same_bytes_under_the_bench_tracer(tmp_path, capsys, seed):
+    # bench/run.py runs this argv traced as its verify-large workload, and needs every run to print the same lines;
+    # theorem3's margin is r_sampled - r_full alone, so a worst_margin at or above 0 means a sampled basis reached it
+    argv = ["verify", "all", "--d", "64", "--n", "64", "--trials", "2", "--seed", str(seed)]
+    tracer = [str(ROOT / "bench" / "tracer.py"), str(tmp_path / "trace.json"), "--"]
+    out = same_bytes_as_a_child(capsys, argv, *tracer, *argv)
+    rows = {row["claim"]: row for row in map(json.loads, out.splitlines())}
+    assert [row["violations"] for row in rows.values()] == [0] * 5
+    assert rows["theorem3"]["worst_margin"] < 0
 
 
 def test_usage_error_exits_2():
@@ -636,26 +702,24 @@ def test_non_finite_result_exits_2_and_prints_nothing(tmp_path, command, fmt):
 
 NEAR_MAX = [[1.7e308, 1.7e308], [1.7e308, 1.7e308]]
 PURE = [[1, 0], [0, 0]]
-H_SPLIT = [[0, 0], [0, 1]]
+PURE_QUBIT = {"dimension": 2, "hamiltonian": [[0, 0], [0, 1]], "state": PURE}
 BOUNDARY_REJECTS = {
     "hamiltonian": {"dimension": 2, "hamiltonian": NEAR_MAX, "state": [[0.5, 0.5], [0.5, 0.5]]},
-    "state": {"dimension": 2, "hamiltonian": H_SPLIT, "state": NEAR_MAX},
-    "povm_element": {"dimension": 2, "hamiltonian": H_SPLIT, "state": PURE, "measurements": {"m": [NEAR_MAX, PURE]}},
-    "post_processing": {"dimension": 2, "hamiltonian": H_SPLIT, "state": PURE, "post_processing": {"p": NEAR_MAX}},
-    "tiny_non_hermitian": {"dimension": 2, "hamiltonian": [[0, 1e-20], [0, 0]], "state": PURE},
+    "state": {**PURE_QUBIT, "state": NEAR_MAX},
+    "povm_element": {**PURE_QUBIT, "measurements": {"m": [NEAR_MAX, PURE]}},
+    "post_processing": {**PURE_QUBIT, "post_processing": {"p": NEAR_MAX}},
+    "tiny_non_hermitian": {**PURE_QUBIT, "hamiltonian": [[0, 1e-20], [0, 0]]},
+    "second_povm_element": {**PURE_QUBIT, "measurements": {"m": [PURE, NEAR_MAX]}},
+    "non_hermitian_povm_element": {**PURE_QUBIT, "measurements": {"m": [PURE, [[0, 0.5], [0, 1]]]}},
 }
 
 
 @pytest.mark.parametrize("command", [["report"], ["sweep", "--family", "mix", "--grid", "0,1"]], ids=["report", "sweep"])
 @pytest.mark.parametrize("name", list(BOUNDARY_REJECTS))
-def test_boundary_rejects_exit_2_under_runtime_warning_errors(tmp_path, name, command):
-    # entries near the float maximum in any matrix field, and an asymmetry far past roundoff at
-    # any scale, are rejected while loading: no overflow warning is raised on the way
-    cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "ergokit", *command,
-           write_instance(tmp_path, BOUNDARY_REJECTS[name])]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+def test_boundary_rejects_exit_2_under_runtime_warning_errors(tmp_path, capsys, name, command):
+    # entries near the float maximum in any matrix field or POVM element, and an asymmetry far past roundoff at any
+    # scale in a Hamiltonian or a POVM element, are rejected while loading: no overflow warning is raised on the way
+    usage_error(capsys, *command, write_instance(tmp_path, BOUNDARY_REJECTS[name]))
 
 
 def large_scale_instance(seed, asymmetry=0.0):

@@ -42,6 +42,16 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.2, -0.2]).astype(complex))
 
+    @pytest.mark.parametrize("d", [2, 3, 8, 16, 64])
+    def test_eig_pairs_the_kept_eigenvalues_with_eigenvectors(self, d):
+        # one spectrum per state: eig() returns the eigenvalues validation kept, not a second eigensolve's
+        for rank in (1, d):
+            for seed in range(4):
+                rho = random_density(d, rank, RandomSource(seed))
+                w, v = rho.eig()
+                assert w.tobytes() == rho.eigenvalues.tobytes()
+                assert max_abs((v * w) @ adjoint(v) - rho.op) <= TOL
+
     def test_spectrum_clips_roundoff(self):
         rho = random_density(4, 4, RandomSource(0))
         spectrum = np.clip(rho.eigenvalues, 0.0, None)
