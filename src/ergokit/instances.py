@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidGrid, NonFinite, ParseError, UnknownFamily, ValidationError
+from .errors import ErgokitError, InvalidGrid, NonFinite, ParseError, UnknownFamily, ValidationError
 from .linalg import unchecked
 from .measurement import Povm, StochasticMatrix
 from .states import DensityMatrix, Hamiltonian, require_int
@@ -69,10 +69,10 @@ def _matrix(node, path: str, dim: int | None = None) -> np.ndarray:
 
 
 def _domain(path: str, build, parsed):
-    """Run a domain constructor on parsed input, re-tagging its invariant errors with the field path."""
+    """Run a domain constructor on parsed input, re-tagging its domain and eigensolver errors with the field path."""
     try:
         return build(parsed)
-    except ValueError as exc:
+    except (ErgokitError, np.linalg.LinAlgError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 

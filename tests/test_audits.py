@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -360,6 +362,36 @@ def test_lemma1_memory_does_not_grow_with_outcomes():
 def test_lemma1_memory_stays_bounded_at_large_dimension():
     # one trial's 128 elements take 32 MiB, and their product temporary as much again; a block of 8 takes 2 MiB
     assert lemma1_traced_peak(128, 128, 1) <= 16 << 20
+
+
+# Run with `python -c`. A child's ru_maxrss starts at the RSS of the process it is forked from, and pytest has
+# imported numpy, so the audits run under this launcher, which has not; `python -c pass` is the control.
+RSS_LAUNCHER = """
+import json, os, subprocess, sys
+
+def run(*argv):
+    with subprocess.Popen([sys.executable, "-W", "error::RuntimeWarning", *argv], stdout=subprocess.PIPE) as child:
+        out = child.stdout.read().decode()
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+    return {"code": child.returncode, "out": out, "mib": usage.ru_maxrss / 1024}
+
+runs = {"control": run("-c", "pass")}
+for claim in ("lemma1", "theorem3"):
+    runs[claim] = run("-m", "ergokit", "verify", claim, "--d", "128", "--n", "128", "--trials", "2")
+print(json.dumps({"numpy": "numpy" in sys.modules, "runs": runs}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB from os.wait4")
+def test_lemma1_peak_rss_stays_within_16_mib_of_theorem3():
+    launched = json.loads(subprocess.run([sys.executable, "-c", RSS_LAUNCHER], capture_output=True, check=True).stdout)
+    runs = launched["runs"]
+    peaks = {name: run["mib"] for name, run in runs.items()}
+    assert not launched["numpy"] and peaks["control"] < 25, peaks
+    for claim in ("lemma1", "theorem3"):
+        assert runs[claim]["code"] == 0 and json.loads(runs[claim]["out"])["violations"] == 0, runs[claim]
+    assert peaks["lemma1"] <= peaks["theorem3"] + 16, peaks
 
 
 # --- chunk draws against one stream per trial ---------------------------------

