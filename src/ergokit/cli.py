@@ -21,7 +21,7 @@ import numpy as np
 from .audits import CLAIM_AUDITS, AuditConfig, run_all, run_audit
 from .errors import ErgokitError, NonFinite, ValidationError
 from .ergotropy import observational_ergotropy, report
-from .instances import FAMILIES, family_matrix, load_instance, parse_grid
+from .instances import FAMILIES, check_family, family_matrix, load_instance, parse_grid
 from .measurement import computational_basis, post_process
 
 
@@ -70,10 +70,12 @@ def cmd_sweep(args) -> int:
     if base is None:
         base = computational_basis(instance.dimension)
     grid = parse_grid(args.grid)
-    # every value's checks, in their order, before the first row is computed
-    posts = [family_matrix(args.family, value, base.n_outcomes) for value in grid]
+    for value in grid:  # every value's checks, in their order, before the first row is computed
+        check_family(args.family, value, base.n_outcomes)
+    # each point's matrix is built inside its row and dropped with it, so memory does not grow with the grid
     rows = [{"parameter": value, "observational_ergotropy": observational_ergotropy(
-        instance.state, instance.hamiltonian, post_process(base, post))} for value, post in zip(grid, posts)]
+        instance.state, instance.hamiltonian, post_process(base, family_matrix(args.family, value, base.n_outcomes)))}
+        for value in grid]
     _write_rows(rows, args.format, args.output)
     return 0
 

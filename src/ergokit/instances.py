@@ -147,14 +147,19 @@ def povm_to_json(p: Povm) -> list:
 FAMILIES = ("merge", "mix")
 
 
-def family_matrix(name: str, param: float, n_outcomes: int) -> StochasticMatrix:
-    """The family's matrix at ``param``, column-stochastic by construction for 0 <= param <= 1, so not validated again."""
+def check_family(name: str, param: float, n_outcomes: int) -> None:
+    """Raise what ``family_matrix`` raises for these arguments, in the same order, and build nothing."""
     if name not in FAMILIES:
         raise UnknownFamily(f"unknown family {name!r} (expected one of: {', '.join(FAMILIES)})")
     if name == "merge" and n_outcomes != 2:
         raise InvalidGrid(f"family 'merge' needs a 2-outcome measurement, got {n_outcomes} outcomes")
     if not 0.0 <= param <= 1.0:
         raise InvalidGrid(f"family {name!r} needs parameters in [0, 1], got {param!r}")
+
+
+def family_matrix(name: str, param: float, n_outcomes: int) -> StochasticMatrix:
+    """The family's matrix at ``param``, column-stochastic by construction for 0 <= param <= 1, so not validated again."""
+    check_family(name, param, n_outcomes)
     if name == "merge":
         return unchecked(StochasticMatrix, entries=np.array([[param, 1.0], [1.0 - param, 0.0]]))
     n = n_outcomes
@@ -186,6 +191,7 @@ def parse_grid(spec: str) -> list:
 __all__ = [
     "FAMILIES",
     "Instance",
+    "check_family",
     "family_matrix",
     "instance_from_dict",
     "load_instance",

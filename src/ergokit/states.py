@@ -244,31 +244,13 @@ def pure_state(vec) -> DensityMatrix:
     return DensityMatrix(np.outer(v, np.conj(v)))
 
 
-def maximally_mixed(d: int) -> DensityMatrix:
-    d = require_int(d, "dimension", 1, error=DimensionMismatch)
-    return DensityMatrix(np.eye(d) / d)
-
-
-def diagonal_hamiltonian(energies) -> Hamiltonian:
-    values = as_matrix([energies], dtype=float)[0]  # DimensionMismatch unless a non-empty 1-D vector
-    return Hamiltonian(np.diag(values).astype(complex))
-
-
-def diagonal_state(populations) -> DensityMatrix:
-    values = as_matrix([populations], dtype=float)[0]  # DimensionMismatch unless a non-empty 1-D vector
-    return DensityMatrix(np.diag(values).astype(complex))
-
-
 __all__ = [
     "DensityMatrix",
     "Hamiltonian",
     "RandomSource",
     "dephase",
-    "diagonal_hamiltonian",
-    "diagonal_state",
     "energy_populations",
     "haar_unitary",
-    "maximally_mixed",
     "pure_state",
     "random_density",
     "random_hamiltonian",

@@ -17,9 +17,9 @@ from ergokit.cli import main
 from ergokit.ergotropy import observational_ergotropy, passive_energy, report
 from ergokit.measurement import Povm, computational_basis
 from ergokit.states import (
+    DensityMatrix,
+    Hamiltonian,
     RandomSource,
-    diagonal_hamiltonian,
-    diagonal_state,
     pure_state,
     random_density,
     random_hamiltonian,
@@ -27,7 +27,7 @@ from ergokit.states import (
 
 from _oracles import qubit_sweep_closed_form, sampled_min_energy
 
-H01 = diagonal_hamiltonian([0.0, 1.0])
+H01 = Hamiltonian(np.diag([0.0, 1.0]))
 
 
 def _criterion(num, label, checks):
@@ -37,7 +37,7 @@ def _criterion(num, label, checks):
 
 
 def test_criterion_1_closed_form_qubit():
-    rep = report(diagonal_state([0.25, 0.75]), H01)
+    rep = report(DensityMatrix(np.diag([0.25, 0.75])), H01)
     _criterion(1, "closed-form qubit instance", {
         "ergotropy": abs(rep.ergotropy - 0.5) <= 1e-12,
         "passive": abs(rep.passive_energy - 0.25) <= 1e-12,

@@ -21,7 +21,7 @@ from ergokit.errors import InvalidClaim, InvalidConfig
 from ergokit.ergotropy import observational_ergotropy
 from ergokit.linalg import TOL, adjoint, diagonal_in_basis, energy_tol, operator_in_basis
 from ergokit.measurement import StochasticMatrix, computational_basis, post_process
-from ergokit.states import RandomSource, diagonal_hamiltonian, diagonal_state
+from ergokit.states import DensityMatrix, Hamiltonian, RandomSource
 
 from _oracles import TRIAL_ORACLES, stream, trial_draws
 
@@ -54,8 +54,8 @@ class TestAuditConfig:
 
 def test_monotonicity_margin_on_hand_instance():
     # the single-instance version of the post-processing monotonicity check
-    rho = diagonal_state([0.25, 0.75])
-    h = diagonal_hamiltonian([0.0, 1.0])
+    rho = DensityMatrix(np.diag([0.25, 0.75]))
+    h = Hamiltonian(np.diag([0.0, 1.0]))
     fine = computational_basis(2)
     coarse = post_process(fine, StochasticMatrix(np.array([[0.5, 1.0], [0.5, 0.0]])))
     r_fine = observational_ergotropy(rho, h, fine)
@@ -66,8 +66,8 @@ def test_monotonicity_margin_on_hand_instance():
 
 
 def test_identity_post_processing_gives_zero_margin():
-    rho = diagonal_state([0.25, 0.75])
-    h = diagonal_hamiltonian([0.0, 1.0])
+    rho = DensityMatrix(np.diag([0.25, 0.75]))
+    h = Hamiltonian(np.diag([0.0, 1.0]))
     fine = computational_basis(2)
     trivial = post_process(fine, StochasticMatrix(np.eye(2)))
     gap = observational_ergotropy(rho, h, trivial) - observational_ergotropy(rho, h, fine)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -645,6 +646,25 @@ def test_repeats_are_byte_identical(repeat_files, capsys, args, fmt):
     same_bytes_as_a_child(capsys, argv, "-m", "ergokit", *argv)
 
 
+def sweep_traced_peak(capsys, path, count):
+    """Traced peak bytes of an in-process mix sweep of ``count`` points; tracemalloc counts numpy's buffers."""
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "sweep", "--family", "mix", "--grid", f"0:1:{count}", "--measurement", "general",
+                               path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    return peak
+
+
+def test_sweep_memory_does_not_grow_with_the_grid(repeat_files, capsys):
+    # each point's 32 x 32 family matrix is built inside its row and dropped with it, not kept until the last row
+    small, large = (sweep_traced_peak(capsys, repeat_files["dense"], count) for count in (201, 2001))
+    assert large <= small + (1 << 20), (small, large)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_verify_large_prints_the_same_bytes_under_the_bench_tracer(tmp_path, capsys, seed):
     # bench/run.py runs this argv traced as its verify-large workload, and needs every run to print the same lines;
@@ -658,8 +678,16 @@ def test_verify_large_prints_the_same_bytes_under_the_bench_tracer(tmp_path, cap
 
 
 def test_usage_error_exits_2():
-    proc = subprocess.run([sys.executable, "-m", "ergokit"], capture_output=True)
-    assert proc.returncode == 2
+    for module in ("ergokit", "ergokit.cli"):
+        proc = subprocess.run([sys.executable, "-m", module], capture_output=True)
+        assert proc.returncode == 2, module
+
+
+@pytest.mark.parametrize("command", [["report", "{qubit}"], ["sweep", "{qubit}", "--family", "merge", "--grid", "0:1:3"],
+                                     ["verify", "schur", "--trials", "5"]])
+def test_output_to_a_directory_exits_2(qubit_file, tmp_path, capsys, command):
+    argv = [qubit_file if a == "{qubit}" else a for a in command] + ["--output", str(tmp_path)]
+    assert usage_error(capsys, *argv).startswith(f"error: [Errno 21] Is a directory: {str(tmp_path)!r}")
 
 
 @pytest.mark.parametrize("seed", [2, 3, 4, 7, 9])

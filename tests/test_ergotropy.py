@@ -21,13 +21,12 @@ from ergokit.instances import matrix_to_json
 from ergokit.linalg import adjoint, energy_tol, max_abs
 from ergokit.measurement import Povm, StochasticMatrix, computational_basis, post_process, random_column_stochastic
 from ergokit.states import (
+    DensityMatrix,
+    Hamiltonian,
     RandomSource,
-    diagonal_hamiltonian,
     dephase,
-    diagonal_state,
     energy_populations,
     haar_unitary,
-    maximally_mixed,
     pure_state,
     random_density,
     random_hamiltonian,
@@ -35,8 +34,8 @@ from ergokit.states import (
 
 from _oracles import qubit_sweep_closed_form, sampled_min_energy, stream
 
-H01 = diagonal_hamiltonian([0.0, 1.0])
-RHO = diagonal_state([0.25, 0.75])
+H01 = Hamiltonian(np.diag([0.0, 1.0]))
+RHO = DensityMatrix(np.diag([0.25, 0.75]))
 PLUS = pure_state([1.0, 1.0])
 
 
@@ -73,7 +72,7 @@ def test_passive_energy_hand_value():
 def test_passive_energy_maximally_mixed():
     h = random_hamiltonian(5, RandomSource(2))
     expected = float(np.trace(h.op).real) / 5.0
-    assert passive_energy(maximally_mixed(5), h) == pytest.approx(expected, abs=1e-12)
+    assert passive_energy(DensityMatrix(np.eye(5) / 5), h) == pytest.approx(expected, abs=1e-12)
 
 
 def test_passive_energy_not_above_sampled_minimum():
@@ -90,7 +89,7 @@ def test_passive_energy_of_spectrum_checks_length():
 
 
 def test_passive_state_fixed_point():
-    rho = diagonal_state([0.75, 0.25])  # descending populations on ascending energies
+    rho = DensityMatrix(np.diag([0.75, 0.25]))  # descending populations on ascending energies
     pi, u = passive_state(rho, H01)
     assert max_abs(pi.op - rho.op) <= 1e-12
     assert max_abs(u @ rho.op @ adjoint(u) - rho.op) <= 1e-12
@@ -128,8 +127,8 @@ def test_ergotropy_hand_values():
 
 
 def test_ergotropy_of_passive_state_is_zero():
-    gibbs_like = diagonal_state([0.5, 0.3, 0.2])
-    h = diagonal_hamiltonian([0.0, 1.0, 2.0])
+    gibbs_like = DensityMatrix(np.diag([0.5, 0.3, 0.2]))
+    h = Hamiltonian(np.diag([0.0, 1.0, 2.0]))
     assert abs(ergotropy(gibbs_like, h)) <= 1e-14
 
 
@@ -162,7 +161,7 @@ def test_observational_ergotropy_eigenbasis_recovers_full():
 
 
 def test_observational_ergotropy_can_be_negative():
-    ground = diagonal_state([1.0, 0.0])
+    ground = DensityMatrix(np.diag([1.0, 0.0]))
     plus_minus = Povm(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
     assert observational_ergotropy(ground, H01, plus_minus) == pytest.approx(-0.5, abs=1e-12)
 
@@ -201,7 +200,7 @@ def test_observational_pure_state_in_own_basis():
 
 def test_all_quantities_vanish_for_maximally_mixed():
     h = random_hamiltonian(4, RandomSource(45))
-    rep = report(maximally_mixed(4), h, computational_basis(4))
+    rep = report(DensityMatrix(np.eye(4) / 4), h, computational_basis(4))
     assert abs(rep.ergotropy) <= 1e-10
     assert abs(rep.incoherent) <= 1e-10
     assert abs(rep.coherent) <= 1e-10
@@ -213,8 +212,8 @@ def test_incoherent_ergotropy_plus_state():
 
 
 def test_incoherent_equals_full_for_diagonal_states():
-    rho = diagonal_state([0.1, 0.2, 0.7])
-    h = diagonal_hamiltonian([0.0, 0.5, 1.0])
+    rho = DensityMatrix(np.diag([0.1, 0.2, 0.7]))
+    h = Hamiltonian(np.diag([0.0, 0.5, 1.0]))
     assert incoherent_ergotropy(rho, h) == pytest.approx(ergotropy(rho, h), abs=1e-12)
 
 

@@ -14,8 +14,8 @@ from ergokit.instances import instance_from_dict
 from ergokit.linalg import as_matrix
 from ergokit.majorization import majorization_deficit, majorizes
 from ergokit.measurement import Povm, StochasticMatrix, computational_basis, outcome_distribution, random_column_stochastic
-from ergokit.states import (DensityMatrix, Hamiltonian, RandomSource, diagonal_hamiltonian, diagonal_state, haar_unitary,
-                            maximally_mixed, pure_state, random_density, random_hamiltonian)
+from ergokit.states import (DensityMatrix, Hamiltonian, RandomSource, haar_unitary, pure_state, random_density,
+                            random_hamiltonian)
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -77,10 +77,7 @@ BAD_INPUTS = {
     "majorizes empty vectors": lambda: majorizes([], []),
     "majorizes scalars": lambda: majorizes(1.0, 1.0),
     "majorization deficit whose partial sums overflow": lambda: majorization_deficit([1e308, 1e308], [1, 0]),
-    "ragged diagonal state": lambda: diagonal_state([[1, 0], [0]]),
-    "non-numeric diagonal hamiltonian": lambda: diagonal_hamiltonian(["a"]),
     "computational basis of negative dimension": lambda: computational_basis(-1),
-    "maximally mixed state of negative dimension": lambda: maximally_mixed(-2),
     "random hamiltonian of negative dimension": lambda: random_hamiltonian(-1, RandomSource(0)),
     "computational basis of float dimension": lambda: computational_basis(2.5),
     "haar unitary of float dimension": lambda: haar_unitary(2.5, RandomSource(0)),
@@ -92,9 +89,10 @@ BAD_INPUTS = {
     "non-square state": lambda: DensityMatrix(np.full((2, 3), 0.5)),
     "non-square hamiltonian": lambda: Hamiltonian(np.zeros((2, 3))),
     "outcome distribution of a 3-dim state under a 2-dim povm":
-        lambda: outcome_distribution(maximally_mixed(3), computational_basis(2)),
+        lambda: outcome_distribution(DensityMatrix(np.eye(3) / 3), computational_basis(2)),
     "observational ergotropy of a 3-dim state under a 2-dim povm":
-        lambda: observational_ergotropy(maximally_mixed(3), diagonal_hamiltonian([0.0, 1.0, 2.0]), computational_basis(2)),
+        lambda: observational_ergotropy(DensityMatrix(np.eye(3) / 3), Hamiltonian(np.diag([0.0, 1.0, 2.0])),
+                                        computational_basis(2)),
     "povm second element not Hermitian": lambda: Povm((KET0, KET1 + np.array([[0.0, 0.5], [0.0, 0.0]]))),
     "povm second element near float max": lambda: Povm((KET0, np.full((2, 2), 1.7e308))),
 }
@@ -143,10 +141,7 @@ ERROR_CLASSES = {
     "majorizes empty vectors": DimensionMismatch,
     "majorizes scalars": DimensionMismatch,
     "majorization deficit whose partial sums overflow": NonFinite,
-    "ragged diagonal state": DimensionMismatch,
-    "non-numeric diagonal hamiltonian": DimensionMismatch,
     "computational basis of negative dimension": DimensionMismatch,
-    "maximally mixed state of negative dimension": DimensionMismatch,
     "random hamiltonian of negative dimension": DimensionMismatch,
     "computational basis of float dimension": DimensionMismatch,
     "haar unitary of float dimension": DimensionMismatch,
@@ -172,6 +167,11 @@ ERROR_MESSAGES = {
     "outcome distribution of a 3-dim state under a 2-dim povm": "measurement is 2-dimensional",
     "observational ergotropy of a 3-dim state under a 2-dim povm": "measurement is 2-dimensional",
 }
+
+
+def test_every_pin_names_a_bad_input():
+    # a pin left behind by a deleted row would otherwise sit unused, since the test below reads the tables with .get
+    assert [name for name in [*ERROR_CLASSES, *ERROR_MESSAGES] if name not in BAD_INPUTS] == []
 
 
 @pytest.mark.parametrize("name", list(BAD_INPUTS))

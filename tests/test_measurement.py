@@ -23,17 +23,14 @@ from ergokit.states import (
     DensityMatrix,
     Hamiltonian,
     RandomSource,
-    diagonal_hamiltonian,
-    diagonal_state,
     haar_unitary,
-    maximally_mixed,
     random_density,
     random_hamiltonian,
 )
 
 from _oracles import bench_oracle, complex_normal, stream
 
-RHO = diagonal_state([0.25, 0.75])
+RHO = DensityMatrix(np.diag([0.25, 0.75]))
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
@@ -97,7 +94,7 @@ class TestPovm:
         tiny = 0.6e-10 * np.eye(2)
         m = Povm((tiny, np.eye(2) - tiny))
         assert m.base.shape == (2, 4)
-        work = observational_ergotropy(diagonal_state([0.3, 0.7]), diagonal_hamiltonian([0.0, 1.0]), m)
+        work = observational_ergotropy(DensityMatrix(np.diag([0.3, 0.7])), Hamiltonian(np.diag([0.0, 1.0])), m)
         assert work == pytest.approx(0.2, abs=1e-12)
 
 
@@ -275,11 +272,11 @@ def test_fine_grained_spectrum_equals_outcome_distribution():
 class TestOutcomeDistribution:
     def test_maximally_mixed_gives_volume_fractions(self):
         q = post_process(computational_basis(2), merge_matrix(0.4))
-        p = outcome_distribution(maximally_mixed(2), q)
+        p = outcome_distribution(DensityMatrix(np.eye(2) / 2), q)
         np.testing.assert_allclose(p, q.volumes / 2.0, atol=1e-12)
 
     def test_eigenstate(self):
-        p = outcome_distribution(diagonal_state([0.0, 1.0]), computational_basis(2))
+        p = outcome_distribution(DensityMatrix(np.diag([0.0, 1.0])), computational_basis(2))
         np.testing.assert_allclose(p, [0.0, 1.0], atol=1e-14)
 
     def test_qubit_merge_half(self):

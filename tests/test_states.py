@@ -12,10 +12,7 @@ from ergokit.states import (
     Hamiltonian,
     RandomSource,
     dephase,
-    diagonal_hamiltonian,
-    diagonal_state,
     haar_unitary,
-    maximally_mixed,
     pure_state,
     random_density,
     random_hamiltonian,
@@ -23,7 +20,7 @@ from ergokit.states import (
 
 from _oracles import stream, trial_draws
 
-H01 = diagonal_hamiltonian([0.0, 1.0])
+H01 = Hamiltonian(np.diag([0.0, 1.0]))
 PLUS = pure_state([1.0, 1.0])
 
 
@@ -105,7 +102,7 @@ def test_dephase_plus_state():
 
 
 def test_dephase_leaves_diagonal_state():
-    rho = diagonal_state([0.25, 0.75])
+    rho = DensityMatrix(np.diag([0.25, 0.75]))
     out = dephase(rho, H01)
     assert max_abs(out.op - rho.op) <= 1e-14
 
@@ -138,7 +135,7 @@ def test_dephase_commutes_with_hamiltonian():
 
 def test_dephase_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        dephase(maximally_mixed(3), H01)
+        dephase(DensityMatrix(np.eye(3) / 3), H01)
 
 
 def test_haar_unitary_scalar_case():
@@ -216,6 +213,7 @@ def test_random_source_split_streams():
     c = RandomSource(123).split(5).sample(("simplex",), 8)[0]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    assert repr(RandomSource(3).split(1)) == "RandomSource(seed=3, key=(1,))"
 
 
 @given(seed=st.integers(0, 2 ** 128),
