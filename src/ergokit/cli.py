@@ -25,19 +25,19 @@ from .instances import FAMILIES, check_family, family_matrix, load_instance, par
 from .measurement import computational_basis, post_process
 
 
-def _write_rows(rows: list[dict], fmt: str, output: str | None, columns: tuple | None = None) -> None:
-    """The one writer of result rows: a JSON object per line, or CSV under a header of ``columns``
-    (default: the row's keys) with floats as repr and None as an empty cell. A non-finite float writes nothing."""
-    bad = [(k, v) for row in rows for k, v in row.items() if isinstance(v, float) and not math.isfinite(v)]
-    if bad:
-        raise NonFinite(f"{bad[0][0]}: result is {bad[0][1]!r}, not a finite number")
-    if fmt == "json":
-        lines = [json.dumps(row) for row in rows]
-    else:
-        columns = columns or tuple(rows[0])
-        cells = [[repr(float(v)) if isinstance(v, float) else "" if v is None else str(v) for v in map(row.get, columns)]
-                 for row in rows]
-        lines = [",".join(line) for line in [columns, *cells]]
+def _write_rows(rows, fmt: str, output: str | None, columns: tuple | None = None) -> None:
+    """The one writer of result rows: a JSON object per line, or CSV under a header of ``columns`` (default: the first
+    row's keys), floats as repr and None as an empty cell. Rows are read once; a non-finite float writes nothing."""
+    lines = []
+    for row in rows:
+        for k, v in row.items():
+            if isinstance(v, float) and not math.isfinite(v):
+                raise NonFinite(f"{k}: result is {v!r}, not a finite number")
+        if fmt != "json" and not lines:
+            columns = columns or tuple(row)
+            lines.append(",".join(columns))
+        lines.append(json.dumps(row) if fmt == "json" else ",".join(
+            repr(float(v)) if isinstance(v, float) else "" if v is None else str(v) for v in map(row.get, columns)))
     text = "\n".join(lines) + "\n"
     if output is None:
         sys.stdout.write(text)
@@ -72,10 +72,10 @@ def cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
     for value in grid:  # every value's checks, in their order, before the first row is computed
         check_family(args.family, value, base.n_outcomes)
-    # each point's matrix is built inside its row and dropped with it, so memory does not grow with the grid
-    rows = [{"parameter": value, "observational_ergotropy": observational_ergotropy(
+    # each row, and the point's matrix in it, is made as the writer reads it and dropped once its line is formatted
+    rows = ({"parameter": value, "observational_ergotropy": observational_ergotropy(
         instance.state, instance.hamiltonian, post_process(base, family_matrix(args.family, value, base.n_outcomes)))}
-        for value in grid]
+        for value in grid)
     _write_rows(rows, args.format, args.output)
     return 0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidRank, InvalidState, PreconditionFailed
-from .linalg import (TOL, adjoint, as_matrix, diagonal_in_basis, hermitian_part, operator_in_basis, require_hermitian,
+from .linalg import (TOL, adjoint, diagonal_in_basis, hermitian_part, operator_in_basis, require_hermitian,
                      unchecked)
 
 
@@ -233,17 +233,6 @@ def random_hamiltonian(d: int, rng: RandomSource) -> Hamiltonian:
     return unchecked(Hamiltonian, op=hermitian_part(operator_in_basis(basis, levels)), energies=levels, eigenbasis=basis)
 
 
-def pure_state(vec) -> DensityMatrix:
-    """Rank-1 projector onto a state vector, divided by its largest part before its norm so that neither under- nor overflows."""
-    v = as_matrix([vec])[0]  # DimensionMismatch unless a non-empty 1-D vector
-    scale = max(np.abs(v.real).max(), np.abs(v.imag).max())
-    if scale == 0.0:
-        raise InvalidState("cannot normalize the zero vector")
-    v = v / scale
-    v = v / np.linalg.norm(v)
-    return DensityMatrix(np.outer(v, np.conj(v)))
-
-
 __all__ = [
     "DensityMatrix",
     "Hamiltonian",
@@ -251,7 +240,6 @@ __all__ = [
     "dephase",
     "energy_populations",
     "haar_unitary",
-    "pure_state",
     "random_density",
     "random_hamiltonian",
     "recipes",

@@ -20,7 +20,6 @@ from ergokit.states import (
     DensityMatrix,
     Hamiltonian,
     RandomSource,
-    pure_state,
     random_density,
     random_hamiltonian,
 )
@@ -47,7 +46,7 @@ def test_criterion_1_closed_form_qubit():
 
 
 def test_criterion_2_coherence_advantage():
-    plus = pure_state([1.0, 1.0])
+    plus = DensityMatrix(np.full((2, 2), 0.5))
     rep = report(plus, H01)
     energy_basis = computational_basis(2)
     coherent_basis = Povm(

@@ -646,12 +646,12 @@ def test_repeats_are_byte_identical(repeat_files, capsys, args, fmt):
     same_bytes_as_a_child(capsys, argv, "-m", "ergokit", *argv)
 
 
-def sweep_traced_peak(capsys, path, count):
-    """Traced peak bytes of an in-process mix sweep of ``count`` points; tracemalloc counts numpy's buffers."""
+def sweep_traced_peak(capsys, path, count, *options):
+    """Traced peak bytes of an in-process CSV mix sweep of ``count`` points; tracemalloc counts numpy's buffers, and
+    capsys holds the output text."""
     tracemalloc.start()
     try:
-        code, _, err = run_cli(capsys, "sweep", "--family", "mix", "--grid", f"0:1:{count}", "--measurement", "general",
-                               path)
+        code, _, err = run_cli(capsys, "sweep", "--family", "mix", "--grid", f"0:1:{count}", *options, path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -660,9 +660,12 @@ def sweep_traced_peak(capsys, path, count):
 
 
 def test_sweep_memory_does_not_grow_with_the_grid(repeat_files, capsys):
-    # each point's 32 x 32 family matrix is built inside its row and dropped with it, not kept until the last row
-    small, large = (sweep_traced_peak(capsys, repeat_files["dense"], count) for count in (201, 2001))
-    assert large <= small + (1 << 20), (small, large)
+    # each point's 32 x 32 family matrix and its row are dropped once the row's line is formatted: only the output
+    # text grows. Loading the d = 16 file dominates its peak, so the qubit file's sweep shows what a kept row costs:
+    # from 201 to 2,001 points its peak grows 1.09 MiB if every row is kept until the write, and 0.35 MiB if none is
+    for name, options, bound in (("dense", ("--measurement", "general"), 1 << 20), ("qubit", (), 1 << 19)):
+        small, large = (sweep_traced_peak(capsys, repeat_files[name], count, *options) for count in (201, 2001))
+        assert large <= small + bound, (name, small, large)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -725,13 +728,17 @@ def test_inconsistent_report_exits_2(qubit_file, capsys, monkeypatch):
     assert "ergotropy is negative" in err
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_non_finite_sweep_row_exits_2_and_prints_nothing(qubit_file, capsys, monkeypatch, fmt):
-    # a result that reaches the writer non-finite is caught there, before any row is written
+@pytest.mark.parametrize("fmt, first_nan", [("json", 0), ("csv", 0), ("json", 2), ("csv", 2)],
+                         ids=["json", "csv", "json-last", "csv-last"])
+def test_non_finite_sweep_row_exits_2_and_prints_nothing(qubit_file, capsys, monkeypatch, fmt, first_nan):
+    # a result that reaches the writer non-finite is caught there, before any row is written: also when only the last
+    # grid value's result is, since the text is written after the last row is checked
     from ergokit import cli
 
-    monkeypatch.setattr(cli, "observational_ergotropy", lambda *args: float("nan"))
-    code, out, err = run_cli(capsys, "sweep", qubit_file, "--family", "mix", "--grid", "0,1", "--format", fmt)
+    real, calls = cli.observational_ergotropy, iter(range(3))
+    monkeypatch.setattr(cli, "observational_ergotropy",
+                        lambda *args: float("nan") if next(calls) >= first_nan else real(*args))
+    code, out, err = run_cli(capsys, "sweep", qubit_file, "--family", "mix", "--grid", "0,0.5,1", "--format", fmt)
     assert (code, out) == (2, "")
     assert "not a finite number" in err
 

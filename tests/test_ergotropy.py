@@ -27,7 +27,6 @@ from ergokit.states import (
     dephase,
     energy_populations,
     haar_unitary,
-    pure_state,
     random_density,
     random_hamiltonian,
 )
@@ -36,7 +35,7 @@ from _oracles import qubit_sweep_closed_form, sampled_min_energy, stream
 
 H01 = Hamiltonian(np.diag([0.0, 1.0]))
 RHO = DensityMatrix(np.diag([0.25, 0.75]))
-PLUS = pure_state([1.0, 1.0])
+PLUS = DensityMatrix(np.full((2, 2), 0.5))
 
 
 def merge_povm(b):

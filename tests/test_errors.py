@@ -14,7 +14,7 @@ from ergokit.instances import instance_from_dict
 from ergokit.linalg import as_matrix
 from ergokit.majorization import majorization_deficit, majorizes
 from ergokit.measurement import Povm, StochasticMatrix, computational_basis, outcome_distribution, random_column_stochastic
-from ergokit.states import (DensityMatrix, Hamiltonian, RandomSource, haar_unitary, pure_state, random_density,
+from ergokit.states import (DensityMatrix, Hamiltonian, RandomSource, haar_unitary, random_density,
                             random_hamiltonian)
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -48,7 +48,6 @@ BAD_INPUTS = {
     "sample over a list of trials": lambda: RandomSource(0).sample(("haar",), 2, trials=[0, 1]),
     "sample of zero outcomes": lambda: RandomSource(0).sample(("post",), 3, 0),
     "sample of rank past the dimension": lambda: RandomSource(0).sample(("state",), 3, 1, 5),
-    "pure zero vector": lambda: pure_state([0.0, 0.0]),
     "float seed": lambda: RandomSource(1.5),
     "string seed": lambda: RandomSource("3"),
     "bool seed": lambda: RandomSource(True),
@@ -64,14 +63,12 @@ BAD_INPUTS = {
     "audit dimension past the largest array": lambda: AuditConfig(dimension=2 ** 32),
     "majorizes with NaN": lambda: majorizes([np.nan], [1.0]),
     "majorization deficit with Inf": lambda: majorization_deficit([np.inf, 0.0], [1.0, 0.0]),
-    "pure state with NaN": lambda: pure_state([np.nan, 1.0]),
     "empty hamiltonian": lambda: Hamiltonian(np.zeros((0, 0))),
     "empty state": lambda: DensityMatrix(np.zeros((0, 0))),
     "empty basis": lambda: Povm(np.eye(0)),
     "non-unitary basis": lambda: Povm(np.array([[1.0, 1.0], [0.0, 0.0]])),
     "computational basis of dimension 0": lambda: computational_basis(0),
     "empty stochastic matrix": lambda: StochasticMatrix(np.zeros((0, 3))),
-    "ragged pure state vector": lambda: pure_state([[1, 0], [0]]),
     "majorizes ragged vectors": lambda: majorizes([[1, 0], [0]], [1, 0]),
     "majorizes non-numeric entries": lambda: majorizes(["a"], [1.0]),
     "majorizes empty vectors": lambda: majorizes([], []),
@@ -128,14 +125,12 @@ ERROR_CLASSES = {
     "audit dimension past the largest array": InvalidConfig,
     "majorizes with NaN": NonFinite,
     "majorization deficit with Inf": NonFinite,
-    "pure state with NaN": NonFinite,
     "empty hamiltonian": DimensionMismatch,
     "empty state": DimensionMismatch,
     "empty basis": DimensionMismatch,
     "non-unitary basis": NotUnitary,
     "computational basis of dimension 0": DimensionMismatch,
     "empty stochastic matrix": DimensionMismatch,
-    "ragged pure state vector": DimensionMismatch,
     "majorizes ragged vectors": DimensionMismatch,
     "majorizes non-numeric entries": DimensionMismatch,
     "majorizes empty vectors": DimensionMismatch,

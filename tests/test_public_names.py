@@ -1,8 +1,10 @@
 """Every exported name resolves: ``ergokit.__all__`` and each submodule's
 ``__all__`` name attributes that exist on their module, once each, so a
 deleted function cannot linger as a stale export; nor can README's list of
-key operations name one."""
+key operations name one. Every name a module imports is read in it or
+exported, so a deletion cannot leave an orphaned import behind."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -21,6 +23,17 @@ def test_all_names_exist_once(name):
     exported = getattr(module, "__all__", [])
     assert len(exported) == len(set(exported)), f"{name}.__all__ repeats a name"
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_used(name):
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(imported - read - set(getattr(module, "__all__", []))) == []
 
 
 def key_operations():

@@ -13,7 +13,6 @@ from ergokit.states import (
     RandomSource,
     dephase,
     haar_unitary,
-    pure_state,
     random_density,
     random_hamiltonian,
 )
@@ -21,7 +20,7 @@ from ergokit.states import (
 from _oracles import stream, trial_draws
 
 H01 = Hamiltonian(np.diag([0.0, 1.0]))
-PLUS = pure_state([1.0, 1.0])
+PLUS = DensityMatrix(np.full((2, 2), 0.5))
 
 
 class TestDensityMatrix:
@@ -52,13 +51,6 @@ class TestDensityMatrix:
         spectrum = np.clip(rho.eigenvalues, 0.0, None)
         assert float(np.min(spectrum)) >= 0.0
         assert float(np.sum(spectrum)) == pytest.approx(1.0, abs=1e-10)
-
-
-@pytest.mark.parametrize("c", [1e-200, 1e200])
-@pytest.mark.parametrize("vec", [[1.0, 0.0], [0.6, 0.8j, 0.0], [3.0, -4.0 + 1.0j, 1e-3, 2.0j]])
-def test_pure_state_is_scale_free(vec, c):
-    # the norm of c v under- or overflows at these scales; the projector must not notice
-    assert max_abs(pure_state(c * np.asarray(vec)).op - pure_state(vec).op) <= TOL
 
 
 class TestHamiltonian:
@@ -236,12 +228,14 @@ def test_vectorised_keys_equal_seed_sequence(seed, key, first, count):
 @pytest.mark.parametrize("seed", [0, 9, 2 ** 32, 2 ** 64 + 1])
 def test_fill_equals_split_draws(seed):
     # sample over a range fills row i of each uniform, normal and exponential draw from split(trials[i]), keyed
-    # through _philox_keys (multi-word entropy for the last two seeds): the per-draw reference on that stream
-    root, trials, kinds = RandomSource(seed).split(4), range(2, 7), ("hamiltonian", "state", "post")
-    stacks = root.sample(kinds, 3, 4, 2, trials)
-    for i, t in enumerate(trials):
-        expected = trial_draws(stream(seed, (4, t)), kinds, 3, 4, 2)
-        assert [stack[i].tobytes() for stack in stacks] == [x.tobytes() for x in expected]
+    # through _philox_keys (multi-word entropy for the last two seeds): the per-draw reference on that stream. Ranges
+    # may step and decrease, up to the last trial index below 2^32
+    root, kinds = RandomSource(seed).split(4), ("hamiltonian", "state", "post")
+    for trials in (range(2, 7), range(5, 0, -1), range(0, 10, 3), range(9, 2, -3), range(2 ** 32 - 1, 2 ** 32 - 6, -2)):
+        stacks = root.sample(kinds, 3, 4, 2, trials)
+        for i, t in enumerate(trials):
+            expected = trial_draws(stream(seed, (4, t)), kinds, 3, 4, 2)
+            assert [stack[i].tobytes() for stack in stacks] == [x.tobytes() for x in expected], (trials, t)
 
 
 def test_complex_normal_pairs_two_real_draws():
