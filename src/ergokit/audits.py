@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidClaim, InvalidConfig
+from .errors import PreconditionFailed
 from .ergotropy import passive_energy_of_spectrum, work
 from .linalg import LOOSE_TOL, TOL, diagonal_in_basis, energy_tol, hermitian_part, operator_in_basis
 from .majorization import majorization_deficit
-from .measurement import born_probabilities, estimate_spectrum, link_matrix
+from .measurement import estimate_spectrum, link_matrix
 from .states import RandomSource, is_integer, require_int
 
 # Bytes of stacked arrays one chunk of trials may hold, a trial counting as 16 d^2 (n + 8): its complex d x d
@@ -50,18 +50,18 @@ class AuditConfig:
     tolerance: float = LOOSE_TOL
 
     def __post_init__(self):
-        d = require_int(self.dimension, "dimension", 1, error=InvalidConfig)
-        require_int(self.outcomes, "outcomes", 1, error=InvalidConfig)
+        d = require_int(self.dimension, "dimension", 1)
+        require_int(self.outcomes, "outcomes", 1)
         if self.rank is not None:  # None is full rank, which RandomSource.sample resolves
-            require_int(self.rank, "rank", 1, d, InvalidConfig)
-        require_int(self.trials, "trials", 1, (1 << 32) - 1, InvalidConfig)  # a trial index is one key word
-        require_int(self.seed, "seed", 0, error=InvalidConfig)
+            require_int(self.rank, "rank", 1, d)
+        require_int(self.trials, "trials", 1, (1 << 32) - 1)  # a trial index is one key word
+        require_int(self.seed, "seed", 0)
         if _trial_bytes(d, self.outcomes) > np.iinfo(np.intp).max:  # past what any array can hold
-            raise InvalidConfig(f"one trial at dimension {d} with {self.outcomes} outcomes counts "
-                                f"{_trial_bytes(d, self.outcomes)} bytes, past the largest array size")
+            raise PreconditionFailed(f"one trial at dimension {d} with {self.outcomes} outcomes counts "
+                                     f"{_trial_bytes(d, self.outcomes)} bytes, past the largest array size")
         tol = self.tolerance  # finite: inf would pass every margin, and an int past the float range cannot be compared
         if not (isinstance(tol, (float, np.floating)) or is_integer(tol)) or not 0 < tol <= np.finfo(float).max.item():
-            raise InvalidConfig(f"tolerance must be a finite positive number, got {tol!r}")
+            raise PreconditionFailed(f"tolerance must be a finite positive number, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -106,11 +106,12 @@ def _fine_grained_optimum(cfg: AuditConfig, rho, energies, v, u):
 def _dense_estimate(rho: np.ndarray, basis: np.ndarray, post: np.ndarray) -> np.ndarray:
     """Hermitian part of sum_i p_i M_i / tr M_i, p_i = tr(rho M_i), over the dense elements M_i = U diag(D_i) U^dag
     of basis U (..., d, d) and post D (..., n, d), built ELEMENT_BLOCK at a time; leading axes are a batch."""
-    estimate = 0.0
+    estimate, rho_col = 0.0, np.swapaxes(rho, -1, -2).reshape(*rho.shape[:-2], -1, 1)  # flat M_i @ rho_col: tr(rho M_i)
     for start in range(0, post.shape[-2], ELEMENT_BLOCK):
         elements = operator_in_basis(basis[..., np.newaxis, :, :], post[..., start:start + ELEMENT_BLOCK, :])
-        weights = born_probabilities(rho, elements) / np.trace(elements, axis1=-2, axis2=-1).real
-        estimate = estimate + (weights[..., np.newaxis, :] @ elements.reshape(*weights.shape, -1)).reshape(rho.shape)
+        flat = elements.reshape(*elements.shape[:-2], -1)
+        weights = np.clip((flat @ rho_col)[..., 0].real, 0.0, None) / np.trace(elements, axis1=-2, axis2=-1).real
+        estimate = estimate + (weights[..., np.newaxis, :] @ flat).reshape(rho.shape)
     return hermitian_part(estimate)
 
 
@@ -154,7 +155,7 @@ def run_audit(claim: str, cfg: AuditConfig) -> AuditResult:
     and (theorem3) the largest sampled share of full ergotropy."""
     if claim not in CLAIM_AUDITS:
         known = ", ".join([*CLAIM_AUDITS, "all"])
-        raise InvalidClaim(f"unknown claim {claim!r} (expected one of: {known})")
+        raise PreconditionFailed(f"unknown claim {claim!r} (expected one of: {known})")
     start = time.perf_counter()
     violations, worst, worst_trial, ratio = 0, -np.inf, 0, -np.inf
     for first, margins, violated, *ratios in _chunks(claim, cfg):

@@ -59,6 +59,9 @@ def passive_energy_of_spectrum(energies: np.ndarray, spectrum):
 def work(energies: np.ndarray, populations, spectrum):
     """sum_k E_k p_k minus the passive energy of ``spectrum``, for a state's energy populations p: its ergotropy for its
     eigenvalues, its incoherent ergotropy for p, its observational ergotropy for an estimate's. Leading axes are a batch."""
+    if np.shape(populations)[-1:] != energies.shape[-1:]:
+        raise DimensionMismatch(f"populations have shape {np.shape(populations)}, "
+                                f"Hamiltonian dimension is {energies.shape[-1]}")
     out = np.sum(energies * populations, axis=-1) - passive_energy_of_spectrum(energies, spectrum)
     return out if np.ndim(out) else float(out)
 

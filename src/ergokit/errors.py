@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class per kind of fault, whichever call it enters through."""
 
 
 class ErgokitError(ValueError):
@@ -6,7 +6,7 @@ class ErgokitError(ValueError):
 
 
 class DimensionMismatch(ErgokitError):
-    """Operands have incompatible shapes."""
+    """Operands have incompatible shapes, or vectors compared have different lengths."""
 
 
 class NotHermitian(ErgokitError):
@@ -30,43 +30,17 @@ class NotStochastic(ErgokitError):
 
 
 class InvalidPovm(ErgokitError):
-    """Elements are not positive or do not sum to the identity."""
-
-
-class InvalidRank(ErgokitError):
-    """Requested state rank is outside 1..dimension."""
-
-
-class DegeneratePovm(ErgokitError):
-    """A dense POVM element is (numerically) zero: its trace, the volume an estimate divides by, is below TOL."""
-
-
-class LengthMismatch(ErgokitError):
-    """Vectors of different lengths compared."""
+    """Elements are not positive, do not sum to the identity, or one is (numerically) zero: its trace, the volume an
+    estimate divides by, is below TOL."""
 
 
 class PreconditionFailed(ErgokitError):
-    """A documented precondition does not hold for the given inputs."""
+    """An argument is outside its documented range or set: an integer size, rank, seed or index out of range, an
+    audit configuration, an unknown claim, random kind or sweep family, or a sweep grid that cannot be parsed."""
 
 
 class InconsistentReport(ErgokitError):
     """Computed work quantities break a bound they satisfy in theory: a negative ergotropy."""
-
-
-class InvalidConfig(ErgokitError):
-    """Audit configuration violates its constraints."""
-
-
-class InvalidClaim(ErgokitError):
-    """Unknown claim selector passed to the verifier."""
-
-
-class UnknownFamily(ErgokitError):
-    """Sweep requested a post-processing family that is not registered."""
-
-
-class InvalidGrid(ErgokitError):
-    """Sweep grid specification could not be parsed or is out of range."""
 
 
 class ParseError(ErgokitError):

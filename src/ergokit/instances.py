@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ErgokitError, InvalidGrid, NonFinite, ParseError, UnknownFamily, ValidationError
+from .errors import ErgokitError, NonFinite, ParseError, PreconditionFailed, ValidationError
 from .linalg import unchecked
 from .measurement import Povm, StochasticMatrix
 from .states import DensityMatrix, Hamiltonian, require_int
@@ -150,11 +150,11 @@ FAMILIES = ("merge", "mix")
 def check_family(name: str, param: float, n_outcomes: int) -> None:
     """Raise what ``family_matrix`` raises for these arguments, in the same order, and build nothing."""
     if name not in FAMILIES:
-        raise UnknownFamily(f"unknown family {name!r} (expected one of: {', '.join(FAMILIES)})")
+        raise PreconditionFailed(f"unknown family {name!r} (expected one of: {', '.join(FAMILIES)})")
     if name == "merge" and n_outcomes != 2:
-        raise InvalidGrid(f"family 'merge' needs a 2-outcome measurement, got {n_outcomes} outcomes")
+        raise PreconditionFailed(f"family 'merge' needs a 2-outcome measurement, got {n_outcomes} outcomes")
     if not 0.0 <= param <= 1.0:
-        raise InvalidGrid(f"family {name!r} needs parameters in [0, 1], got {param!r}")
+        raise PreconditionFailed(f"family {name!r} needs parameters in [0, 1], got {param!r}")
 
 
 def family_matrix(name: str, param: float, n_outcomes: int) -> StochasticMatrix:
@@ -170,7 +170,7 @@ def parse_grid(spec: str) -> list:
     """Grid: either 'start:stop:count' or a comma-separated list of values."""
     spec = spec.strip()
     if not spec:
-        raise InvalidGrid("empty grid specification")
+        raise PreconditionFailed("empty grid specification")
     try:
         if ":" in spec:
             parts = spec.split(":")
@@ -185,7 +185,7 @@ def parse_grid(spec: str) -> list:
             return [float(v) for v in np.linspace(start, stop, count)]
         return [float(v) for v in spec.split(",")]
     except ValueError as exc:
-        raise InvalidGrid(f"cannot parse grid {spec!r}: {exc}") from exc
+        raise PreconditionFailed(f"cannot parse grid {spec!r}: {exc}") from exc
 
 
 __all__ = [

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFinite
+from .errors import DimensionMismatch, NonFinite
 from .linalg import LOOSE_TOL, as_matrix, max_abs
 
 
@@ -29,7 +29,7 @@ def majorization_deficit(x, y) -> float | np.ndarray:
     last axes must have equal lengths."""
     xv, yv = _vectors(x), _vectors(y)
     if xv.shape[-1] != yv.shape[-1]:
-        raise LengthMismatch(f"vectors have lengths {xv.shape[-1]} and {yv.shape[-1]}")
+        raise DimensionMismatch(f"vectors have lengths {xv.shape[-1]} and {yv.shape[-1]}")
     cx = np.cumsum(np.sort(xv, axis=-1)[..., ::-1], axis=-1)
     cy = np.cumsum(np.sort(yv, axis=-1)[..., ::-1], axis=-1)
     partial = np.max(cy[..., :-1] - cx[..., :-1], axis=-1, initial=0.0)  # the total term is >= 0 anyway

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegeneratePovm, DimensionMismatch, InvalidPovm, NotStochastic
+from .errors import DimensionMismatch, InvalidPovm, NotStochastic
 from .linalg import (LOOSE_TOL, TOL, as_matrix, diagonal_in_basis, energy_tol, hermitian_part, max_abs,
                      operator_in_basis, require_hermitian, require_unitary, unchecked)
 from .states import DensityMatrix, Hamiltonian, RandomSource, require_int
@@ -79,7 +79,7 @@ class Povm:
             volumes = np.trace(stack, axis1=1, axis2=2).real
             k = int(np.argmin(volumes))
             if float(volumes[k]) < TOL:
-                raise DegeneratePovm(f"POVM element {k} is (numerically) the zero operator")
+                raise InvalidPovm(f"POVM element {k} is (numerically) the zero operator")
             defect = max_abs(stack.sum(axis=0) - np.eye(stack.shape[-1]))
             if defect > LOOSE_TOL:
                 raise InvalidPovm(f"POVM elements sum to identity within {defect:.3e} > {LOOSE_TOL:.0e}")
@@ -111,7 +111,7 @@ class Povm:
 
 
 def computational_basis(d: int) -> Povm:
-    d = require_int(d, "dimension", 1, error=DimensionMismatch)
+    d = require_int(d, "dimension", 1)
     return unchecked(Povm, base=np.eye(d, dtype=complex), post=np.eye(d))
 
 
@@ -143,12 +143,6 @@ def energy_incoherent(h: Hamiltonian, q: StochasticMatrix) -> Povm:
     if q.n_in != h.dim:
         raise DimensionMismatch(f"post-processing expects {q.n_in} energy levels but Hamiltonian has {h.dim}")
     return post_process(unchecked(Povm, base=h.eigenbasis, post=np.eye(h.dim)), q)
-
-
-def born_probabilities(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """tr(rho M_k), clipped of negative roundoff, for elements stacked as (..., k, d, d); leading axes are a batch."""
-    flat = elements.reshape(*elements.shape[:-2], -1)
-    return np.clip((flat @ np.swapaxes(rho, -1, -2).reshape(*flat.shape[:-2], -1, 1))[..., 0].real, 0.0, None)
 
 
 def _base_probabilities(rho: DensityMatrix, m: Povm) -> np.ndarray:

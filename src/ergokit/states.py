@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidRank, InvalidState, PreconditionFailed
+from .errors import DimensionMismatch, InvalidState, PreconditionFailed
 from .linalg import (TOL, adjoint, diagonal_in_basis, hermitian_part, operator_in_basis, require_hermitian,
                      unchecked)
 
@@ -30,7 +30,9 @@ def is_integer(value) -> bool:
 
 def require_int(value, what: str, low: int, high: int | None = None, error=PreconditionFailed) -> int:
     """int(value) for an integer (``is_integer``) with low <= value <= high, unbounded above if high is None (then
-    low is 0 or 1); otherwise ``error`` naming what and the range. The one check of every integer argument taken."""
+    low is 0 or 1); otherwise ``error`` naming what and the range. The one check of every integer argument taken: a
+    size, rank, seed or index out of range is PreconditionFailed wherever it enters; only an instance file's dimension
+    passes ValidationError."""
     if is_integer(value) and low <= value and (high is None or value <= high):
         return int(value)
     bound = (f"an integer in [{low}, {high}]" if high is not None else
@@ -80,9 +82,8 @@ class RandomSource:
         from this stream itself; a range (0 <= t < 2^32) draws row i from ``split(trials[i])``, which alone samples the
         same row bit for bit. Every argument is checked before the first draw, so a rejected call leaves the stream
         where it was."""
-        d = require_int(d, "dimension", 1, error=DimensionMismatch)
-        table = recipes(d, require_int(n, "outcome count", 1, error=DimensionMismatch),
-                        require_int(d if rank is None else rank, "rank", 1, d, InvalidRank))
+        d = require_int(d, "dimension", 1)
+        table = recipes(d, require_int(n, "outcome count", 1), require_int(d if rank is None else rank, "rank", 1, d))
         for kind in kinds:
             if kind not in table:
                 raise PreconditionFailed(f"unknown random kind {kind!r} (expected one of: {', '.join(table)})")

@@ -17,7 +17,7 @@ from ergokit.audits import (
     run_all,
     run_audit,
 )
-from ergokit.errors import InvalidClaim, InvalidConfig
+from ergokit.errors import PreconditionFailed
 from ergokit.ergotropy import observational_ergotropy
 from ergokit.linalg import TOL, adjoint, diagonal_in_basis, energy_tol, operator_in_basis
 from ergokit.measurement import StochasticMatrix, computational_basis, post_process
@@ -48,7 +48,7 @@ class TestAuditConfig:
         {"tolerance": 10 ** 400},
     ])
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(PreconditionFailed):
             AuditConfig(**kwargs)
 
 
@@ -156,7 +156,7 @@ def test_impossible_tolerance_counts_violations():
 def test_run_audit_by_claim_name():
     result = run_audit("schur", CFG_SMALL)
     assert result.claim == "schur"
-    with pytest.raises(InvalidClaim):
+    with pytest.raises(PreconditionFailed):
         run_audit("bogus", CFG_SMALL)
 
 

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from ergokit.audits import AuditConfig
-from ergokit.ergotropy import observational_ergotropy
-from ergokit.errors import (DimensionMismatch, ErgokitError, InvalidConfig, InvalidRank, NonFinite, NotHermitian,
-                            NotUnitary, PreconditionFailed)
+from ergokit.ergotropy import observational_ergotropy, work
+from ergokit.errors import DimensionMismatch, ErgokitError, NonFinite, NotHermitian, NotUnitary, PreconditionFailed
 from ergokit.instances import instance_from_dict
 from ergokit.linalg import as_matrix
 from ergokit.majorization import majorization_deficit, majorizes
@@ -92,6 +91,8 @@ BAD_INPUTS = {
                                         computational_basis(2)),
     "povm second element not Hermitian": lambda: Povm((KET0, KET1 + np.array([[0.0, 0.5], [0.0, 0.0]]))),
     "povm second element near float max": lambda: Povm((KET0, np.full((2, 2), 1.7e308))),
+    "work of one population for three levels": lambda: work(np.array([0.0, 1.0, 2.0]), [1.0], [1.0, 0.0, 0.0]),
+    "work of two populations for three levels": lambda: work(np.array([0.0, 1.0, 2.0]), [0.5, 0.5], [1.0, 0.0, 0.0]),
 }
 
 
@@ -110,39 +111,39 @@ ERROR_CLASSES = {
     "float split index": PreconditionFailed,
     "trial index past 2^32": PreconditionFailed,
     "sample of an unknown kind": PreconditionFailed,
-    "sample of negative dimension": DimensionMismatch,
+    "sample of negative dimension": PreconditionFailed,
     "sample over a list of trials": PreconditionFailed,
-    "sample of zero outcomes": DimensionMismatch,
-    "sample of rank past the dimension": InvalidRank,
-    "float audit seed": InvalidConfig,
-    "float audit dimension": InvalidConfig,
-    "bool audit dimension": InvalidConfig,
-    "float audit outcomes": InvalidConfig,
-    "float audit rank": InvalidConfig,
-    "float audit trials": InvalidConfig,
-    "string audit tolerance": InvalidConfig,
-    "audit outcomes past the largest array": InvalidConfig,
-    "audit dimension past the largest array": InvalidConfig,
+    "sample of zero outcomes": PreconditionFailed,
+    "sample of rank past the dimension": PreconditionFailed,
+    "float audit seed": PreconditionFailed,
+    "float audit dimension": PreconditionFailed,
+    "bool audit dimension": PreconditionFailed,
+    "float audit outcomes": PreconditionFailed,
+    "float audit rank": PreconditionFailed,
+    "float audit trials": PreconditionFailed,
+    "string audit tolerance": PreconditionFailed,
+    "audit outcomes past the largest array": PreconditionFailed,
+    "audit dimension past the largest array": PreconditionFailed,
     "majorizes with NaN": NonFinite,
     "majorization deficit with Inf": NonFinite,
     "empty hamiltonian": DimensionMismatch,
     "empty state": DimensionMismatch,
     "empty basis": DimensionMismatch,
     "non-unitary basis": NotUnitary,
-    "computational basis of dimension 0": DimensionMismatch,
+    "computational basis of dimension 0": PreconditionFailed,
     "empty stochastic matrix": DimensionMismatch,
     "majorizes ragged vectors": DimensionMismatch,
     "majorizes non-numeric entries": DimensionMismatch,
     "majorizes empty vectors": DimensionMismatch,
     "majorizes scalars": DimensionMismatch,
     "majorization deficit whose partial sums overflow": NonFinite,
-    "computational basis of negative dimension": DimensionMismatch,
-    "random hamiltonian of negative dimension": DimensionMismatch,
-    "computational basis of float dimension": DimensionMismatch,
-    "haar unitary of float dimension": DimensionMismatch,
-    "random density of float dimension": DimensionMismatch,
-    "random stochastic matrix of float size": DimensionMismatch,
-    "random density of float rank": InvalidRank,
+    "computational basis of negative dimension": PreconditionFailed,
+    "random hamiltonian of negative dimension": PreconditionFailed,
+    "computational basis of float dimension": PreconditionFailed,
+    "haar unitary of float dimension": PreconditionFailed,
+    "random density of float dimension": PreconditionFailed,
+    "random stochastic matrix of float size": PreconditionFailed,
+    "random density of float rank": PreconditionFailed,
     "state given a stack": DimensionMismatch,
     "hamiltonian given a stack": DimensionMismatch,
     "non-square state": DimensionMismatch,
@@ -151,6 +152,8 @@ ERROR_CLASSES = {
     "observational ergotropy of a 3-dim state under a 2-dim povm": DimensionMismatch,
     "povm second element not Hermitian": NotHermitian,
     "povm second element near float max": NonFinite,
+    "work of one population for three levels": DimensionMismatch,
+    "work of two populations for three levels": DimensionMismatch,
 }
 
 # Entries whose message must name the offending part.
@@ -175,3 +178,24 @@ def test_domain_failures_raise_ergokit_errors(name):
         BAD_INPUTS[name]()
     assert isinstance(info.value, ValueError)
     assert ERROR_MESSAGES.get(name, "") in str(info.value)
+
+
+# One fault raises one class and one message, whichever call it enters through.
+SAME_FAULT = {
+    "non-positive dimension": ("dimension must be a positive integer, got 0", [
+        lambda: RandomSource(0).sample(("haar",), 0), lambda: computational_basis(0),
+        lambda: haar_unitary(0, RandomSource(0)), lambda: AuditConfig(dimension=0)]),
+    "rank past d": ("rank must be an integer in [1, 3], got 4", [
+        lambda: RandomSource(0).sample(("state",), 3, rank=4), lambda: AuditConfig(dimension=3, rank=4)]),
+    "negative seed": ("seed must be a non-negative integer, got -1", [
+        lambda: RandomSource(-1), lambda: AuditConfig(seed=-1)]),
+}
+
+
+@pytest.mark.parametrize("fault", list(SAME_FAULT))
+def test_same_fault_raises_one_class_through_every_entry(fault):
+    message, calls = SAME_FAULT[fault]
+    for call in calls:
+        with pytest.raises(PreconditionFailed) as info:
+            call()
+        assert str(info.value) == message

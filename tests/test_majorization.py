@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergokit.ergotropy import passive_energy_of_spectrum
-from ergokit.errors import LengthMismatch
+from ergokit.errors import DimensionMismatch
 from ergokit.linalg import TOL, energy_tol
 from ergokit.majorization import majorization_deficit, majorizes
 from ergokit.measurement import StochasticMatrix, computational_basis, link_matrix, post_process, random_column_stochastic
@@ -41,7 +41,7 @@ def test_majorizes_requires_matching_totals():
 
 
 def test_majorizes_rejects_unequal_lengths():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DimensionMismatch):
         majorizes([1.0], [0.5, 0.5])
 
 
@@ -49,7 +49,7 @@ def test_majorization_deficit_rejects_unequal_last_axes_of_stacks():
     gen = stream(31)
     x, y = gen.standard_exponential((5, 3)), gen.standard_exponential((5, 4))
     x, y = x / x.sum(axis=-1, keepdims=True), y / y.sum(axis=-1, keepdims=True)
-    with pytest.raises(LengthMismatch, match="lengths 3 and 4"):
+    with pytest.raises(DimensionMismatch, match="lengths 3 and 4"):
         majorization_deficit(x, y)
 
 

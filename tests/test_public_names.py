@@ -2,7 +2,8 @@
 ``__all__`` name attributes that exist on their module, once each, so a
 deleted function cannot linger as a stale export; nor can README's list of
 key operations name one. Every name a module imports is read in it or
-exported, so a deletion cannot leave an orphaned import behind."""
+exported, so a deletion cannot leave an orphaned import behind, and every
+error class is read in another module, so none is left that nothing raises."""
 
 import ast
 import importlib
@@ -25,15 +26,29 @@ def test_all_names_exist_once(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+def syntax_tree(name):
+    return ast.parse(Path(importlib.import_module(name).__file__).read_text(encoding="utf-8"))
+
+
+def names_read(tree) -> set:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_import_is_used(name):
-    module = importlib.import_module(name)
-    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    tree = syntax_tree(name)
     imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
                 for alias in node.names}
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    assert sorted(imported - read - set(getattr(module, "__all__", []))) == []
+    exported = getattr(importlib.import_module(name), "__all__", [])
+    assert sorted(imported - names_read(tree) - set(exported)) == []
+
+
+def test_every_error_class_is_named_in_the_program():
+    declared = {node.name for node in syntax_tree("ergokit.errors").body if isinstance(node, ast.ClassDef)}
+    read = set().union(*(names_read(syntax_tree(name)) for name in MODULES if name != "ergokit.errors"))
+    assert len(declared) > 1  # the classes were found
+    assert sorted(declared - {"ErgokitError"} - read) == []
 
 
 def key_operations():

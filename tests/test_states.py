@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergokit import audits, states
-from ergokit.errors import DimensionMismatch, ErgokitError, InvalidRank, NotHermitian
+from ergokit.errors import DimensionMismatch, ErgokitError, NotHermitian, PreconditionFailed
 from ergokit.linalg import TOL, adjoint, max_abs, require_unitary
 from ergokit.measurement import random_column_stochastic
 from ergokit.states import (
@@ -192,9 +192,9 @@ def test_random_density_reproducible():
 
 
 def test_random_density_invalid_rank():
-    with pytest.raises(InvalidRank):
+    with pytest.raises(PreconditionFailed):
         random_density(3, 4, RandomSource(0))
-    with pytest.raises(InvalidRank):
+    with pytest.raises(PreconditionFailed):
         random_density(3, 0, RandomSource(0))
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ergokit.audits import AuditConfig
 from ergokit.cli import build_parser
 from ergokit.ergotropy import WorkReport, report
-from ergokit.errors import DegeneratePovm, InconsistentReport, NonFinite, NotHermitian
+from ergokit.errors import InconsistentReport, InvalidPovm, NonFinite, NotHermitian
 from ergokit.linalg import LOOSE_TOL, TOL, adjoint, energy_tol, hermitian_part, max_abs, require_hermitian
 from ergokit.measurement import (
     Povm,
@@ -80,7 +80,7 @@ def test_work_report_at_small_energy_scale_is_checked_at_that_scale():
 
 def test_povm_element_of_volume_below_tol_is_degenerate():
     # volume 1e-11 < TOL
-    with pytest.raises(DegeneratePovm):
+    with pytest.raises(InvalidPovm):
         Povm((1e-11 * KET0, np.eye(2) - 1e-11 * KET0))
 
 
