@@ -92,7 +92,7 @@ def instance_from_dict(doc, source: str = "instance") -> Instance:
         raise ValidationError(f"{source}: top level must be a JSON object")
     if "dimension" not in doc:
         raise ValidationError("dimension: missing required field")
-    dim = require_int(doc["dimension"], "dimension", 1, error=ValidationError)
+    dim = require_int(doc["dimension"], "dimension", 1)
     for key in ("hamiltonian", "state"):
         if key not in doc:
             raise ValidationError(f"{key}: missing required field")

@@ -28,16 +28,16 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def require_int(value, what: str, low: int, high: int | None = None, error=PreconditionFailed) -> int:
+def require_int(value, what: str, low: int, high: int | None = None) -> int:
     """int(value) for an integer (``is_integer``) with low <= value <= high, unbounded above if high is None (then
-    low is 0 or 1); otherwise ``error`` naming what and the range. The one check of every integer argument taken: a
-    size, rank, seed or index out of range is PreconditionFailed wherever it enters; only an instance file's dimension
-    passes ValidationError."""
+    low is 0 or 1); otherwise PreconditionFailed naming what and the range. The one check of every integer argument
+    taken: a size, rank, seed or index out of range, an instance file's dimension included, is PreconditionFailed
+    wherever it enters."""
     if is_integer(value) and low <= value and (high is None or value <= high):
         return int(value)
     bound = (f"an integer in [{low}, {high}]" if high is not None else
              "a positive integer" if low else "a non-negative integer")
-    raise error(f"{what} must be {bound}, got {value!r}")
+    raise PreconditionFailed(f"{what} must be {bound}, got {value!r}")
 
 
 def _philox_keys(seq: np.random.SeedSequence, trials: range) -> np.ndarray:

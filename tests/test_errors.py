@@ -47,6 +47,10 @@ BAD_INPUTS = {
     "sample over a list of trials": lambda: RandomSource(0).sample(("haar",), 2, trials=[0, 1]),
     "sample of zero outcomes": lambda: RandomSource(0).sample(("post",), 3, 0),
     "sample of rank past the dimension": lambda: RandomSource(0).sample(("state",), 3, 1, 5),
+    "sample of dimension 0": lambda: RandomSource(0).sample(("haar",), 0),
+    "audit dimension 0": lambda: AuditConfig(dimension=0),
+    "audit rank past the dimension": lambda: AuditConfig(dimension=3, rank=5),
+    "negative audit seed": lambda: AuditConfig(seed=-1),
     "float seed": lambda: RandomSource(1.5),
     "string seed": lambda: RandomSource("3"),
     "bool seed": lambda: RandomSource(True),
@@ -115,6 +119,12 @@ ERROR_CLASSES = {
     "sample over a list of trials": PreconditionFailed,
     "sample of zero outcomes": PreconditionFailed,
     "sample of rank past the dimension": PreconditionFailed,
+    "haar dimension": PreconditionFailed,
+    "negative seed": PreconditionFailed,
+    "sample of dimension 0": PreconditionFailed,
+    "audit dimension 0": PreconditionFailed,
+    "audit rank past the dimension": PreconditionFailed,
+    "negative audit seed": PreconditionFailed,
     "float audit seed": PreconditionFailed,
     "float audit dimension": PreconditionFailed,
     "bool audit dimension": PreconditionFailed,
@@ -156,8 +166,16 @@ ERROR_CLASSES = {
     "work of two populations for three levels": DimensionMismatch,
 }
 
-# Entries whose message must name the offending part.
+# Entries whose message must name the offending part. One fault gives one message whichever call it enters through.
 ERROR_MESSAGES = {
+    "haar dimension": "dimension must be a positive integer, got 0",
+    "computational basis of dimension 0": "dimension must be a positive integer, got 0",
+    "sample of dimension 0": "dimension must be a positive integer, got 0",
+    "audit dimension 0": "dimension must be a positive integer, got 0",
+    "sample of rank past the dimension": "rank must be an integer in [1, 3], got 5",
+    "audit rank past the dimension": "rank must be an integer in [1, 3], got 5",
+    "negative seed": "seed must be a non-negative integer, got -1",
+    "negative audit seed": "seed must be a non-negative integer, got -1",
     "povm second element not Hermitian": "POVM element 1",
     "povm second element near float max": "POVM element 1",
     "non-square state": "must be square",
@@ -179,23 +197,3 @@ def test_domain_failures_raise_ergokit_errors(name):
     assert isinstance(info.value, ValueError)
     assert ERROR_MESSAGES.get(name, "") in str(info.value)
 
-
-# One fault raises one class and one message, whichever call it enters through.
-SAME_FAULT = {
-    "non-positive dimension": ("dimension must be a positive integer, got 0", [
-        lambda: RandomSource(0).sample(("haar",), 0), lambda: computational_basis(0),
-        lambda: haar_unitary(0, RandomSource(0)), lambda: AuditConfig(dimension=0)]),
-    "rank past d": ("rank must be an integer in [1, 3], got 4", [
-        lambda: RandomSource(0).sample(("state",), 3, rank=4), lambda: AuditConfig(dimension=3, rank=4)]),
-    "negative seed": ("seed must be a non-negative integer, got -1", [
-        lambda: RandomSource(-1), lambda: AuditConfig(seed=-1)]),
-}
-
-
-@pytest.mark.parametrize("fault", list(SAME_FAULT))
-def test_same_fault_raises_one_class_through_every_entry(fault):
-    message, calls = SAME_FAULT[fault]
-    for call in calls:
-        with pytest.raises(PreconditionFailed) as info:
-            call()
-        assert str(info.value) == message
