@@ -4,16 +4,7 @@ incoherent/coherent split, the majorization machinery behind them, and
 seeded Monte-Carlo audits of the core inequalities."""
 
 from .audits import AuditConfig, AuditResult, run_all, run_audit
-from .ergotropy import (
-    WorkReport,
-    coherent_ergotropy,
-    ergotropy,
-    incoherent_ergotropy,
-    observational_ergotropy,
-    passive_energy,
-    passive_state,
-    report,
-)
+from .ergotropy import WorkReport, passive_state, report
 from .majorization import majorizes
 from .measurement import (
     Povm,
@@ -47,17 +38,12 @@ __all__ = [
     "StochasticMatrix",
     "WorkReport",
     "coarse_grained_state",
-    "coherent_ergotropy",
     "computational_basis",
     "dephase",
     "energy_incoherent",
-    "ergotropy",
     "haar_unitary",
-    "incoherent_ergotropy",
     "majorizes",
-    "observational_ergotropy",
     "outcome_distribution",
-    "passive_energy",
     "passive_state",
     "post_process",
     "random_column_stochastic",

@@ -20,9 +20,10 @@ import numpy as np
 
 from .audits import CLAIM_AUDITS, AuditConfig, run_all, run_audit
 from .errors import ErgokitError, NonFinite, ValidationError
-from .ergotropy import observational_ergotropy, report
+from .ergotropy import report, work
 from .instances import FAMILIES, check_family, family_matrix, load_instance, parse_grid
-from .measurement import computational_basis, post_process
+from .measurement import coarse_grained_spectrum, computational_basis, post_process
+from .states import energy_populations
 
 
 def _write_rows(rows, fmt: str, output: str | None, columns: tuple | None = None) -> None:
@@ -72,10 +73,10 @@ def cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
     for value in grid:  # every value's checks, in their order, before the first row is computed
         check_family(args.family, value, base.n_outcomes)
+    energies, p = instance.hamiltonian.energies, energy_populations(instance.state, instance.hamiltonian)
     # each row, and the point's matrix in it, is made as the writer reads it and dropped once its line is formatted
-    rows = ({"parameter": value, "observational_ergotropy": observational_ergotropy(
-        instance.state, instance.hamiltonian, post_process(base, family_matrix(args.family, value, base.n_outcomes)))}
-        for value in grid)
+    rows = ({"parameter": value, "observational_ergotropy": work(energies, p, coarse_grained_spectrum(
+        instance.state, post_process(base, family_matrix(args.family, value, base.n_outcomes))))} for value in grid)
     _write_rows(rows, args.format, args.output)
     return 0
 

@@ -23,9 +23,17 @@ from .states import DensityMatrix, Hamiltonian, _check_same_dim, energy_populati
 class WorkReport:
     """All work quantities for one (state, Hamiltonian, measurement) instance.
 
-    ``observational`` is None when no measurement was supplied. Energies are
-    in the Hamiltonian's units; ``energy_scale`` is max|E|, which sets the
-    tolerance of the negative-ergotropy check.
+    ``ergotropy`` is the maximum unitarily extractable work: mean energy minus
+    passive energy. ``incoherent`` is the ergotropy of the energy-dephased
+    state, whose spectrum is rho's energy populations; dephasing keeps the mean
+    energy, so this is the classical share of the total. ``coherent`` is the
+    remainder, nonnegative. ``observational`` is the work extractable when the
+    state is known only through one round of outcome statistics of the
+    measurement: mean energy minus the passive energy of the coarse-grained
+    estimate. It can be negative when the estimate misranks the populations,
+    and is None when no measurement was supplied. Energies are in the
+    Hamiltonian's units; ``energy_scale`` is max|E|, which sets the tolerance
+    of the negative-ergotropy check.
     """
 
     dimension: int
@@ -45,30 +53,28 @@ class WorkReport:
             raise InconsistentReport(f"ergotropy is negative: {self.ergotropy!r} < -{tol:.1e}")
 
 
-def passive_energy_of_spectrum(energies: np.ndarray, spectrum):
+def passive_energy_of_spectrum(energies, spectrum):
     """Minimal mean energy over all states with the given spectrum: the
     ascending ``energies`` paired with descending populations. Leading axes
     of the arrays are a batch."""
-    x = np.asarray(spectrum, dtype=float)
-    if x.shape[-1:] != energies.shape[-1:]:
-        raise DimensionMismatch(f"spectrum has shape {x.shape}, Hamiltonian dimension is {energies.shape[-1]}")
-    out = (energies[..., np.newaxis, :] @ -np.sort(-x, axis=-1)[..., np.newaxis])[..., 0, 0]
+    e, x = np.asarray(energies, dtype=float), np.asarray(spectrum, dtype=float)
+    if x.shape[-1:] != e.shape[-1:]:
+        raise DimensionMismatch(f"spectrum has shape {x.shape}, Hamiltonian dimension is {e.shape[-1]}")
+    out = (e[..., np.newaxis, :] @ -np.sort(-x, axis=-1)[..., np.newaxis])[..., 0, 0]
     return out if out.ndim else float(out)
 
 
-def work(energies: np.ndarray, populations, spectrum):
+def work(energies, populations, spectrum):
     """sum_k E_k p_k minus the passive energy of ``spectrum``, for a state's energy populations p: its ergotropy for its
     eigenvalues, its incoherent ergotropy for p, its observational ergotropy for an estimate's. Leading axes are a batch."""
-    if np.shape(populations)[-1:] != energies.shape[-1:]:
-        raise DimensionMismatch(f"populations have shape {np.shape(populations)}, "
-                                f"Hamiltonian dimension is {energies.shape[-1]}")
-    out = np.sum(energies * populations, axis=-1) - passive_energy_of_spectrum(energies, spectrum)
+    e, p, x = (np.asarray(a, dtype=float) for a in (energies, populations, spectrum))
+    if p.shape[-1:] != e.shape[-1:]:
+        raise DimensionMismatch(f"populations have shape {p.shape}, Hamiltonian dimension is {e.shape[-1]}")
+    for name, a in (("energies", e), ("populations", p), ("spectrum", x)):
+        if not np.isfinite(a).all():  # checked before any arithmetic: a NaN work would pass an audit's margin > tol
+            raise NonFinite(f"{name} must be finite, got {a!r}")
+    out = np.sum(e * p, axis=-1) - passive_energy_of_spectrum(e, x)
     return out if np.ndim(out) else float(out)
-
-
-def passive_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
-    _check_same_dim(rho, h)
-    return passive_energy_of_spectrum(h.energies, rho.eigenvalues)
 
 
 def passive_state(rho: DensityMatrix, h: Hamiltonian) -> tuple[DensityMatrix, np.ndarray]:
@@ -84,31 +90,6 @@ def passive_state(rho: DensityMatrix, h: Hamiltonian) -> tuple[DensityMatrix, np
     order = np.argsort(-rho.eigenvalues, kind="stable")
     w = h.eigenbasis
     return DensityMatrix._in_basis(w, rho.eigenvalues[order]), w @ adjoint(vectors[:, order])
-
-
-def ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
-    """Maximum unitarily extractable work: mean energy minus passive energy."""
-    return work(h.energies, energy_populations(rho, h), rho.eigenvalues)
-
-
-def observational_ergotropy(rho: DensityMatrix, h: Hamiltonian, m: Povm) -> float:
-    """Work extractable when the state is known only through one round of
-    outcome statistics of m: mean energy of rho minus the passive energy of
-    the coarse-grained estimate. Can be negative when the estimate misranks
-    the populations."""
-    return work(h.energies, energy_populations(rho, h), coarse_grained_spectrum(rho, m))
-
-
-def incoherent_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
-    """Ergotropy of the energy-dephased state, whose spectrum is rho's energy populations; dephasing
-    keeps the mean energy, so this is the classical share of the total."""
-    p = energy_populations(rho, h)
-    return work(h.energies, p, p)
-
-
-def coherent_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
-    """Remainder of ergotropy beyond the incoherent part; nonnegative."""
-    return ergotropy(rho, h) - incoherent_ergotropy(rho, h)
 
 
 def report(rho: DensityMatrix, h: Hamiltonian, m: Povm | None = None) -> WorkReport:
@@ -129,11 +110,6 @@ def report(rho: DensityMatrix, h: Hamiltonian, m: Povm | None = None) -> WorkRep
 
 __all__ = [
     "WorkReport",
-    "coherent_ergotropy",
-    "ergotropy",
-    "incoherent_ergotropy",
-    "observational_ergotropy",
-    "passive_energy",
     "passive_energy_of_spectrum",
     "passive_state",
     "report",

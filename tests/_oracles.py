@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ergokit.ergotropy import ergotropy, incoherent_ergotropy, observational_ergotropy, passive_energy_of_spectrum
+from ergokit.ergotropy import passive_energy_of_spectrum, report
 from ergokit.linalg import TOL, energy_tol, max_abs
 from ergokit.majorization import majorization_deficit
 from ergokit.measurement import (
@@ -108,7 +108,7 @@ def monotonicity_trial(cfg, rng):
     fine = Povm(haar_unitary(d, rng))
     dmat = random_column_stochastic(cfg.outcomes, d, rng)
     coarse = post_process(fine, dmat)
-    margin = observational_ergotropy(rho, h, coarse) - observational_ergotropy(rho, h, fine)
+    margin = report(rho, h, coarse).observational - report(rho, h, fine).observational
     return margin, margin > cfg.tolerance, None
 
 
@@ -118,7 +118,8 @@ def incoherent_limit_trial(cfg, rng):
     h = random_hamiltonian(d, rng)
     rho = random_density(d, cfg.rank, rng)
     q = random_column_stochastic(cfg.outcomes, d, rng)
-    margin = observational_ergotropy(rho, h, energy_incoherent(h, q)) - incoherent_ergotropy(rho, h)
+    rep = report(rho, h, energy_incoherent(h, q))
+    margin = rep.observational - rep.incoherent
     return margin, margin > cfg.tolerance, None
 
 
@@ -127,8 +128,8 @@ def fine_grained_optimum_trial(cfg, rng):
     d = cfg.dimension
     rho = random_density(d, cfg.rank, rng)
     h = random_hamiltonian(d, rng)
-    r_full = ergotropy(rho, h)
-    r_sampled = observational_ergotropy(rho, h, Povm(haar_unitary(d, rng)))
+    rep = report(rho, h, Povm(haar_unitary(d, rng)))
+    r_full, r_sampled = rep.ergotropy, rep.observational
     ratio = (r_sampled / r_full, r_full) if r_full > energy_tol(d, max_abs(h.energies)) else None
     margin = r_sampled - r_full
     return margin, margin > cfg.tolerance, ratio

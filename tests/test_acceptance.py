@@ -14,7 +14,7 @@ import pytest
 
 from ergokit.audits import AuditConfig, run_audit
 from ergokit.cli import main
-from ergokit.ergotropy import observational_ergotropy, passive_energy, report
+from ergokit.ergotropy import report
 from ergokit.measurement import Povm, computational_basis
 from ergokit.states import (
     DensityMatrix,
@@ -51,8 +51,8 @@ def test_criterion_2_coherence_advantage():
     energy_basis = computational_basis(2)
     coherent_basis = Povm(
         np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
-    obs_energy = observational_ergotropy(plus, H01, energy_basis)
-    obs_coherent = observational_ergotropy(plus, H01, coherent_basis)
+    obs_energy = report(plus, H01, energy_basis).observational
+    obs_coherent = report(plus, H01, coherent_basis).observational
     _criterion(2, "coherence advantage instance", {
         "ergotropy": abs(rep.ergotropy - 0.5) <= 1e-10,
         "incoherent": abs(rep.incoherent - 0.0) <= 1e-10,
@@ -142,7 +142,7 @@ def test_criterion_8_minimization_oracle_cross_check():
         sub = rng.split(t)
         rho = random_density(3, 3, sub)
         h = random_hamiltonian(3, sub)
-        closed_form = passive_energy(rho, h)
+        closed_form = report(rho, h).passive_energy
         sampled = sampled_min_energy(rho.op, h.op, samples=10_000, seed=7000 + t)
         worst = max(worst, closed_form - sampled)
     _criterion(8, "unitary minimization oracle", {

@@ -18,7 +18,7 @@ from ergokit.audits import (
     run_audit,
 )
 from ergokit.errors import PreconditionFailed
-from ergokit.ergotropy import observational_ergotropy
+from ergokit.ergotropy import report
 from ergokit.linalg import TOL, adjoint, diagonal_in_basis, energy_tol, operator_in_basis
 from ergokit.measurement import StochasticMatrix, computational_basis, post_process
 from ergokit.states import DensityMatrix, Hamiltonian, RandomSource
@@ -58,8 +58,8 @@ def test_monotonicity_margin_on_hand_instance():
     h = Hamiltonian(np.diag([0.0, 1.0]))
     fine = computational_basis(2)
     coarse = post_process(fine, StochasticMatrix(np.array([[0.5, 1.0], [0.5, 0.0]])))
-    r_fine = observational_ergotropy(rho, h, fine)
-    r_coarse = observational_ergotropy(rho, h, coarse)
+    r_fine = report(rho, h, fine).observational
+    r_coarse = report(rho, h, coarse).observational
     assert r_fine == pytest.approx(0.5, abs=1e-12)
     assert r_coarse == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert r_coarse - r_fine <= 0.0
@@ -70,7 +70,7 @@ def test_identity_post_processing_gives_zero_margin():
     h = Hamiltonian(np.diag([0.0, 1.0]))
     fine = computational_basis(2)
     trivial = post_process(fine, StochasticMatrix(np.eye(2)))
-    gap = observational_ergotropy(rho, h, trivial) - observational_ergotropy(rho, h, fine)
+    gap = report(rho, h, trivial).observational - report(rho, h, fine).observational
     assert abs(gap) <= 1e-12
 
 
@@ -130,16 +130,15 @@ def test_sampled_supremum_close_for_fixed_instance():
     # percent of the optimum for a generic qutrit instance (bound still holds)
     from ergokit.measurement import Povm
     from ergokit.states import RandomSource, haar_unitary, random_density, random_hamiltonian
-    from ergokit.ergotropy import ergotropy
 
     rng = RandomSource(60)
     rho = random_density(3, 3, rng)
     h = random_hamiltonian(3, rng)
-    target = ergotropy(rho, h)
+    target = report(rho, h).ergotropy
     best = -np.inf
     for t in range(1000):
         m = Povm(haar_unitary(3, rng.split(t)))
-        best = max(best, observational_ergotropy(rho, h, m))
+        best = max(best, report(rho, h, m).observational)
     assert best <= target + 1e-9
     assert best >= 0.95 * target
 

@@ -388,7 +388,7 @@ class TestSweep:
 
     def test_whole_grid_is_checked_before_the_first_row(self, qubit_file, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr("ergokit.cli.observational_ergotropy", lambda *a: calls.append(a) or 0.0)
+        monkeypatch.setattr("ergokit.cli.work", lambda *a: calls.append(a) or 0.0)
         assert "[0, 1]" in usage_error(capsys, "sweep", qubit_file, "--family", "mix", "--grid", "0,0.5,nan")
         assert calls == []
 
@@ -400,6 +400,17 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", qubit_file, "--family", "mix", "--grid", "0:1:5")
         assert code == 0, err
         assert values == list(np.linspace(0.0, 1.0, 5))  # one call per grid value, in grid order
+
+    def test_populations_are_read_once_per_sweep(self, qubit_file, capsys, monkeypatch):
+        from ergokit.states import energy_populations
+
+        calls = []
+        for name, module in list(sys.modules.items()):  # wherever a module binds it, as an edit of the source would
+            if name.startswith("ergokit") and getattr(module, "energy_populations", None) is energy_populations:
+                monkeypatch.setattr(module, "energy_populations", lambda *a: calls.append(a) or energy_populations(*a))
+        code, _, err = run_cli(capsys, "sweep", qubit_file, "--family", "mix", "--grid", "0:1:5")
+        assert code == 0, err
+        assert len(calls) == 1
 
 
 def sweep_instance_file(tmp_path):
@@ -430,7 +441,7 @@ def test_sweep_rows_equal_the_validated_family_matrix(tmp_path, capsys, family, 
     # each row is the observational ergotropy after post-processing with the family's closed form, validated,
     # bit for bit; merge drops an all-zero row at b = 1 and needs a 2-outcome base, and the sevenths are not
     # dyadic, so a reordered closed form shows
-    from ergokit.ergotropy import observational_ergotropy
+    from ergokit.ergotropy import report
     from ergokit.instances import load_instance
     from ergokit.measurement import StochasticMatrix, computational_basis, post_process
 
@@ -445,7 +456,7 @@ def test_sweep_rows_equal_the_validated_family_matrix(tmp_path, capsys, family, 
     assert [parameter for parameter, _ in rows] == list(np.linspace(0.0, 1.0, count))
     for parameter, value in rows:
         coarse = post_process(base, StochasticMatrix(np.array(FAMILY_CLOSED_FORMS[family](parameter, base.n_outcomes))))
-        assert value == observational_ergotropy(instance.state, instance.hamiltonian, coarse)
+        assert value == report(instance.state, instance.hamiltonian, coarse).observational
 
 
 class TestVerify:
@@ -735,8 +746,8 @@ def test_non_finite_sweep_row_exits_2_and_prints_nothing(qubit_file, capsys, mon
     # grid value's result is, since the text is written after the last row is checked
     from ergokit import cli
 
-    real, calls = cli.observational_ergotropy, iter(range(3))
-    monkeypatch.setattr(cli, "observational_ergotropy",
+    real, calls = cli.work, iter(range(3))
+    monkeypatch.setattr(cli, "work",
                         lambda *args: float("nan") if next(calls) >= first_nan else real(*args))
     code, out, err = run_cli(capsys, "sweep", qubit_file, "--family", "mix", "--grid", "0,0.5,1", "--format", fmt)
     assert (code, out) == (2, "")

@@ -4,18 +4,7 @@ import numpy as np
 import pytest
 
 from ergokit.cli import main
-from ergokit.ergotropy import (
-    WorkReport,
-    coherent_ergotropy,
-    ergotropy,
-    incoherent_ergotropy,
-    observational_ergotropy,
-    passive_energy,
-    passive_energy_of_spectrum,
-    passive_state,
-    report,
-    work,
-)
+from ergokit.ergotropy import WorkReport, passive_energy_of_spectrum, passive_state, report, work
 from ergokit.errors import DimensionMismatch, InconsistentReport, NonFinite
 from ergokit.instances import matrix_to_json
 from ergokit.linalg import adjoint, energy_tol, max_abs
@@ -65,13 +54,13 @@ def qubit_sic_povm():
 
 
 def test_passive_energy_hand_value():
-    assert passive_energy(RHO, H01) == pytest.approx(0.25, abs=1e-14)
+    assert report(RHO, H01).passive_energy == pytest.approx(0.25, abs=1e-14)
 
 
 def test_passive_energy_maximally_mixed():
     h = random_hamiltonian(5, RandomSource(2))
     expected = float(np.trace(h.op).real) / 5.0
-    assert passive_energy(DensityMatrix(np.eye(5) / 5), h) == pytest.approx(expected, abs=1e-12)
+    assert report(DensityMatrix(np.eye(5) / 5), h).passive_energy == pytest.approx(expected, abs=1e-12)
 
 
 def test_passive_energy_not_above_sampled_minimum():
@@ -79,7 +68,7 @@ def test_passive_energy_not_above_sampled_minimum():
     rho = random_density(3, 3, rng)
     h = random_hamiltonian(3, rng)
     sampled = sampled_min_energy(rho.op, h.op, samples=10_000, seed=99)
-    assert passive_energy(rho, h) <= sampled + 1e-9
+    assert report(rho, h).passive_energy <= sampled + 1e-9
 
 
 def test_passive_energy_of_spectrum_checks_length():
@@ -108,8 +97,8 @@ def test_passive_state_properties_random():
         pi, u = passive_state(rho, h)
         assert max_abs(adjoint(u) @ u - np.eye(4)) <= 1e-10
         assert max_abs(u @ rho.op @ adjoint(u) - pi.op) <= 1e-9
-        assert abs(np.trace(h.op @ pi.op).real - passive_energy(rho, h)) <= 1e-10
-        assert ergotropy(pi, h) <= 1e-10
+        assert abs(np.trace(h.op @ pi.op).real - report(rho, h).passive_energy) <= 1e-10
+        assert report(pi, h).ergotropy <= 1e-10
 
 
 def test_passive_state_keeps_the_state_spectrum():
@@ -121,14 +110,14 @@ def test_passive_state_keeps_the_state_spectrum():
 
 
 def test_ergotropy_hand_values():
-    assert ergotropy(RHO, H01) == pytest.approx(0.5, abs=1e-14)
-    assert ergotropy(PLUS, H01) == pytest.approx(0.5, abs=1e-12)
+    assert report(RHO, H01).ergotropy == pytest.approx(0.5, abs=1e-14)
+    assert report(PLUS, H01).ergotropy == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ergotropy_of_passive_state_is_zero():
     gibbs_like = DensityMatrix(np.diag([0.5, 0.3, 0.2]))
     h = Hamiltonian(np.diag([0.0, 1.0, 2.0]))
-    assert abs(ergotropy(gibbs_like, h)) <= 1e-14
+    assert abs(report(gibbs_like, h).ergotropy) <= 1e-14
 
 
 def test_ergotropy_nonnegative_random():
@@ -137,12 +126,12 @@ def test_ergotropy_nonnegative_random():
         sub = rng.split(t)
         rho = random_density(4, 2, sub)
         h = random_hamiltonian(4, sub)
-        assert ergotropy(rho, h) >= -1e-10
+        assert report(rho, h).ergotropy >= -1e-10
 
 
 @pytest.mark.parametrize("b", [0.0, 0.25, 0.5, 0.75, 1.0])
 def test_observational_ergotropy_merge_family(b):
-    value = observational_ergotropy(RHO, H01, merge_povm(b))
+    value = report(RHO, H01, merge_povm(b)).observational
     assert value == pytest.approx(qubit_sweep_closed_form(b), abs=1e-12)
 
 
@@ -155,14 +144,15 @@ def test_observational_ergotropy_eigenbasis_recovers_full():
             sub = rng.split(t)
             rank = d if t % 2 else 1
             rho, h = random_density(d, rank, sub), random_hamiltonian(d, sub)
-            gap = observational_ergotropy(rho, h, Povm(rho.eig()[1])) - ergotropy(rho, h)
+            rep = report(rho, h, Povm(rho.eig()[1]))
+            gap = rep.observational - rep.ergotropy
             assert abs(gap) <= energy_tol(d, max_abs(h.energies)), (d, rank, t, gap)
 
 
 def test_observational_ergotropy_can_be_negative():
     ground = DensityMatrix(np.diag([1.0, 0.0]))
     plus_minus = Povm(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
-    assert observational_ergotropy(ground, H01, plus_minus) == pytest.approx(-0.5, abs=1e-12)
+    assert report(ground, H01, plus_minus).observational == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_observational_never_exceeds_ergotropy():
@@ -174,7 +164,8 @@ def test_observational_never_exceeds_ergotropy():
         h = random_hamiltonian(3, sub)
         m = post_process(Povm(haar_unitary(3, sub)),
                          random_column_stochastic(5, 3, sub))
-        assert observational_ergotropy(rho, h, m) <= ergotropy(rho, h) + 1e-9
+        rep = report(rho, h, m)
+        assert rep.observational <= rep.ergotropy + 1e-9
 
 
 def test_observational_bound_holds_for_sic_povm():
@@ -184,7 +175,8 @@ def test_observational_bound_holds_for_sic_povm():
         sub = rng.split(t)
         rho = random_density(2, 2, sub)
         h = random_hamiltonian(2, sub)
-        assert observational_ergotropy(rho, h, sic) <= ergotropy(rho, h) + 1e-9
+        rep = report(rho, h, sic)
+        assert rep.observational <= rep.ergotropy + 1e-9
 
 
 def test_observational_pure_state_in_own_basis():
@@ -194,7 +186,7 @@ def test_observational_pure_state_in_own_basis():
     h = random_hamiltonian(3, rng)
     basis = Povm(rho.eig()[1])
     expected = np.trace(h.op @ rho.op).real - float(h.energies[0])
-    assert observational_ergotropy(rho, h, basis) == pytest.approx(expected, abs=1e-10)
+    assert report(rho, h, basis).observational == pytest.approx(expected, abs=1e-10)
 
 
 def test_all_quantities_vanish_for_maximally_mixed():
@@ -207,13 +199,14 @@ def test_all_quantities_vanish_for_maximally_mixed():
 
 
 def test_incoherent_ergotropy_plus_state():
-    assert abs(incoherent_ergotropy(PLUS, H01)) <= 1e-12
+    assert abs(report(PLUS, H01).incoherent) <= 1e-12
 
 
 def test_incoherent_equals_full_for_diagonal_states():
     rho = DensityMatrix(np.diag([0.1, 0.2, 0.7]))
     h = Hamiltonian(np.diag([0.0, 0.5, 1.0]))
-    assert incoherent_ergotropy(rho, h) == pytest.approx(ergotropy(rho, h), abs=1e-12)
+    rep = report(rho, h)
+    assert rep.incoherent == pytest.approx(rep.ergotropy, abs=1e-12)
 
 
 def test_incoherent_matches_energy_basis_measurement():
@@ -222,9 +215,8 @@ def test_incoherent_matches_energy_basis_measurement():
         sub = rng.split(t)
         rho = random_density(3, 3, sub)
         h = random_hamiltonian(3, sub)
-        energy_basis = Povm(h.eigenbasis)
-        assert observational_ergotropy(rho, h, energy_basis) == pytest.approx(
-            incoherent_ergotropy(rho, h), abs=1e-10)
+        rep = report(rho, h, Povm(h.eigenbasis))
+        assert rep.observational == pytest.approx(rep.incoherent, abs=1e-10)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
@@ -234,16 +226,16 @@ def test_theorem2_equality_is_exact_in_the_object_api(d):
     for t in range(75):
         sub = rng.split(t)
         rho, h = random_density(d, d, sub), random_hamiltonian(d, sub)
-        energy_basis = Povm(h.eigenbasis)
-        assert observational_ergotropy(rho, h, energy_basis) == incoherent_ergotropy(rho, h)
+        rep = report(rho, h, Povm(h.eigenbasis))
+        assert rep.observational == rep.incoherent
 
 
 def test_coherent_ergotropy_plus_state():
-    assert coherent_ergotropy(PLUS, H01) == pytest.approx(0.5, abs=1e-12)
+    assert report(PLUS, H01).coherent == pytest.approx(0.5, abs=1e-12)
 
 
 def test_coherent_ergotropy_diagonal_is_zero():
-    assert abs(coherent_ergotropy(RHO, H01)) <= 1e-14
+    assert abs(report(RHO, H01).coherent) <= 1e-14
 
 
 def test_coherent_ergotropy_nonnegative_sweep():
@@ -253,7 +245,7 @@ def test_coherent_ergotropy_nonnegative_sweep():
         sub = rng.split(t)
         rho = random_density(3, 3, sub)
         h = random_hamiltonian(3, sub)
-        worst = min(worst, coherent_ergotropy(rho, h))
+        worst = min(worst, report(rho, h).coherent)
     assert worst >= -1e-10
 
 
@@ -283,21 +275,18 @@ def test_report_with_own_eigenbasis_measurement():
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 16])
-def test_report_fields_equal_the_single_quantity_functions(d):
+def test_report_ergotropy_is_mean_minus_passive_energy(d):
     rng = RandomSource(62 + d)
     rho, h = random_density(d, d, rng), random_hamiltonian(d, rng)
     coarse = post_process(Povm(haar_unitary(d, rng)), random_column_stochastic(3, d, rng))
     for m in (None, coarse, Povm(coarse.elements)):
         rep = report(rho, h, m)
-        assert (rep.passive_energy, rep.ergotropy, rep.incoherent, rep.coherent, rep.observational) == (
-            passive_energy(rho, h), ergotropy(rho, h), incoherent_ergotropy(rho, h), coherent_ergotropy(rho, h),
-            None if m is None else observational_ergotropy(rho, h, m))
         assert rep.ergotropy == rep.mean_energy - rep.passive_energy
         assert abs(rep.mean_energy - np.trace(h.op @ rho.op).real) <= energy_tol(d, rep.energy_scale)
 
 
 def test_report_and_incoherent_ergotropy_build_no_operator(monkeypatch):
-    # both read rho's energy populations once; neither builds the dephased state or any d x d operator
+    # report reads rho's energy populations once; its incoherent field builds no dephased state or any d x d operator
     from ergokit import measurement, states
 
     rng = RandomSource(66)
@@ -309,10 +298,15 @@ def test_report_and_incoherent_ergotropy_build_no_operator(monkeypatch):
     monkeypatch.setattr(states.DensityMatrix, "_in_basis", lambda *a: calls.append(a) or original(*a))
     report(rho, h)
     report(rho, h, computational_basis(4))
-    incoherent_ergotropy(rho, h)
     assert calls == []
     dephase(rho, h)  # the spies do see a built state
     assert len(calls) == 2
+
+
+def test_kernels_read_energies_given_as_a_list():
+    energies, populations, spectrum = [0.0, 0.5, 2.0], [0.2, 0.3, 0.5], [0.6, 0.1, 0.3]
+    assert work(energies, populations, spectrum) == work(np.array(energies), populations, spectrum)
+    assert passive_energy_of_spectrum(energies, spectrum) == passive_energy_of_spectrum(np.array(energies), spectrum)
 
 
 def test_work_over_a_batch_equals_row_by_row_calls():

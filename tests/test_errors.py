@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ergokit.audits import AuditConfig
-from ergokit.ergotropy import observational_ergotropy, work
+from ergokit.ergotropy import report, work
 from ergokit.errors import DimensionMismatch, ErgokitError, NonFinite, NotHermitian, NotUnitary, PreconditionFailed
 from ergokit.instances import instance_from_dict
 from ergokit.linalg import as_matrix
@@ -91,12 +91,13 @@ BAD_INPUTS = {
     "outcome distribution of a 3-dim state under a 2-dim povm":
         lambda: outcome_distribution(DensityMatrix(np.eye(3) / 3), computational_basis(2)),
     "observational ergotropy of a 3-dim state under a 2-dim povm":
-        lambda: observational_ergotropy(DensityMatrix(np.eye(3) / 3), Hamiltonian(np.diag([0.0, 1.0, 2.0])),
-                                        computational_basis(2)),
+        lambda: report(DensityMatrix(np.eye(3) / 3), Hamiltonian(np.diag([0.0, 1.0, 2.0])), computational_basis(2)),
     "povm second element not Hermitian": lambda: Povm((KET0, KET1 + np.array([[0.0, 0.5], [0.0, 0.0]]))),
     "povm second element near float max": lambda: Povm((KET0, np.full((2, 2), 1.7e308))),
     "work of one population for three levels": lambda: work(np.array([0.0, 1.0, 2.0]), [1.0], [1.0, 0.0, 0.0]),
     "work of two populations for three levels": lambda: work(np.array([0.0, 1.0, 2.0]), [0.5, 0.5], [1.0, 0.0, 0.0]),
+    "work of a NaN population": lambda: work(np.array([0.0, 1.0]), [0.5, np.nan], [0.5, 0.5]),
+    "work of an infinite spectrum entry": lambda: work(np.array([0.0, 1.0]), [0.5, 0.5], [np.inf, 0.5]),
 }
 
 
@@ -164,6 +165,8 @@ ERROR_CLASSES = {
     "povm second element near float max": NonFinite,
     "work of one population for three levels": DimensionMismatch,
     "work of two populations for three levels": DimensionMismatch,
+    "work of a NaN population": NonFinite,
+    "work of an infinite spectrum entry": NonFinite,
 }
 
 # Entries whose message must name the offending part. One fault gives one message whichever call it enters through.

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergokit import linalg, measurement, states
-from ergokit.ergotropy import observational_ergotropy
+from ergokit.ergotropy import report
 from ergokit.errors import DimensionMismatch
 from ergokit.linalg import LOOSE_TOL, TOL, adjoint, energy_tol, max_abs
 from ergokit.measurement import (
@@ -94,7 +94,7 @@ class TestPovm:
         tiny = 0.6e-10 * np.eye(2)
         m = Povm((tiny, np.eye(2) - tiny))
         assert m.base.shape == (2, 4)
-        work = observational_ergotropy(DensityMatrix(np.diag([0.3, 0.7])), Hamiltonian(np.diag([0.0, 1.0])), m)
+        work = report(DensityMatrix(np.diag([0.3, 0.7])), Hamiltonian(np.diag([0.0, 1.0])), m).observational
         assert work == pytest.approx(0.2, abs=1e-12)
 
 
@@ -325,8 +325,8 @@ def test_kernel_matches_dense_elements(d, n_rel, seed, rank_frac, zero_rows, deg
     cases = [(m, m.elements) for m in (fine, post_process(fine, dmat), energy_incoherent(h, dmat))]
     for structured, elements in [*cases, (coarse, mixed)]:
         dense = Povm(elements)
-        kernel_value = observational_ergotropy(rho, h, structured)
-        assert abs(kernel_value - observational_ergotropy(rho, h, dense)) <= 1e-12 * scale
+        kernel_value = report(rho, h, structured).observational
+        assert abs(kernel_value - report(rho, h, dense).observational) <= 1e-12 * scale
         assert max_abs(coarse_grained_state(rho, structured).op - coarse_grained_state(rho, dense).op) <= 1e-12
         np.testing.assert_allclose(outcome_distribution(rho, structured), outcome_distribution(rho, dense), atol=1e-12)
     assert "elements" not in coarse.__dict__  # coarsening a dense base mixes no element matrices
@@ -352,7 +352,7 @@ def test_dense_projectors_take_the_square_path(d):
     dead_row = np.vstack([random_column_stochastic(2, d, rng).entries, np.zeros(d)])
     for post in (np.eye(d), random_column_stochastic(d + 2, d, rng).entries, dead_row, np.ones((1, d))):
         dmat = StochasticMatrix(post)
-        by_stack, by_basis = (observational_ergotropy(rho, h, post_process(m, dmat)) for m in (dense, Povm(u)))
+        by_stack, by_basis = (report(rho, h, post_process(m, dmat)).observational for m in (dense, Povm(u)))
         assert abs(by_stack - by_basis) <= energy_tol(d, max_abs(h.energies))
 
 
@@ -384,7 +384,7 @@ def test_basis_measurement_kernel_makes_no_eigensolve(monkeypatch):
         monkeypatch.setattr(module, "operator_in_basis", lambda *a, _f=original, **k: calls.append("operator_in_basis") or _f(*a, **k))
     q = random_column_stochastic(3, 5, rng)
     for m in (fine, post_process(fine, dmat), energy_incoherent(h, q), post_process(projectors, dmat)):
-        observational_ergotropy(rho, h, m)
+        report(rho, h, m)
     assert calls == []
 
 

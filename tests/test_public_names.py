@@ -26,6 +26,12 @@ def test_all_names_exist_once(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+def test_no_package_attribute_shadows_a_submodule():
+    # a re-exported function named after its module would hide the module: `import ergokit.m as x` binds the function
+    submodules = [importlib.import_module(name) for name in MODULES[1:] if name != "ergokit.__main__"]
+    assert [m.__name__ for m in submodules if getattr(ergokit, m.__name__.rsplit(".", 1)[1]) is not m] == []
+
+
 def syntax_tree(name):
     return ast.parse(Path(importlib.import_module(name).__file__).read_text(encoding="utf-8"))
 
