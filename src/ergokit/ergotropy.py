@@ -9,14 +9,16 @@ an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentReport, NonFinite
-from .linalg import adjoint, energy_tol
+from .linalg import adjoint, as_vectors, energy_tol
 from .measurement import Povm, coarse_grained_spectrum
 from .states import DensityMatrix, Hamiltonian, _check_same_dim, energy_populations
+
+HALF_FLOAT_MAX = np.finfo(float).max / 2
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,7 @@ class WorkReport:
     measurement: mean energy minus the passive energy of the coarse-grained
     estimate. It can be negative when the estimate misranks the populations,
     and is None when no measurement was supplied. Energies are in the
-    Hamiltonian's units; ``energy_scale`` is max|E|, which sets the tolerance
-    of the negative-ergotropy check.
+    Hamiltonian's units.
     """
 
     dimension: int
@@ -43,37 +44,39 @@ class WorkReport:
     incoherent: float
     coherent: float
     observational: float | None = None
-    energy_scale: float = field(default=0.0, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not np.isfinite([v for v in astuple(self) if v is not None]).all():  # NaN would pass every check below
-            raise NonFinite(f"work quantities must be finite, got {self!r}")
-        tol = energy_tol(self.dimension, self.energy_scale)
-        if self.ergotropy < -tol:
-            raise InconsistentReport(f"ergotropy is negative: {self.ergotropy!r} < -{tol:.1e}")
+
+def _paired(energies, name: str, vector) -> tuple[np.ndarray, np.ndarray]:
+    """Energies and a vector paired with them, each read once by as_vectors. The vector's last axis must be as long
+    as the energies', and max|E| times its largest row sum of |entries| at most half the float maximum, so that a sum
+    of their products, and the difference of two such sums, is finite. The bound d max|E| max|v| settles it without
+    a pass when it holds; otherwise the row sums are taken over v / max|v|, which cannot overflow."""
+    e, scale = as_vectors(energies, "energies")
+    v, top = as_vectors(vector, name)
+    if v.shape[-1] != e.shape[-1]:
+        raise DimensionMismatch(f"{name} has shape {v.shape}, Hamiltonian dimension is {e.shape[-1]}")
+    bound = scale * top  # Python floats: past the float range they are inf, with no warning
+    if bound * v.shape[-1] > HALF_FLOAT_MAX and bound * float(np.abs(v / top).sum(axis=-1).max()) > HALF_FLOAT_MAX:
+        raise NonFinite(f"{name} up to {top:.3e} and energies up to {scale:.3e}: sums of their products can overflow")
+    return e, v
 
 
 def passive_energy_of_spectrum(energies, spectrum):
     """Minimal mean energy over all states with the given spectrum: the
     ascending ``energies`` paired with descending populations. Leading axes
     of the arrays are a batch."""
-    e, x = np.asarray(energies, dtype=float), np.asarray(spectrum, dtype=float)
-    if x.shape[-1:] != e.shape[-1:]:
-        raise DimensionMismatch(f"spectrum has shape {x.shape}, Hamiltonian dimension is {e.shape[-1]}")
+    e, x = _paired(energies, "spectrum", spectrum)
     out = (e[..., np.newaxis, :] @ -np.sort(-x, axis=-1)[..., np.newaxis])[..., 0, 0]
     return out if out.ndim else float(out)
 
 
 def work(energies, populations, spectrum):
     """sum_k E_k p_k minus the passive energy of ``spectrum``, for a state's energy populations p: its ergotropy for its
-    eigenvalues, its incoherent ergotropy for p, its observational ergotropy for an estimate's. Leading axes are a batch."""
-    e, p, x = (np.asarray(a, dtype=float) for a in (energies, populations, spectrum))
-    if p.shape[-1:] != e.shape[-1:]:
-        raise DimensionMismatch(f"populations have shape {p.shape}, Hamiltonian dimension is {e.shape[-1]}")
-    for name, a in (("energies", e), ("populations", p), ("spectrum", x)):
-        if not np.isfinite(a).all():  # checked before any arithmetic: a NaN work would pass an audit's margin > tol
-            raise NonFinite(f"{name} must be finite, got {a!r}")
-    out = np.sum(e * p, axis=-1) - passive_energy_of_spectrum(e, x)
+    eigenvalues, its incoherent ergotropy for p, its observational ergotropy for an estimate's. Leading axes are a batch.
+    Every argument is checked before any arithmetic: a NaN work would pass an audit's margin > tol."""
+    e, p = _paired(energies, "populations", populations)
+    passive = passive_energy_of_spectrum(e, spectrum)  # reads the spectrum; of e, an array now, only max|E| again
+    out = (e * p).sum(axis=-1) - passive
     return out if np.ndim(out) else float(out)
 
 
@@ -96,6 +99,9 @@ def report(rho: DensityMatrix, h: Hamiltonian, m: Povm | None = None) -> WorkRep
     """Bundle every work quantity for one instance, off one read of rho's energy populations."""
     p = energy_populations(rho, h)
     total, incoherent = work(h.energies, p, rho.eigenvalues), work(h.energies, p, p)
+    tol = energy_tol(rho.dim, float(np.max(np.abs(h.energies))))
+    if total < -tol:
+        raise InconsistentReport(f"ergotropy is negative: {total!r} < -{tol:.1e}")
     return WorkReport(
         dimension=rho.dim,
         mean_energy=float(np.sum(h.energies * p)),
@@ -104,7 +110,6 @@ def report(rho: DensityMatrix, h: Hamiltonian, m: Povm | None = None) -> WorkRep
         incoherent=incoherent,
         coherent=total - incoherent,
         observational=None if m is None else work(h.energies, p, coarse_grained_spectrum(rho, m)),
-        energy_scale=float(np.max(np.abs(h.energies))),
     )
 
 

@@ -10,6 +10,8 @@ energies, which scales with H and has no absolute floor.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, NotHermitian, NotUnitary
@@ -27,20 +29,37 @@ def energy_tol(dimension: int, energy_scale):
     return np.maximum(np.finfo(float).tiny, 16 * dimension * np.finfo(float).eps * energy_scale)
 
 
+def _numeric(a, dtype, what: str) -> np.ndarray:
+    """np.asarray(a, dtype), with what it cannot read raised as an ErgokitError."""
+    try:
+        return np.asarray(a, dtype=dtype)
+    except OverflowError as exc:  # an integer entry past the float range
+        raise NonFinite(f"{what} has an entry past the float range: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # ragged rows, non-numeric or complex entries where floats are read
+        raise DimensionMismatch(f"cannot read {what} as a numeric array: {exc}") from exc
+
+
 def as_matrix(a, dtype=complex, stack: bool = False) -> np.ndarray:
     """Coerce to a 2-D array (or a stack of them) and reject empty axes and non-finite entries."""
-    try:
-        m = np.asarray(a, dtype=dtype)
-    except OverflowError as exc:  # an integer entry past the float range
-        raise NonFinite(f"matrix entry past the float range: {exc}") from exc
-    except (TypeError, ValueError) as exc:  # ragged rows or non-numeric entries
-        raise DimensionMismatch(f"cannot read input as a numeric array: {exc}") from exc
+    m = _numeric(a, dtype, "input")
     if (m.ndim != 2 and not (stack and m.ndim > 2)) or not m.size:
         raise DimensionMismatch(f"expected a non-empty 2-D matrix, got shape {m.shape}")
     finite = np.isfinite(m.real) & np.isfinite(m.imag) if np.iscomplexobj(m) else np.isfinite(m)
     if not np.all(finite):
         raise NonFinite("matrix contains NaN or Inf entries")
     return m
+
+
+def as_vectors(a, what: str) -> tuple[np.ndarray, float]:
+    """Coerce to a non-empty float vector (or a stack of them) and return it with max |entry|, which is finite: NaN
+    and Inf propagate into that maximum, so the one pass that sizes the entries also rejects them."""
+    v = _numeric(a, float, what)
+    if not v.ndim or not v.size:
+        raise DimensionMismatch(f"{what} must be a non-empty vector or a stack of them, got shape {v.shape}")
+    top = float(np.abs(v).max())
+    if not math.isfinite(top):
+        raise NonFinite(f"{what} contains NaN or Inf entries")
+    return v, top
 
 
 def max_abs(a: np.ndarray) -> float:

@@ -11,14 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
-from .linalg import LOOSE_TOL, as_matrix, max_abs
+from .linalg import LOOSE_TOL, as_vectors
 
 
-def _vectors(v) -> np.ndarray:
+def _vectors(v, what: str) -> np.ndarray:
     """Coerce to a float vector, or a stack of them, whose partial sums and their differences are finite."""
-    a = as_matrix([v], dtype=float, stack=True)[0]  # DimensionMismatch for a scalar, empty or ragged input
-    if 2 * a.shape[-1] * max_abs(a) > np.finfo(float).max:
-        raise NonFinite(f"entries up to {max_abs(a):.3e}: partial sums of {a.shape[-1]} of them can overflow")
+    a, top = as_vectors(v, what)  # DimensionMismatch for a scalar, empty or ragged input
+    if 2 * a.shape[-1] * top > np.finfo(float).max:
+        raise NonFinite(f"entries up to {top:.3e}: partial sums of {a.shape[-1]} of them can overflow")
     return a
 
 
@@ -27,7 +27,7 @@ def majorization_deficit(x, y) -> float | np.ndarray:
     matching partial sum of x (positive means x does not majorize y),
     including the total-sum disagreement. Leading axes are a batch; the
     last axes must have equal lengths."""
-    xv, yv = _vectors(x), _vectors(y)
+    xv, yv = _vectors(x, "x"), _vectors(y, "y")
     if xv.shape[-1] != yv.shape[-1]:
         raise DimensionMismatch(f"vectors have lengths {xv.shape[-1]} and {yv.shape[-1]}")
     cx = np.cumsum(np.sort(xv, axis=-1)[..., ::-1], axis=-1)

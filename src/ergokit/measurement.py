@@ -166,11 +166,16 @@ def estimate_spectrum(post: np.ndarray, populations: np.ndarray) -> np.ndarray:
     return (np.swapaxes(post, -1, -2) @ (probs / post.sum(axis=-1))[..., np.newaxis])[..., 0]
 
 
-def link_matrix(post: np.ndarray) -> np.ndarray:
+def link_matrix(post) -> np.ndarray:
     """Lemma 1's link B = (D / rowsum D)^T D: link_matrix(D) @ p is estimate_spectrum(D, p) written as a
     matrix, so over a unitary base B maps the fine outcome distribution onto the coarse estimate's spectrum.
-    Bistochastic for D column-stochastic without zero rows. Leading axes of post are a batch."""
-    return np.swapaxes(post / post.sum(axis=-1, keepdims=True), -1, -2) @ post
+    Bistochastic for D column-stochastic. Leading axes of post are a batch. A row of mass below TOL is an
+    outcome of zero volume, which post_process drops: it raises InvalidPovm."""
+    post = as_matrix(post, dtype=float, stack=True)
+    mass = post.sum(axis=-1, keepdims=True)
+    if mass.min() < TOL:
+        raise InvalidPovm(f"post-processing has a row of mass {mass.min():.3e} < {TOL:.0e}: an outcome of zero volume")
+    return np.swapaxes(post / mass, -1, -2) @ post
 
 
 def coarse_grained_state(rho: DensityMatrix, m: Povm) -> DensityMatrix:

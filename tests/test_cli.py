@@ -725,14 +725,9 @@ def test_passive_state_at_large_energy_scale(tmp_path, capsys, seed):
 
 
 def test_inconsistent_report_exits_2(qubit_file, capsys, monkeypatch):
-    from ergokit import cli
-    from ergokit.ergotropy import WorkReport
+    from ergokit import ergotropy
 
-    def broken_report(rho, h, m=None):
-        return WorkReport(dimension=2, mean_energy=0.25, passive_energy=0.5, ergotropy=-0.25,
-                          incoherent=-0.25, coherent=0.0, energy_scale=1.0)
-
-    monkeypatch.setattr(cli, "report", broken_report)
+    monkeypatch.setattr(ergotropy, "work", lambda *args: -0.25)  # every work quantity report computes
     code, out, err = run_cli(capsys, "report", qubit_file)
     assert code == 2
     assert out == ""

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from ergokit.audits import AuditConfig
-from ergokit.ergotropy import report, work
-from ergokit.errors import DimensionMismatch, ErgokitError, NonFinite, NotHermitian, NotUnitary, PreconditionFailed
+from ergokit.ergotropy import passive_energy_of_spectrum, report, work
+from ergokit.errors import (DimensionMismatch, ErgokitError, InvalidPovm, NonFinite, NotHermitian, NotUnitary,
+                            PreconditionFailed)
 from ergokit.instances import instance_from_dict
 from ergokit.linalg import as_matrix
 from ergokit.majorization import majorization_deficit, majorizes
-from ergokit.measurement import Povm, StochasticMatrix, computational_basis, outcome_distribution, random_column_stochastic
+from ergokit.measurement import (Povm, StochasticMatrix, computational_basis, link_matrix, outcome_distribution,
+                                 random_column_stochastic)
 from ergokit.states import (DensityMatrix, Hamiltonian, RandomSource, haar_unitary, random_density,
                             random_hamiltonian)
 
@@ -98,6 +100,18 @@ BAD_INPUTS = {
     "work of two populations for three levels": lambda: work(np.array([0.0, 1.0, 2.0]), [0.5, 0.5], [1.0, 0.0, 0.0]),
     "work of a NaN population": lambda: work(np.array([0.0, 1.0]), [0.5, np.nan], [0.5, 0.5]),
     "work of an infinite spectrum entry": lambda: work(np.array([0.0, 1.0]), [0.5, 0.5], [np.inf, 0.5]),
+    "work of scalars": lambda: work(1.0, 1.0, 1.0),
+    "passive energy of scalars": lambda: passive_energy_of_spectrum(1.0, 1.0),
+    "work of a string population": lambda: work([0.0, 1.0], "ab", [0.5, 0.5]),
+    "passive energy of a ragged spectrum": lambda: passive_energy_of_spectrum([0.0, 1.0], [[0.5, 0.5], [1.0]]),
+    "work of complex populations": lambda: work([0.0, 1.0], [0.5j, 0.5], [0.5, 0.5]),
+    "work of empty vectors": lambda: work([], [], []),
+    "passive energy of a NaN spectrum": lambda: passive_energy_of_spectrum([0.0, 1.0], [np.nan, 1.0]),
+    "work whose mean energy overflows": lambda: work([1e308, 1e308], [1.0, 1.0], [1.0, 1.0]),
+    "passive energy that overflows": lambda: passive_energy_of_spectrum([1e308, 1e308], [1.0, 1.0]),
+    "work whose products overflow": lambda: work([1e200, 1e200], [1e200, 0.0], [1.0, 0.0]),
+    "link matrix of ragged rows": lambda: link_matrix([[1.0, 0.0], [0.0]]),
+    "link matrix with a zero row": lambda: link_matrix(np.array([[1.0, 1.0], [0.0, 0.0]])),
 }
 
 
@@ -167,6 +181,18 @@ ERROR_CLASSES = {
     "work of two populations for three levels": DimensionMismatch,
     "work of a NaN population": NonFinite,
     "work of an infinite spectrum entry": NonFinite,
+    "work of scalars": DimensionMismatch,
+    "passive energy of scalars": DimensionMismatch,
+    "work of a string population": DimensionMismatch,
+    "passive energy of a ragged spectrum": DimensionMismatch,
+    "work of complex populations": DimensionMismatch,
+    "work of empty vectors": DimensionMismatch,
+    "passive energy of a NaN spectrum": NonFinite,
+    "work whose mean energy overflows": NonFinite,
+    "passive energy that overflows": NonFinite,
+    "work whose products overflow": NonFinite,
+    "link matrix of ragged rows": DimensionMismatch,
+    "link matrix with a zero row": InvalidPovm,
 }
 
 # Entries whose message must name the offending part. One fault gives one message whichever call it enters through.
@@ -185,6 +211,10 @@ ERROR_MESSAGES = {
     "non-square hamiltonian": "must be square",
     "outcome distribution of a 3-dim state under a 2-dim povm": "measurement is 2-dimensional",
     "observational ergotropy of a 3-dim state under a 2-dim povm": "measurement is 2-dimensional",
+    "majorizes scalars": "must be a non-empty vector or a stack of them, got shape ()",
+    "work of scalars": "must be a non-empty vector or a stack of them, got shape ()",
+    "passive energy of scalars": "must be a non-empty vector or a stack of them, got shape ()",
+    "work of empty vectors": "must be a non-empty vector or a stack of them, got shape (0,)",
 }
 
 

@@ -366,6 +366,7 @@ def test_link_matrix_is_the_kernel_as_a_matrix(d, n):
         assert max_abs(link @ p - estimate_spectrum(post, p)) <= linalg.TOL
         assert max(max_abs(link.sum(axis=0) - 1.0), max_abs(link.sum(axis=1) - 1.0)) <= linalg.TOL  # bistochastic
         assert link.tobytes() == link_matrix(post).tobytes()
+    assert link_matrix(posts.tolist()).tobytes() == links.tobytes()  # nested lists are read as the array
 
 
 def test_basis_measurement_kernel_makes_no_eigensolve(monkeypatch):

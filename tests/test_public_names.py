@@ -3,7 +3,8 @@
 deleted function cannot linger as a stale export; nor can README's list of
 key operations name one. Every name a module imports is read in it or
 exported, so a deletion cannot leave an orphaned import behind, and every
-error class is read in another module, so none is left that nothing raises."""
+error class is read in another module, so none is left that nothing raises. Only the types that callers construct
+define ``__post_init__``, so a result type cannot start checking its computed values again."""
 
 import ast
 import importlib
@@ -55,6 +56,18 @@ def test_every_error_class_is_named_in_the_program():
     read = set().union(*(names_read(syntax_tree(name)) for name in MODULES if name != "ergokit.errors"))
     assert len(declared) > 1  # the classes were found
     assert sorted(declared - {"ErgokitError"} - read) == []
+
+
+# The types that callers and instance files construct. A type the package builds for itself from validated inputs,
+# such as the WorkReport that report returns, is not checked again, so it gets no __post_init__.
+VALIDATED_ON_CONSTRUCTION = {"DensityMatrix", "Hamiltonian", "StochasticMatrix", "Povm", "AuditConfig"}
+
+
+def test_only_types_built_from_outside_validate_themselves():
+    checked = {node.name for name in MODULES for node in ast.walk(syntax_tree(name)) if isinstance(node, ast.ClassDef)
+               and any(isinstance(f, ast.FunctionDef) and f.name == "__post_init__" for f in node.body)}
+    assert checked  # the classes were found
+    assert sorted(checked - VALIDATED_ON_CONSTRUCTION) == []
 
 
 def key_operations():

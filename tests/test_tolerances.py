@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from ergokit.audits import AuditConfig
 from ergokit.cli import build_parser
-from ergokit.ergotropy import WorkReport, report
+from ergokit import ergotropy
+from ergokit.ergotropy import report
 from ergokit.errors import InconsistentReport, InvalidPovm, NonFinite, NotHermitian
 from ergokit.linalg import LOOSE_TOL, TOL, adjoint, energy_tol, hermitian_part, max_abs, require_hermitian
 from ergokit.measurement import (
@@ -20,7 +21,7 @@ from ergokit.measurement import (
     post_process,
     random_column_stochastic,
 )
-from ergokit.states import Hamiltonian, RandomSource, haar_unitary, random_density
+from ergokit.states import DensityMatrix, Hamiltonian, RandomSource, haar_unitary, random_density
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 SCALES = (1e-200, 1e-20, 1.0, 1e20, 1e200)
@@ -55,6 +56,15 @@ def test_entries_that_could_overflow_an_energy_are_non_finite(d):
         require_hermitian(np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]))
 
 
+@pytest.mark.parametrize("d", [1, 2, 16])
+def test_largest_accepted_hamiltonian_has_finite_work(d):
+    # entries just under the bound above give an energy d times as large, 0.999 max / 4: work's overflow bound reads
+    # the row sums of |p| and |x|, 1 for a state, and would refuse this Hamiltonian at d = 16 with d max|p| in their place
+    h = Hamiltonian(np.full((d, d), 0.999 * np.finfo(float).max / (4 * d)))
+    rep = report(random_density(d, d, RandomSource(d)), h, computational_basis(d))
+    assert np.isfinite([getattr(rep, name) for name in FIELDS]).all()
+
+
 def test_stochastic_matrix_rejects_entries_above_one_before_summing():
     with pytest.raises(ValueError, match="outside"):
         StochasticMatrix(np.full((2, 2), 1.7e308))
@@ -68,14 +78,15 @@ def test_tiny_non_hermitian_hamiltonian_is_rejected():
         Hamiltonian(1e-20 * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_work_report_at_small_energy_scale_is_checked_at_that_scale():
-    # ergotropy -1e-25 at max|E| = 1e-12 is far past roundoff at that scale (energy_tol ~ 7e-27),
-    # though it is within the tolerance at scale 1
-    with pytest.raises(InconsistentReport, match="ergotropy is negative"):
-        WorkReport(dimension=2, mean_energy=0.0, passive_energy=1e-25, ergotropy=-1e-25, incoherent=-1e-25,
-                   coherent=0.0, energy_scale=1e-12)
-    WorkReport(dimension=2, mean_energy=0.0, passive_energy=1e-27, ergotropy=-1e-27, incoherent=-1e-27,
-               coherent=0.0, energy_scale=1e-12)
+def test_work_report_at_small_energy_scale_is_checked_at_that_scale(monkeypatch):
+    # report, whose every work call here returns the ergotropy below: -1e-25 at max|E| = 1e-12 is far past roundoff
+    # at that scale (energy_tol ~ 7e-27), though it is within the tolerance at scale 1
+    rho, h = DensityMatrix(np.diag([0.25, 0.75])), Hamiltonian(np.diag([0.0, 1e-12]))
+    monkeypatch.setattr(ergotropy, "work", lambda *args: -1e-25)
+    with pytest.raises(InconsistentReport, match=r"ergotropy is negative: -1e-25 < -7\.1e-27"):
+        report(rho, h)
+    monkeypatch.setattr(ergotropy, "work", lambda *args: -1e-27)
+    assert report(rho, h).ergotropy == -1e-27
 
 
 def test_povm_element_of_volume_below_tol_is_degenerate():
@@ -112,15 +123,16 @@ def test_verdicts_and_work_quantities_scale_with_the_hamiltonian(seed, d, asymme
     h[0, 1] += asymmetry * max_abs(h)
     rho = random_density(d, d, rng)
     m = post_process(Povm(haar_unitary(d, rng)), random_column_stochastic(d, d, rng))
-    reports = {}
+    reports, scales = {}, {}
     for c in SCALES:
         try:
-            reports[c] = report(rho, Hamiltonian(c * h), m)
+            hc = Hamiltonian(c * h)
         except NotHermitian:
-            pass
+            continue
+        reports[c], scales[c] = report(rho, hc, m), np.abs(hc.energies).max()
     assert len(reports) in (0, len(SCALES))
     assert (len(reports) > 0) == (asymmetry < TOL)
     for c, rep in reports.items():
-        tol = 2 * energy_tol(d, rep.energy_scale)
+        tol = 2 * energy_tol(d, scales[c])
         for name in FIELDS:
             assert abs(getattr(rep, name) - c * getattr(reports[1.0], name)) <= tol, (c, name)
