@@ -20,19 +20,15 @@ import numpy as np
 
 from .errors import PreconditionFailed
 from .ergotropy import passive_energy_of_spectrum, work
-from .linalg import LOOSE_TOL, TOL, diagonal_in_basis, energy_tol, hermitian_part, operator_in_basis
+from .linalg import LOOSE_TOL, TOL, adjoint, diagonal_in_basis, energy_tol, hermitian_part
 from .majorization import majorization_deficit
 from .measurement import estimate_spectrum, link_matrix
 from .states import RandomSource, is_integer, require_int
 
 # Bytes of stacked arrays one chunk of trials may hold, a trial counting as 16 d^2 (n + 8): its complex d x d
-# stacks plus n matrices. lemma1 holds ELEMENT_BLOCK of its n elements at a time, so n over-counts it, but the
-# count keeps a chunk at large d to one trial, which bounds the memory of every claim.
+# stacks plus n matrices. lemma1 holds one of its n elements per trial at a time, so n over-counts it, but the count
+# keeps a chunk at large d to one trial, which bounds the memory of every claim.
 CHUNK_BYTES = 4 << 20
-# Dense elements lemma1's cross-check builds at a time. A fixed length, not one taken from CHUNK_BYTES, so that
-# its sums, and with them each trial's margin, do not depend on the chunking; a chunk then holds at most this many
-# elements per trial whatever n is.
-ELEMENT_BLOCK = 8
 
 
 def _trial_bytes(d, n) -> int:
@@ -105,13 +101,14 @@ def _fine_grained_optimum(cfg: AuditConfig, rho, energies, v, u):
 
 def _dense_estimate(rho: np.ndarray, basis: np.ndarray, post: np.ndarray) -> np.ndarray:
     """Hermitian part of sum_i p_i M_i / tr M_i, p_i = tr(rho M_i), over the dense elements M_i = U diag(D_i) U^dag
-    of basis U (..., d, d) and post D (..., n, d), built ELEMENT_BLOCK at a time; leading axes are a batch."""
-    estimate, rho_col = 0.0, np.swapaxes(rho, -1, -2).reshape(*rho.shape[:-2], -1, 1)  # flat M_i @ rho_col: tr(rho M_i)
-    for start in range(0, post.shape[-2], ELEMENT_BLOCK):
-        elements = operator_in_basis(basis[..., np.newaxis, :, :], post[..., start:start + ELEMENT_BLOCK, :])
-        flat = elements.reshape(*elements.shape[:-2], -1)
-        weights = np.clip((flat @ rho_col)[..., 0].real, 0.0, None) / np.trace(elements, axis1=-2, axis2=-1).real
-        estimate = estimate + (weights[..., np.newaxis, :] @ flat).reshape(rho.shape)
+    of basis U (..., d, d) and post D (..., n, d), built one at a time; leading axes are a batch."""
+    estimate, basis_dag = 0.0, adjoint(basis)
+    rho_col = np.swapaxes(rho, -1, -2).reshape(*rho.shape[:-2], -1, 1)  # flat M_i @ rho_col: tr(rho M_i)
+    for values in np.moveaxis(post, -2, 0):
+        element = (basis * values[..., np.newaxis, :]) @ basis_dag
+        born = (element.reshape(*rho.shape[:-2], 1, -1) @ rho_col)[..., 0, 0].real
+        weight = np.clip(born, 0.0, None) / np.trace(element, axis1=-2, axis2=-1).real
+        estimate = estimate + weight[..., np.newaxis, np.newaxis] * element
     return hermitian_part(estimate)
 
 

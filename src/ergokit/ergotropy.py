@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentReport, NonFinite
-from .linalg import adjoint, as_vectors, energy_tol
+from .linalg import adjoint, as_vectors, batches_broadcast, energy_tol
 from .measurement import Povm, coarse_grained_spectrum
 from .states import DensityMatrix, Hamiltonian, _check_same_dim, energy_populations
 
@@ -47,14 +47,16 @@ class WorkReport:
 
 
 def _paired(energies, name: str, vector) -> tuple[np.ndarray, np.ndarray]:
-    """Energies and a vector paired with them, each read once by as_vectors. The vector's last axis must be as long
-    as the energies', and max|E| times its largest row sum of |entries| at most half the float maximum, so that a sum
-    of their products, and the difference of two such sums, is finite. The bound d max|E| max|v| settles it without
-    a pass when it holds; otherwise the row sums are taken over v / max|v|, which cannot overflow."""
+    """Energies and a vector paired with them, each read once by as_vectors: the vector's last axis as long as theirs,
+    its batch axes broadcasting with theirs, and max|E| times its largest row sum of |entries| at most half the float
+    maximum, so that a sum of their products, and the difference of two, is finite. The bound d max|E| max|v| settles
+    that without a pass when it holds; otherwise the row sums are taken over v / max|v|, which cannot overflow."""
     e, scale = as_vectors(energies, "energies")
     v, top = as_vectors(vector, name)
     if v.shape[-1] != e.shape[-1]:
         raise DimensionMismatch(f"{name} has shape {v.shape}, Hamiltonian dimension is {e.shape[-1]}")
+    if v.ndim > 1 and not batches_broadcast(v, e):  # a single vector pairs with any batch
+        raise DimensionMismatch(f"{name} has shape {v.shape}, whose batch axes do not broadcast with {e.shape}")
     bound = scale * top  # Python floats: past the float range they are inf, with no warning
     if bound * v.shape[-1] > HALF_FLOAT_MAX and bound * float(np.abs(v / top).sum(axis=-1).max()) > HALF_FLOAT_MAX:
         raise NonFinite(f"{name} up to {top:.3e} and energies up to {scale:.3e}: sums of their products can overflow")
@@ -75,7 +77,8 @@ def work(energies, populations, spectrum):
     eigenvalues, its incoherent ergotropy for p, its observational ergotropy for an estimate's. Leading axes are a batch.
     Every argument is checked before any arithmetic: a NaN work would pass an audit's margin > tol."""
     e, p = _paired(energies, "populations", populations)
-    passive = passive_energy_of_spectrum(e, spectrum)  # reads the spectrum; of e, an array now, only max|E| again
+    spread = e if e.shape == p.shape else np.broadcast_to(e, np.broadcast_shapes(e.shape, p.shape))  # a view: no copy
+    passive = passive_energy_of_spectrum(spread, spectrum)  # checks the spectrum against e's and p's batch axes first
     out = (e * p).sum(axis=-1) - passive
     return out if np.ndim(out) else float(out)
 

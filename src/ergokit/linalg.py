@@ -30,9 +30,11 @@ def energy_tol(dimension: int, energy_scale):
 
 
 def _numeric(a, dtype, what: str) -> np.ndarray:
-    """np.asarray(a, dtype), with what it cannot read raised as an ErgokitError."""
+    """a as an array of dtype, with what it cannot read raised as an ErgokitError."""
     try:
-        return np.asarray(a, dtype=dtype)
+        if (m := np.asarray(a)).dtype.kind == "c" and dtype is float:  # a cast to float would drop imaginary parts
+            raise TypeError(f"complex entries (dtype {m.dtype}) where real numbers are read")
+        return m.astype(dtype, copy=False)
     except OverflowError as exc:  # an integer entry past the float range
         raise NonFinite(f"{what} has an entry past the float range: {exc}") from exc
     except (TypeError, ValueError) as exc:  # ragged rows, non-numeric or complex entries where floats are read
@@ -60,6 +62,11 @@ def as_vectors(a, what: str) -> tuple[np.ndarray, float]:
     if not math.isfinite(top):
         raise NonFinite(f"{what} contains NaN or Inf entries")
     return v, top
+
+
+def batches_broadcast(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the leading (batch) axes of a and b broadcast together, read from their shapes alone."""
+    return all(x == y or 1 in (x, y) for x, y in zip(a.shape[-2::-1], b.shape[-2::-1]))
 
 
 def max_abs(a: np.ndarray) -> float:

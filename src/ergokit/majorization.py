@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
-from .linalg import LOOSE_TOL, as_vectors
+from .linalg import LOOSE_TOL, as_vectors, batches_broadcast
 
 
 def _vectors(v, what: str) -> np.ndarray:
@@ -25,11 +25,12 @@ def _vectors(v, what: str) -> np.ndarray:
 def majorization_deficit(x, y) -> float | np.ndarray:
     """Largest amount by which a descending partial sum of y exceeds the
     matching partial sum of x (positive means x does not majorize y),
-    including the total-sum disagreement. Leading axes are a batch; the
-    last axes must have equal lengths."""
+    including the total-sum disagreement. Leading axes are a batch, which
+    must broadcast; the last axes must have equal lengths."""
     xv, yv = _vectors(x, "x"), _vectors(y, "y")
-    if xv.shape[-1] != yv.shape[-1]:
-        raise DimensionMismatch(f"vectors have lengths {xv.shape[-1]} and {yv.shape[-1]}")
+    if xv.shape[-1] != yv.shape[-1] or not batches_broadcast(xv, yv):
+        raise DimensionMismatch(f"vectors have lengths {xv.shape[-1]} and {yv.shape[-1]} and shapes {xv.shape} and "
+                                f"{yv.shape}: the lengths must be equal and the batch axes broadcast")
     cx = np.cumsum(np.sort(xv, axis=-1)[..., ::-1], axis=-1)
     cy = np.cumsum(np.sort(yv, axis=-1)[..., ::-1], axis=-1)
     partial = np.max(cy[..., :-1] - cx[..., :-1], axis=-1, initial=0.0)  # the total term is >= 0 anyway

@@ -26,7 +26,7 @@ from ergokit.states import RandomSource, haar_unitary, random_density, random_ha
 HERE = Path(__file__).resolve().parent
 INSTANCE_SEED = 2024
 
-# verify all at d in {1, 3, 8, 16}, rank 1 and full rank; n = 19 spans lemma1's cross-check over three element blocks
+# verify all at d in {1, 3, 8, 16}, rank 1 and full rank; n = 19 runs lemma1's cross-check over more elements than d
 VERIFY = ["--d 1 --n 2 --trials 200 --seed 0",
           "--d 3 --n 4 --trials 200 --seed 0",
           "--d 3 --n 4 --rank 1 --trials 200 --seed 1",

@@ -110,6 +110,14 @@ BAD_INPUTS = {
     "work whose mean energy overflows": lambda: work([1e308, 1e308], [1.0, 1.0], [1.0, 1.0]),
     "passive energy that overflows": lambda: passive_energy_of_spectrum([1e308, 1e308], [1.0, 1.0]),
     "work whose products overflow": lambda: work([1e200, 1e200], [1e200, 0.0], [1.0, 0.0]),
+    "stochastic matrix of a complex array": lambda: StochasticMatrix(np.array([[1 + 1j, 0], [0, 1]])),
+    "work of a complex population array": lambda: work([0, 1], np.array([0.25 + 1j, 0.75]), [0.5, 0.5]),
+    "majorization deficit of a complex array": lambda: majorization_deficit(np.array([0.5 + 1j, 0.5]), [0.5, 0.5]),
+    "work of batches that do not broadcast": lambda: work(np.zeros(3), np.zeros((2, 3)), np.zeros((4, 3))),
+    "passive energy of batches that do not broadcast":
+        lambda: passive_energy_of_spectrum(np.zeros((2, 3)), np.zeros((4, 3))),
+    "majorization deficit of batches that do not broadcast":
+        lambda: majorization_deficit(np.zeros((2, 3)), np.zeros((4, 3))),
     "link matrix of ragged rows": lambda: link_matrix([[1.0, 0.0], [0.0]]),
     "link matrix with a zero row": lambda: link_matrix(np.array([[1.0, 1.0], [0.0, 0.0]])),
 }
@@ -191,6 +199,12 @@ ERROR_CLASSES = {
     "work whose mean energy overflows": NonFinite,
     "passive energy that overflows": NonFinite,
     "work whose products overflow": NonFinite,
+    "stochastic matrix of a complex array": DimensionMismatch,
+    "work of a complex population array": DimensionMismatch,
+    "majorization deficit of a complex array": DimensionMismatch,
+    "work of batches that do not broadcast": DimensionMismatch,
+    "passive energy of batches that do not broadcast": DimensionMismatch,
+    "majorization deficit of batches that do not broadcast": DimensionMismatch,
     "link matrix of ragged rows": DimensionMismatch,
     "link matrix with a zero row": InvalidPovm,
 }

@@ -2,7 +2,8 @@
 ``__all__`` name attributes that exist on their module, once each, so a
 deleted function cannot linger as a stale export; nor can README's list of
 key operations name one. Every name a module imports is read in it or
-exported, so a deletion cannot leave an orphaned import behind, and every
+exported, so a deletion cannot leave an orphaned import behind; every
+module-level constant is read by the program, so none outlives its last reader; and every
 error class is read in another module, so none is left that nothing raises. Only the types that callers construct
 define ``__post_init__``, so a result type cannot start checking its computed values again."""
 
@@ -49,6 +50,22 @@ def test_every_import_is_used(name):
                 for alias in node.names}
     exported = getattr(importlib.import_module(name), "__all__", [])
     assert sorted(imported - names_read(tree) - set(exported)) == []
+
+
+def module_constants(tree) -> set:
+    """Non-dunder names that a module's top-level assignments bind."""
+    return {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in ast.walk(node) if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)
+            and not target.id.startswith("__")}
+
+
+def test_every_module_constant_is_read_by_the_program():
+    # a tuning constant or table left behind by the code that read it; tests and README do not count as readers
+    trees = [syntax_tree(name) for name in MODULES]
+    assigned = set().union(*map(module_constants, trees))
+    read = set().union(*map(names_read, trees))
+    assert len(assigned) > 10  # the assignments were found
+    assert sorted(assigned - read) == []
 
 
 def test_every_error_class_is_named_in_the_program():
