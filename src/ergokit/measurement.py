@@ -167,15 +167,17 @@ def estimate_spectrum(post: np.ndarray, populations: np.ndarray) -> np.ndarray:
 
 
 def link_matrix(post) -> np.ndarray:
-    """Lemma 1's link B = (D / rowsum D)^T D: link_matrix(D) @ p is estimate_spectrum(D, p) written as a
-    matrix, so over a unitary base B maps the fine outcome distribution onto the coarse estimate's spectrum.
-    Bistochastic for D column-stochastic. Leading axes of post are a batch. A row of mass below TOL is an
-    outcome of zero volume, which post_process drops: it raises InvalidPovm."""
+    """Lemma 1's link B, the kernel read off the unit populations (column k is estimate_spectrum(D, e_k)): B @ p is
+    estimate_spectrum(D, p), so over a unitary base B maps the fine outcome distribution onto the coarse estimate's
+    spectrum; bistochastic for D column-stochastic. Leading axes of post are a batch. A negative weight (which the
+    kernel's clip would hide) or a row of mass below TOL (a zero-volume outcome, as post_process drops) is InvalidPovm."""
     post = as_matrix(post, dtype=float, stack=True)
-    mass = post.sum(axis=-1, keepdims=True)
+    if post.min() < 0.0:
+        raise InvalidPovm(f"post-processing has a negative weight {post.min():.3e}")
+    mass = post.sum(axis=-1)
     if mass.min() < TOL:
         raise InvalidPovm(f"post-processing has a row of mass {mass.min():.3e} < {TOL:.0e}: an outcome of zero volume")
-    return np.swapaxes(post / mass, -1, -2) @ post
+    return np.swapaxes(estimate_spectrum(post[..., np.newaxis, :, :], np.eye(post.shape[-1])), -1, -2)
 
 
 def coarse_grained_state(rho: DensityMatrix, m: Povm) -> DensityMatrix:

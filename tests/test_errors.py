@@ -120,6 +120,8 @@ BAD_INPUTS = {
         lambda: majorization_deficit(np.zeros((2, 3)), np.zeros((4, 3))),
     "link matrix of ragged rows": lambda: link_matrix([[1.0, 0.0], [0.0]]),
     "link matrix with a zero row": lambda: link_matrix(np.array([[1.0, 1.0], [0.0, 0.0]])),
+    "link matrix with a negative weight": lambda: link_matrix([[-1.0, 2.0]]),
+    "link matrix of columns summing to 1 with a negative weight": lambda: link_matrix([[0.5, -0.25], [0.5, 1.25]]),
 }
 
 
@@ -207,6 +209,8 @@ ERROR_CLASSES = {
     "majorization deficit of batches that do not broadcast": DimensionMismatch,
     "link matrix of ragged rows": DimensionMismatch,
     "link matrix with a zero row": InvalidPovm,
+    "link matrix with a negative weight": InvalidPovm,
+    "link matrix of columns summing to 1 with a negative weight": InvalidPovm,
 }
 
 # Entries whose message must name the offending part. One fault gives one message whichever call it enters through.

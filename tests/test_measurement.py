@@ -13,7 +13,6 @@ from ergokit.measurement import (
     coarse_grained_state,
     computational_basis,
     energy_incoherent,
-    estimate_spectrum,
     link_matrix,
     outcome_distribution,
     post_process,
@@ -360,10 +359,10 @@ def test_dense_projectors_take_the_square_path(d):
 def test_link_matrix_is_the_kernel_as_a_matrix(d, n):
     rng = RandomSource(73 + d + n)
     posts = np.stack([random_column_stochastic(n, d, rng).entries for _ in range(3)])
-    populations = rng.sample(("simplex",), d, trials=range(3))[0]
     links = link_matrix(posts)
-    for post, p, link in zip(posts, populations, links):
-        assert max_abs(link @ p - estimate_spectrum(post, p)) <= linalg.TOL
+    for post, link in zip(posts, links):
+        closed_form = (post / post.sum(axis=1, keepdims=True)).T @ post  # Lemma 1's B = (D / D1)^T D
+        assert max_abs(link - closed_form) <= linalg.TOL
         assert max(max_abs(link.sum(axis=0) - 1.0), max_abs(link.sum(axis=1) - 1.0)) <= linalg.TOL  # bistochastic
         assert link.tobytes() == link_matrix(post).tobytes()
     assert link_matrix(posts.tolist()).tobytes() == links.tobytes()  # nested lists are read as the array

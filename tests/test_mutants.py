@@ -1,8 +1,9 @@
 """Audits that can fail: one-line mutants of the kernels, and the checks that catch them.
 
-Each mutant is its kernel with one line changed. It replaces the kernel in every ergokit module that binds it, as
-an edit of the source would. ``verify``'s audits must then report violations in the named claims, or, for a mutant
-they cannot see by design, flag nothing while the named tier-1 test fails.
+Each mutant is its kernel with one line changed, but for ``estimate_sharpened_when_coarse``, which wraps the kernel:
+it calls the correct one and sharpens its coarse estimates. A mutant replaces the kernel in every ergokit module that
+binds it, as an edit of the source would. ``verify``'s audits must then report violations in the named claims at each
+audit size, or, for a mutant they cannot see by design, flag nothing while the named tier-1 test fails.
 """
 
 import importlib
@@ -19,6 +20,7 @@ from ergokit.measurement import estimate_spectrum, link_matrix
 from ergokit.states import haar_from_ginibre
 
 CFG = AuditConfig(dimension=3, outcomes=4, trials=100, seed=0)
+CFG_LARGE = AuditConfig(dimension=8, outcomes=8, trials=100, seed=0)
 
 
 def ascending_passive_sort(energies, spectrum):
@@ -30,6 +32,14 @@ def ascending_passive_sort(energies, spectrum):
 def estimate_without_volumes(post, populations):
     probs = np.clip((post @ populations[..., np.newaxis])[..., 0], 0.0, None)
     return (np.swapaxes(post, -1, -2) @ probs[..., np.newaxis])[..., 0]  # was probs / post.sum(axis=-1)
+
+
+def estimate_sharpened_when_coarse(post, populations):
+    w = estimate_spectrum(post, populations)
+    if np.array_equal(post, np.eye(post.shape[-1])):  # the audits' fine side passes D = I unbatched
+        return w
+    sharp = np.clip(w, 0.0, None) ** (1 + 1e-6)  # ROADMAP item 19's coarse-only mutant: a slightly too pure estimate
+    return sharp * (w.sum(axis=-1, keepdims=True) / sharp.sum(axis=-1, keepdims=True))
 
 
 def link_over_column_sums(post):
@@ -50,14 +60,22 @@ def haar_without_phases(z):
     return np.linalg.qr(z)[0]  # was q * (diag / np.abs(diag))[..., np.newaxis, :]
 
 
-# (kernel, its mutant, the claims whose audits must report violations at CFG). The passive sort also runs inside
-# `work`, so every claim but lemma1 sees it.
+# (kernel, its mutant, the claims whose audits must report violations at CFG, and at CFG_LARGE). The passive sort also
+# runs inside `work`, so every claim but lemma1 sees it; link_matrix is the estimate kernel's own matrix, so lemma1
+# sees every estimate mutant.
 VERIFY_CATCHES = [
-    (passive_energy_of_spectrum, ascending_passive_sort, {"theorem1", "theorem2", "theorem3", "schur"}),
-    (estimate_spectrum, estimate_without_volumes, {"theorem1", "theorem2"}),
-    (link_matrix, link_over_column_sums, {"lemma1"}),
-    (diagonal_in_basis, populations_without_conjugate, {"theorem1", "theorem3", "lemma1"}),
+    (passive_energy_of_spectrum, ascending_passive_sort, {"theorem1", "theorem2", "theorem3", "schur"},
+     {"theorem1", "theorem2", "theorem3", "schur"}),
+    (estimate_spectrum, estimate_without_volumes, {"theorem1", "theorem2", "lemma1"}, {"lemma1"}),
+    (link_matrix, link_over_column_sums, {"lemma1"}, {"lemma1"}),
+    (diagonal_in_basis, populations_without_conjugate, {"theorem1", "theorem3", "lemma1"},
+     {"theorem1", "theorem3", "lemma1"}),
+    (estimate_spectrum, estimate_sharpened_when_coarse, {"lemma1"}, {"lemma1"}),
 ]
+# One case per row and size, the rows at CFG under the mutant's bare name.
+VERIFY_CASES = [pytest.param(kernel, mutant, cfg, claims, id=mutant.__name__ + suffix)
+                for kernel, mutant, *sets in VERIFY_CATCHES
+                for (cfg, suffix), claims in zip([(CFG, ""), (CFG_LARGE, "-d8")], sets)]
 
 
 # (kernel, its mutant, the tier-1 test as "module::name", the arguments it fails on). Every audit margin is a
@@ -79,10 +97,10 @@ def mutate(monkeypatch, kernel, mutant):
         monkeypatch.setattr(module, kernel.__name__, mutant)
 
 
-@pytest.mark.parametrize("kernel, mutant, claims", VERIFY_CATCHES, ids=[row[1].__name__ for row in VERIFY_CATCHES])
-def test_verify_reports_each_mutant_in_its_claims(monkeypatch, kernel, mutant, claims):
+@pytest.mark.parametrize("kernel, mutant, cfg, claims", VERIFY_CASES)
+def test_verify_reports_each_mutant_in_its_claims(monkeypatch, kernel, mutant, cfg, claims):
     mutate(monkeypatch, kernel, mutant)
-    flagged = {result.claim for result in run_all(CFG) if result.violations}
+    flagged = {result.claim for result in run_all(cfg) if result.violations}
     assert flagged == claims
 
 
