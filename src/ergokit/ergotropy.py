@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InconsistentReport, NonFinite
-from .linalg import adjoint, as_vectors, batches_broadcast, energy_tol
+from .errors import InconsistentReport, NonFinite, PreconditionFailed
+from .linalg import adjoint, as_pair, energy_tol
 from .measurement import Povm, coarse_grained_spectrum
 from .states import DensityMatrix, Hamiltonian, _check_same_dim, energy_populations
 
@@ -47,16 +47,11 @@ class WorkReport:
 
 
 def _paired(energies, name: str, vector) -> tuple[np.ndarray, np.ndarray]:
-    """Energies and a vector paired with them, each read once by as_vectors: the vector's last axis as long as theirs,
-    its batch axes broadcasting with theirs, and max|E| times its largest row sum of |entries| at most half the float
-    maximum, so that a sum of their products, and the difference of two, is finite. The bound d max|E| max|v| settles
-    that without a pass when it holds; otherwise the row sums are taken over v / max|v|, which cannot overflow."""
-    e, scale = as_vectors(energies, "energies")
-    v, top = as_vectors(vector, name)
-    if v.shape[-1] != e.shape[-1]:
-        raise DimensionMismatch(f"{name} has shape {v.shape}, Hamiltonian dimension is {e.shape[-1]}")
-    if v.ndim > 1 and not batches_broadcast(v, e):  # a single vector pairs with any batch
-        raise DimensionMismatch(f"{name} has shape {v.shape}, whose batch axes do not broadcast with {e.shape}")
+    """Energies and a vector paired with them by as_pair, with max|E| times the vector's largest row sum of |entries|
+    at most half the float maximum, so that a sum of their products, and the difference of two, is finite. The bound
+    d max|E| max|v| settles that without a pass when it holds; otherwise the row sums are taken over v / max|v|, which
+    cannot overflow."""
+    e, scale, v, top = as_pair(energies, "energies", vector, name)
     bound = scale * top  # Python floats: past the float range they are inf, with no warning
     if bound * v.shape[-1] > HALF_FLOAT_MAX and bound * float(np.abs(v / top).sum(axis=-1).max()) > HALF_FLOAT_MAX:
         raise NonFinite(f"{name} up to {top:.3e} and energies up to {scale:.3e}: sums of their products can overflow")
@@ -65,9 +60,11 @@ def _paired(energies, name: str, vector) -> tuple[np.ndarray, np.ndarray]:
 
 def passive_energy_of_spectrum(energies, spectrum):
     """Minimal mean energy over all states with the given spectrum: the
-    ascending ``energies`` paired with descending populations. Leading axes
-    of the arrays are a batch."""
+    ascending ``energies`` (PreconditionFailed otherwise) paired with
+    descending populations. Leading axes of the arrays are a batch."""
     e, x = _paired(energies, "spectrum", spectrum)
+    if (e[..., 1:] < e[..., :-1]).any():  # ties are degenerate levels; a descending pair would be misread
+        raise PreconditionFailed("energies must be in ascending order")
     out = (e[..., np.newaxis, :] @ -np.sort(-x, axis=-1)[..., np.newaxis])[..., 0, 0]
     return out if out.ndim else float(out)
 

@@ -151,7 +151,7 @@ def check_family(name: str, param: float, n_outcomes: int) -> None:
     """Raise what ``family_matrix`` raises for these arguments, in the same order, and build nothing."""
     if name not in FAMILIES:
         raise PreconditionFailed(f"unknown family {name!r} (expected one of: {', '.join(FAMILIES)})")
-    if name == "merge" and n_outcomes != 2:
+    if require_int(n_outcomes, "outcome count", 1) != 2 and name == "merge":
         raise PreconditionFailed(f"family 'merge' needs a 2-outcome measurement, got {n_outcomes} outcomes")
     if not 0.0 <= param <= 1.0:
         raise PreconditionFailed(f"family {name!r} needs parameters in [0, 1], got {param!r}")

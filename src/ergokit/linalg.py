@@ -32,7 +32,10 @@ def energy_tol(dimension: int, energy_scale):
 def _numeric(a, dtype, what: str) -> np.ndarray:
     """a as an array of dtype, with what it cannot read raised as an ErgokitError."""
     try:
-        if (m := np.asarray(a)).dtype.kind == "c" and dtype is float:  # a cast to float would drop imaginary parts
+        if (m := np.asarray(a)).dtype.kind in "USb" or m.dtype.kind == "O" and any(
+                isinstance(x, (str, bytes, bool, np.bool_)) for x in m.flat):  # numpy would parse or count them
+            raise TypeError(f"strings or booleans (dtype {m.dtype}) where numbers are read")
+        if m.dtype.kind == "c" and dtype is float:  # a cast to float would drop imaginary parts
             raise TypeError(f"complex entries (dtype {m.dtype}) where real numbers are read")
         return m.astype(dtype, copy=False)
     except OverflowError as exc:  # an integer entry past the float range
@@ -64,9 +67,16 @@ def as_vectors(a, what: str) -> tuple[np.ndarray, float]:
     return v, top
 
 
-def batches_broadcast(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether the leading (batch) axes of a and b broadcast together, read from their shapes alone."""
-    return all(x == y or 1 in (x, y) for x, y in zip(a.shape[-2::-1], b.shape[-2::-1]))
+def as_pair(x, xname: str, y, yname: str) -> tuple[np.ndarray, float, np.ndarray, float]:
+    """x and y read by as_vectors, each with its max |entry|, as a pair: their last axes equal and their leading
+    (batch) axes broadcasting together, which a single vector does with any batch. Told from the shapes alone,
+    before any arithmetic; otherwise one DimensionMismatch naming both shapes, whichever kernel reads the pair."""
+    (a, atop), (b, btop) = as_vectors(x, xname), as_vectors(y, yname)
+    if a.shape[-1] != b.shape[-1] or min(a.ndim, b.ndim) > 1 and not all(
+            m == n or 1 in (m, n) for m, n in zip(a.shape[-2::-1], b.shape[-2::-1])):
+        raise DimensionMismatch(f"vectors of shapes {a.shape} and {b.shape} do not pair: the last axes must be equal "
+                                "and the batch axes broadcast")
+    return a, atop, b, btop
 
 
 def max_abs(a: np.ndarray) -> float:

@@ -10,27 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite
-from .linalg import LOOSE_TOL, as_vectors, batches_broadcast
-
-
-def _vectors(v, what: str) -> np.ndarray:
-    """Coerce to a float vector, or a stack of them, whose partial sums and their differences are finite."""
-    a, top = as_vectors(v, what)  # DimensionMismatch for a scalar, empty or ragged input
-    if 2 * a.shape[-1] * top > np.finfo(float).max:
-        raise NonFinite(f"entries up to {top:.3e}: partial sums of {a.shape[-1]} of them can overflow")
-    return a
+from .errors import NonFinite
+from .linalg import LOOSE_TOL, as_pair
 
 
 def majorization_deficit(x, y) -> float | np.ndarray:
     """Largest amount by which a descending partial sum of y exceeds the
     matching partial sum of x (positive means x does not majorize y),
-    including the total-sum disagreement. Leading axes are a batch, which
-    must broadcast; the last axes must have equal lengths."""
-    xv, yv = _vectors(x, "x"), _vectors(y, "y")
-    if xv.shape[-1] != yv.shape[-1] or not batches_broadcast(xv, yv):
-        raise DimensionMismatch(f"vectors have lengths {xv.shape[-1]} and {yv.shape[-1]} and shapes {xv.shape} and "
-                                f"{yv.shape}: the lengths must be equal and the batch axes broadcast")
+    including the total-sum disagreement. x and y are read by as_pair, so
+    leading axes are a batch; NonFinite when 2 d max|entry| is not finite."""
+    xv, xtop, yv, ytop = as_pair(x, "x", y, "y")
+    if 2 * xv.shape[-1] * (top := max(xtop, ytop)) > np.finfo(float).max:
+        raise NonFinite(f"entries up to {top:.3e}: partial sums of {xv.shape[-1]} of them can overflow")
     cx = np.cumsum(np.sort(xv, axis=-1)[..., ::-1], axis=-1)
     cy = np.cumsum(np.sort(yv, axis=-1)[..., ::-1], axis=-1)
     partial = np.max(cy[..., :-1] - cx[..., :-1], axis=-1, initial=0.0)  # the total term is >= 0 anyway

@@ -82,8 +82,7 @@ class RandomSource:
         from this stream itself; a range (0 <= t < 2^32) draws row i from ``split(trials[i])``, which alone samples the
         same row bit for bit. Every argument is checked before the first draw, so a rejected call leaves the stream
         where it was."""
-        d = require_int(d, "dimension", 1)
-        table = recipes(d, require_int(n, "outcome count", 1), require_int(d if rank is None else rank, "rank", 1, d))
+        table = recipes(d, n, d if rank is None else rank)
         for kind in kinds:
             if kind not in table:
                 raise PreconditionFailed(f"unknown random kind {kind!r} (expected one of: {', '.join(table)})")
@@ -205,6 +204,8 @@ def recipes(d: int, n: int, rank: int) -> dict:
     order as (draw name, shape), the builder of their stacks into a list; leading axes are a batch). "hamiltonian" builds
     its ascending levels and their Haar eigenbasis (no operator); "levels" makes the same draws but keeps the levels
     alone, so later kinds' draws do not move. What a builder returns holds as built and is not validated again."""
+    d, n = require_int(d, "dimension", 1), require_int(n, "outcome count", 1)  # checked here, in this order
+    rank = require_int(rank, "rank", 1, d)
     gaussians = ("normal", (2, d, d))
     hamiltonian = [("uniform", (d,)), gaussians]
     return {"state": ([("normal", (2, d, rank))], lambda z: [ginibre_state(_complex_pairs(z))]),

@@ -77,6 +77,12 @@ def test_passive_energy_of_spectrum_checks_length():
         passive_energy_of_spectrum(H01.energies, [0.2, 0.3, 0.5])
 
 
+def test_tied_energies_are_degenerate_levels():
+    # equal neighbours pass the ascending check; the largest population still sits on the lowest level
+    assert passive_energy_of_spectrum([0.0, 1.0, 1.0], [0.2, 0.3, 0.5]) == pytest.approx(0.5, abs=1e-15)
+    assert work([0.0, 1.0, 1.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]) == pytest.approx(0.5, abs=1e-15)
+
+
 def test_passive_state_fixed_point():
     rho = DensityMatrix(np.diag([0.75, 0.25]))  # descending populations on ascending energies
     pi, u = passive_state(rho, H01)

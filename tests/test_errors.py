@@ -10,13 +10,13 @@ from ergokit.audits import AuditConfig
 from ergokit.ergotropy import passive_energy_of_spectrum, report, work
 from ergokit.errors import (DimensionMismatch, ErgokitError, InvalidPovm, NonFinite, NotHermitian, NotUnitary,
                             PreconditionFailed)
-from ergokit.instances import instance_from_dict
+from ergokit.instances import family_matrix, instance_from_dict
 from ergokit.linalg import as_matrix
 from ergokit.majorization import majorization_deficit, majorizes
 from ergokit.measurement import (Povm, StochasticMatrix, computational_basis, link_matrix, outcome_distribution,
                                  random_column_stochastic)
 from ergokit.states import (DensityMatrix, Hamiltonian, RandomSource, haar_unitary, random_density,
-                            random_hamiltonian)
+                            random_hamiltonian, recipes)
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -122,6 +122,25 @@ BAD_INPUTS = {
     "link matrix with a zero row": lambda: link_matrix(np.array([[1.0, 1.0], [0.0, 0.0]])),
     "link matrix with a negative weight": lambda: link_matrix([[-1.0, 2.0]]),
     "link matrix of columns summing to 1 with a negative weight": lambda: link_matrix([[0.5, -0.25], [0.5, 1.25]]),
+    "work of descending energies": lambda: work([1.0, 0.0], [1.0, 0.0], [1.0, 0.0]),
+    "passive energy of descending energies": lambda: passive_energy_of_spectrum([1.0, 0.0], [1.0, 0.0]),
+    "passive energy of a batch with one descending row":
+        lambda: passive_energy_of_spectrum([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5]),
+    "state of numeric strings": lambda: DensityMatrix([["0.5", "0"], ["0", "0.5"]]),
+    "povm of numeric strings": lambda: Povm([["1", "0"], ["0", "1"]]),
+    "stochastic matrix of numeric strings": lambda: StochasticMatrix([["1", "0"], ["0", "1"]]),
+    "link matrix of numeric strings": lambda: link_matrix([["1", "0"], ["0", "1"]]),
+    "boolean hamiltonian": lambda: Hamiltonian([[True, False], [False, True]]),
+    "work of numeric-string populations": lambda: work([0.0, 1.0], ["0.5", "0.5"], [0.5, 0.5]),
+    "majorizes numeric strings": lambda: majorizes(["1", "0"], [0.5, 0.5]),
+    "work of an object array holding a string":
+        lambda: work([0.0, 1.0], np.array([0.5, "0.5"], dtype=object), [0.5, 0.5]),
+    "family matrix of 0 outcomes": lambda: family_matrix("mix", 0.5, 0),
+    "family matrix of -1 outcomes": lambda: family_matrix("mix", 0.5, -1),
+    "family matrix of 2.5 outcomes": lambda: family_matrix("mix", 0.5, 2.5),
+    "family matrix of True outcomes": lambda: family_matrix("mix", 0.5, True),
+    "recipes of float dimension": lambda: recipes(2.5, 1, 1),
+    "recipes of rank past the dimension": lambda: recipes(3, 1, 5),
 }
 
 
@@ -211,6 +230,23 @@ ERROR_CLASSES = {
     "link matrix with a zero row": InvalidPovm,
     "link matrix with a negative weight": InvalidPovm,
     "link matrix of columns summing to 1 with a negative weight": InvalidPovm,
+    "work of descending energies": PreconditionFailed,
+    "passive energy of descending energies": PreconditionFailed,
+    "passive energy of a batch with one descending row": PreconditionFailed,
+    "state of numeric strings": DimensionMismatch,
+    "povm of numeric strings": DimensionMismatch,
+    "stochastic matrix of numeric strings": DimensionMismatch,
+    "link matrix of numeric strings": DimensionMismatch,
+    "boolean hamiltonian": DimensionMismatch,
+    "work of numeric-string populations": DimensionMismatch,
+    "majorizes numeric strings": DimensionMismatch,
+    "work of an object array holding a string": DimensionMismatch,
+    "family matrix of 0 outcomes": PreconditionFailed,
+    "family matrix of -1 outcomes": PreconditionFailed,
+    "family matrix of 2.5 outcomes": PreconditionFailed,
+    "family matrix of True outcomes": PreconditionFailed,
+    "recipes of float dimension": PreconditionFailed,
+    "recipes of rank past the dimension": PreconditionFailed,
 }
 
 # Entries whose message must name the offending part. One fault gives one message whichever call it enters through.
@@ -233,6 +269,9 @@ ERROR_MESSAGES = {
     "work of scalars": "must be a non-empty vector or a stack of them, got shape ()",
     "passive energy of scalars": "must be a non-empty vector or a stack of them, got shape ()",
     "work of empty vectors": "must be a non-empty vector or a stack of them, got shape (0,)",
+    "family matrix of 0 outcomes": "outcome count must be a positive integer, got 0",
+    "recipes of float dimension": "dimension must be a positive integer, got 2.5",
+    "recipes of rank past the dimension": "rank must be an integer in [1, 3], got 5",
 }
 
 
@@ -248,3 +287,16 @@ def test_domain_failures_raise_ergokit_errors(name):
     assert isinstance(info.value, ValueError)
     assert ERROR_MESSAGES.get(name, "") in str(info.value)
 
+
+
+@pytest.mark.parametrize("shapes", [((3,), (4,)), ((2, 3), (4, 3))])
+def test_the_vector_kernels_share_one_pairing_message(shapes):
+    # one rule pairs two vectors, so each kernel names the same fault in the same words
+    a, b = np.zeros(shapes[0]), np.zeros(shapes[1])
+    messages = set()
+    for kernel in (lambda: work(a, b, a), lambda: passive_energy_of_spectrum(a, b), lambda: majorization_deficit(a, b)):
+        with pytest.raises(DimensionMismatch) as info:
+            kernel()
+        messages.add(str(info.value))
+    assert len(messages) == 1
+    assert f"{shapes[0]} and {shapes[1]}" in messages.pop()

@@ -119,6 +119,12 @@ def test_as_matrix_rejects_nonfinite():
         linalg.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_integer_objects_and_floats_mixed_with_booleans_stay_numbers():
+    # big Python ints make an object array and a float list with a bool is one float array: both are still read
+    assert linalg.as_vectors(np.array([1, 2], dtype=object), "v")[1] == 2.0
+    assert linalg.as_vectors([0.5, True], "v")[1] == 1.0
+
+
 def test_hermiticity_tolerance_is_relative_to_scale():
     # max |A - A^dag| is compared with TOL * max |A|
     unit = PAULI_X.copy()
