@@ -83,7 +83,7 @@ def work(energies, populations, spectrum):
 def passive_state(rho: DensityMatrix, h: Hamiltonian) -> tuple[DensityMatrix, np.ndarray]:
     """Passive state of rho and the unitary that reaches it.
 
-    Returns (Pi, U) with Pi carrying rho's populations in descending order on
+    Returns (Pi, U) with Pi carrying rho's eigenvalues in descending order on
     the ascending energy levels, and U mapping rho's sorted eigenvectors onto
     the energy eigenvectors so that U rho U^dag = Pi. For degenerate spectra
     the tie-broken representative is returned (ties keep their ascending order).

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ErgokitError, NonFinite, ParseError, PreconditionFailed, ValidationError
 from .linalg import unchecked
 from .measurement import Povm, StochasticMatrix
-from .states import DensityMatrix, Hamiltonian, require_int
+from .states import DensityMatrix, Hamiltonian, is_integer, require_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +153,7 @@ def check_family(name: str, param: float, n_outcomes: int) -> None:
         raise PreconditionFailed(f"unknown family {name!r} (expected one of: {', '.join(FAMILIES)})")
     if require_int(n_outcomes, "outcome count", 1) != 2 and name == "merge":
         raise PreconditionFailed(f"family 'merge' needs a 2-outcome measurement, got {n_outcomes} outcomes")
-    if not 0.0 <= param <= 1.0:
+    if not (isinstance(param, (float, np.floating)) or is_integer(param)) or not 0.0 <= param <= 1.0:
         raise PreconditionFailed(f"family {name!r} needs parameters in [0, 1], got {param!r}")
 
 

@@ -128,9 +128,9 @@ def diagonal_in_basis(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def operator_in_basis(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """B diag(values) B^dag: the operator with eigenvectors the columns of B
-    and eigenvalues ``values``. Leading axes of both broadcast as a batch."""
-    return (basis * values[..., np.newaxis, :]) @ adjoint(basis)
+    """hermitian_part(B diag(values) B^dag), exactly Hermitian: the operator with eigenvectors the columns of B and
+    eigenvalues ``values``, by the one rule that makes an operator from a basis. Leading axes broadcast as a batch."""
+    return hermitian_part((basis * values[..., np.newaxis, :]) @ adjoint(basis))
 
 
 def unchecked(cls, **fields):

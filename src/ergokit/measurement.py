@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidPovm, NotStochastic
-from .linalg import (LOOSE_TOL, TOL, as_matrix, diagonal_in_basis, energy_tol, hermitian_part, max_abs,
-                     operator_in_basis, require_hermitian, require_unitary, unchecked)
+from .linalg import (LOOSE_TOL, TOL, as_matrix, diagonal_in_basis, energy_tol, max_abs, operator_in_basis,
+                     require_hermitian, require_unitary, unchecked)
 from .states import DensityMatrix, Hamiltonian, RandomSource, require_int
 
 
@@ -181,16 +181,10 @@ def link_matrix(post) -> np.ndarray:
 
 
 def coarse_grained_state(rho: DensityMatrix, m: Povm) -> DensityMatrix:
-    """Maximum-ignorance estimate sum_i q_i N_i / tr N_i of rho given one round
-    of outcome statistics q from m: sum_j w_j v_j v_j^dag over the base (estimate_spectrum).
-    Over a square base this is V diag(w) V^dag, whose spectrum needs no eigensolve; any
-    other base takes one eigvalsh. The estimate is not validated again: it is a nonnegative
-    mix of projectors of trace sum_i q_i."""
-    w = estimate_spectrum(m.post, _base_probabilities(rho, m))
-    if m.base.shape[0] == m.base.shape[1]:  # d unit columns completing the identity within LOOSE_TOL: a unitary
-        return DensityMatrix._in_basis(m.base, w)
-    estimate = hermitian_part(operator_in_basis(m.base, w))
-    return unchecked(DensityMatrix, op=estimate, eigenvalues=np.linalg.eigvalsh(estimate))
+    """Maximum-ignorance estimate sum_i q_i N_i / tr N_i of rho given one round of outcome statistics q from m: sum_j
+    w_j v_j v_j^dag over the base (estimate_spectrum), whose spectrum over a square (unitary) base is w, with no
+    eigensolve. It is not validated again: a nonnegative mix of projectors of trace sum_i q_i."""
+    return DensityMatrix._in_basis(m.base, estimate_spectrum(m.post, _base_probabilities(rho, m)))
 
 
 def coarse_grained_spectrum(rho: DensityMatrix, m: Povm) -> np.ndarray:

@@ -110,8 +110,9 @@ class RandomSource:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Unit-trace positive semidefinite operator; rejected at construction
-    otherwise. The ascending eigenvalues that validation computes are kept."""
+    """Unit-trace positive semidefinite operator; rejected at construction otherwise. The ascending eigenvalues that
+    validation computes are kept. Its operator is exactly Hermitian: validation keeps ``require_hermitian``'s result,
+    ``random_density`` a Hermitian part, and every state the package derives is built by ``_in_basis``."""
 
     op: np.ndarray
     eigenvalues: np.ndarray = field(init=False, repr=False)
@@ -128,10 +129,11 @@ class DensityMatrix:
         object.__setattr__(self, "op", mat)
 
     @classmethod
-    def _in_basis(cls, basis: np.ndarray, spectrum: np.ndarray) -> "DensityMatrix":
-        """basis diag(spectrum) basis^dag, for a unitary and a probability vector
-        the package computed itself: neither validated nor eigensolved again."""
-        return unchecked(cls, op=operator_in_basis(basis, spectrum), eigenvalues=np.sort(spectrum))
+    def _in_basis(cls, basis: np.ndarray, weights: np.ndarray) -> "DensityMatrix":
+        """sum_j w_j v_j v_j^dag over basis's unit columns (operator_in_basis), not validated again: the one builder of
+        derived states. Its eigenvalues are the sorted weights over a square (unitary) basis, else one eigvalsh."""
+        op, square = operator_in_basis(basis, weights), basis.shape[0] == basis.shape[1]
+        return unchecked(cls, op=op, eigenvalues=np.sort(weights) if square else np.linalg.eigvalsh(op))
 
     @property
     def dim(self) -> int:
@@ -232,7 +234,7 @@ def random_hamiltonian(d: int, rng: RandomSource) -> Hamiltonian:
     """Random observable: sorted uniform [0, 1] levels conjugated by a Haar unitary (recipe "hamiltonian"). It
     is built from the levels and basis it drew, neither validated nor eigensolved."""
     levels, basis = rng.sample(("hamiltonian",), d)
-    return unchecked(Hamiltonian, op=hermitian_part(operator_in_basis(basis, levels)), energies=levels, eigenbasis=basis)
+    return unchecked(Hamiltonian, op=operator_in_basis(basis, levels), energies=levels, eigenbasis=basis)
 
 
 __all__ = [

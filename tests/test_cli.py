@@ -602,21 +602,26 @@ def test_povm_json_round_trip(tmp_path, capsys):
     import numpy as np
 
     from ergokit.instances import load_instance, matrix_to_json, povm_to_json
-    from ergokit.measurement import StochasticMatrix, computational_basis, post_process
+    from ergokit.measurement import (Povm, StochasticMatrix, computational_basis, post_process,
+                                     random_column_stochastic)
+    from ergokit.states import RandomSource, haar_unitary
 
+    rng = RandomSource(0)
     coarse = post_process(computational_basis(2), StochasticMatrix(np.array([[0.5, 1.0], [0.5, 0.0]])))
-    doc = {
-        "dimension": 2,
-        "hamiltonian": matrix_to_json(np.diag([0.0, 1.0])),
-        "state": matrix_to_json(np.diag([0.25, 0.75])),
-        "measurements": {"coarse": povm_to_json(coarse)},
-    }
-    path = tmp_path / "roundtrip.json"
-    path.write_text(json.dumps(doc))
-    loaded = load_instance(path)
-    for original, reloaded in zip(coarse.elements, loaded.measurements["coarse"].elements):
-        assert np.max(np.abs(original - reloaded)) == 0.0
-    code, out, _ = run_cli(capsys, "report", str(path), "--measurement", "coarse")
+    general = post_process(Povm(haar_unitary(3, rng)), random_column_stochastic(4, 3, rng))
+    for povm, populations in ((coarse, [0.25, 0.75]), (general, [0.25, 0.25, 0.5])):
+        doc = {
+            "dimension": povm.dim,
+            "hamiltonian": matrix_to_json(np.diag(np.arange(povm.dim, dtype=float))),
+            "state": matrix_to_json(np.diag(populations)),
+            "measurements": {"coarse": povm_to_json(povm)},
+        }
+        path = tmp_path / f"roundtrip-{povm.dim}.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_instance(path)
+        for original, reloaded in zip(povm.elements, loaded.measurements["coarse"].elements):
+            assert np.max(np.abs(original - reloaded)) == 0.0
+    code, out, _ = run_cli(capsys, "report", str(tmp_path / "roundtrip-2.json"), "--measurement", "coarse")
     assert code == 0
     assert json.loads(out)["observational"] == pytest.approx(1.0 / 3.0, abs=1e-12)
 

@@ -141,6 +141,12 @@ BAD_INPUTS = {
     "family matrix of True outcomes": lambda: family_matrix("mix", 0.5, True),
     "recipes of float dimension": lambda: recipes(2.5, 1, 1),
     "recipes of rank past the dimension": lambda: recipes(3, 1, 5),
+    "family parameter given as a string": lambda: family_matrix("mix", "0.5", 2),
+    "family parameter given as None": lambda: family_matrix("merge", None, 2),
+    "family parameter given as a complex number": lambda: family_matrix("mix", 0.5 + 0j, 2),
+    "family parameter given as an array": lambda: family_matrix("mix", np.array([0.5, 0.2]), 2),
+    "family parameter given as True": lambda: family_matrix("mix", True, 2),
+    "family parameter given as numpy True": lambda: family_matrix("mix", np.True_, 2),
 }
 
 
@@ -247,6 +253,12 @@ ERROR_CLASSES = {
     "family matrix of True outcomes": PreconditionFailed,
     "recipes of float dimension": PreconditionFailed,
     "recipes of rank past the dimension": PreconditionFailed,
+    "family parameter given as a string": PreconditionFailed,
+    "family parameter given as None": PreconditionFailed,
+    "family parameter given as a complex number": PreconditionFailed,
+    "family parameter given as an array": PreconditionFailed,
+    "family parameter given as True": PreconditionFailed,
+    "family parameter given as numpy True": PreconditionFailed,
 }
 
 # Entries whose message must name the offending part. One fault gives one message whichever call it enters through.
@@ -287,6 +299,13 @@ def test_domain_failures_raise_ergokit_errors(name):
     assert isinstance(info.value, ValueError)
     assert ERROR_MESSAGES.get(name, "") in str(info.value)
 
+
+
+def test_family_parameters_of_integer_and_numpy_float_types_stay_accepted():
+    # a Python or numpy integer or float is a parameter, and reads as the float it equals
+    for param in (0, 1, np.int64(0), np.float32(0.5)):
+        expected = family_matrix("mix", float(param), 2).entries
+        assert family_matrix("mix", param, 2).entries.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("shapes", [((3,), (4,)), ((2, 3), (4, 3))])

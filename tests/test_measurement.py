@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergokit import linalg, measurement, states
-from ergokit.ergotropy import report
+from ergokit.ergotropy import passive_state, report
 from ergokit.errors import DimensionMismatch
 from ergokit.linalg import LOOSE_TOL, TOL, adjoint, energy_tol, max_abs
 from ergokit.measurement import (
@@ -22,6 +22,7 @@ from ergokit.states import (
     DensityMatrix,
     Hamiltonian,
     RandomSource,
+    dephase,
     haar_unitary,
     random_density,
     random_hamiltonian,
@@ -401,3 +402,34 @@ def test_dense_estimate_makes_one_eigensolve_and_no_validation(monkeypatch):
     estimate = coarse_grained_state(rho, dense)
     assert calls == ["eigvalsh"]
     np.testing.assert_allclose(estimate.eigenvalues, np.linalg.eigvalsh(estimate.op), atol=0.0)
+
+
+# Each operator the package builds, as a function of (rho, h, a Haar fine-grained Povm, a stochastic D, a dense Povm).
+BUILT_OPERATORS = {
+    "dephased state": lambda rho, h, fine, dmat, dense: dephase(rho, h).op,
+    "passive state": lambda rho, h, fine, dmat, dense: passive_state(rho, h)[0].op,
+    "coarse state over a unitary base":
+        lambda rho, h, fine, dmat, dense: coarse_grained_state(rho, post_process(fine, dmat)).op,
+    "fine-grained elements": lambda rho, h, fine, dmat, dense: fine.elements,
+    "post-processed elements": lambda rho, h, fine, dmat, dense: post_process(fine, dmat).elements,
+    "energy-incoherent elements": lambda rho, h, fine, dmat, dense: energy_incoherent(h, dmat).elements,
+    "random density": lambda rho, h, fine, dmat, dense: rho.op,
+    "random hamiltonian": lambda rho, h, fine, dmat, dense: h.op,
+    "dense elements": lambda rho, h, fine, dmat, dense: dense.elements,
+    "coarse state over a dense base": lambda rho, h, fine, dmat, dense: coarse_grained_state(rho, dense).op,
+    "coarse state over an energy-incoherent measurement":
+        lambda rho, h, fine, dmat, dense: coarse_grained_state(rho, energy_incoherent(h, dmat)).op,
+}
+
+
+@pytest.mark.parametrize("name", list(BUILT_OPERATORS))
+def test_every_built_operator_is_exactly_hermitian(name):
+    # one rule makes an operator from a basis (its Hermitian part), so each equals its adjoint bit for bit
+    d = 7
+    for seed in range(10):
+        rng = RandomSource(seed)
+        rho, h, fine = random_density(d, d, rng), random_hamiltonian(d, rng), Povm(haar_unitary(d, rng))
+        dmat = random_column_stochastic(d + 2, d, rng)
+        dense = Povm(post_process(fine, random_column_stochastic(2 * d, d, rng)).elements)
+        op = BUILT_OPERATORS[name](rho, h, fine, dmat, dense)
+        assert np.array_equal(op, adjoint(op)), f"seed {seed}"

@@ -5,7 +5,9 @@ key operations name one. Every name a module imports is read in it or
 exported, so a deletion cannot leave an orphaned import behind; every
 module-level constant is read by the program, so none outlives its last reader; and every
 error class is read in another module, so none is left that nothing raises. Only the types that callers construct
-define ``__post_init__``, so a result type cannot start checking its computed values again."""
+define ``__post_init__``, so a result type cannot start checking its computed values again. Operators made from a
+basis have one builder, so no module takes the Hermitian part of one again, and only states.py builds an unchecked
+DensityMatrix."""
 
 import ast
 import importlib
@@ -85,6 +87,22 @@ def test_only_types_built_from_outside_validate_themselves():
                and any(isinstance(f, ast.FunctionDef) and f.name == "__post_init__" for f in node.body)}
     assert checked  # the classes were found
     assert sorted(checked - VALIDATED_ON_CONSTRUCTION) == []
+
+
+def calls_of(tree, func: str) -> list:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call) and getattr(node.func, "id", None) == func]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_operators_from_a_basis_have_one_builder(name):
+    # operator_in_basis already returns the Hermitian part, and every derived state comes from DensityMatrix._in_basis
+    tree = syntax_tree(name)
+    rewrapped = [call.lineno for call in calls_of(tree, "hermitian_part")
+                 if any(calls_of(arg, "operator_in_basis") for arg in call.args)]
+    assert rewrapped == []
+    if name != "ergokit.states":
+        assert [call.lineno for call in calls_of(tree, "unchecked")
+                if call.args and getattr(call.args[0], "id", None) == "DensityMatrix"] == []
 
 
 def key_operations():
