@@ -21,7 +21,7 @@ import numpy as np
 from .audits import CLAIM_AUDITS, AuditConfig, run_all, run_audit
 from .errors import ErgokitError, NonFinite, ValidationError
 from .ergotropy import report, work
-from .instances import FAMILIES, check_family, family_matrix, load_instance, parse_grid
+from .instances import FAMILIES, family_matrices, load_instance, parse_grid
 from .measurement import coarse_grained_spectrum, computational_basis, post_process
 from .states import energy_populations
 
@@ -71,12 +71,11 @@ def cmd_sweep(args) -> int:
     if base is None:
         base = computational_basis(instance.dimension)
     grid = parse_grid(args.grid)
-    for value in grid:  # every value's checks, in their order, before the first row is computed
-        check_family(args.family, value, base.n_outcomes)
+    matrices = family_matrices(args.family, grid, base.n_outcomes)  # checks the whole grid before the first row
     energies, p = instance.hamiltonian.energies, energy_populations(instance.state, instance.hamiltonian)
     # each row, and the point's matrix in it, is made as the writer reads it and dropped once its line is formatted
     rows = ({"parameter": value, "observational_ergotropy": work(energies, p, coarse_grained_spectrum(
-        instance.state, post_process(base, family_matrix(args.family, value, base.n_outcomes))))} for value in grid)
+        instance.state, post_process(base, matrix)))} for value, matrix in zip(grid, matrices))
     _write_rows(rows, args.format, args.output)
     return 0
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergokit.cli import main
 
@@ -395,11 +397,12 @@ class TestSweep:
     def test_each_family_matrix_is_built_once(self, qubit_file, capsys, monkeypatch):
         from ergokit import cli
 
-        values = []
-        monkeypatch.setattr(cli, "family_matrix", lambda *a, _f=cli.family_matrix: values.append(a[1]) or _f(*a))
+        values = []  # read off each matrix the builder yields: mix's top-right entry on two outcomes is t / 2
+        monkeypatch.setattr(cli, "family_matrices", lambda *a, _f=cli.family_matrices: (
+            values.append(2 * m.entries[0, 1]) or m for m in _f(*a)))
         code, _, err = run_cli(capsys, "sweep", qubit_file, "--family", "mix", "--grid", "0:1:5")
         assert code == 0, err
-        assert values == list(np.linspace(0.0, 1.0, 5))  # one call per grid value, in grid order
+        assert values == list(np.linspace(0.0, 1.0, 5))  # one matrix per grid value, in grid order
 
     def test_populations_are_read_once_per_sweep(self, qubit_file, capsys, monkeypatch):
         from ergokit.states import energy_populations
@@ -432,6 +435,19 @@ FAMILY_CLOSED_FORMS = {
     "merge": lambda b, n: [[b, 1.0], [1.0 - b, 0.0]],
     "mix": lambda t, n: (1.0 - t) * np.eye(n) + t * np.full((n, n), 1.0 / n),
 }
+
+
+@settings(deadline=None, max_examples=300)
+@given(t=st.floats(0.0, 1.0, allow_subnormal=True),
+       family_n=st.sampled_from([("merge", 2), ("mix", 1), ("mix", 2), ("mix", 3), ("mix", 8)]))
+def test_family_matrices_are_the_closed_forms_bit_for_bit(t, family_n):
+    # the one rule (1 - t) F0 + t F1 over a family's endpoints gives its closed form at every t in [0, 1], subnormals
+    # included: merge's top right is fl(fl(1 - t) + t) = 1
+    from ergokit.instances import family_matrices
+
+    family, n = family_n
+    assert next(family_matrices(family, [t], n)).entries.tobytes() == np.array(
+        FAMILY_CLOSED_FORMS[family](t, n)).tobytes()
 
 
 @pytest.mark.parametrize("family, measurement", [("merge", None), ("merge", "basis"), ("mix", None), ("mix", "general")])

@@ -1,6 +1,7 @@
 """Every domain failure raises an ErgokitError (still a ValueError), so the
 CLI reports it with exit code 2."""
 
+import itertools
 import json
 
 import numpy as np
@@ -10,7 +11,7 @@ from ergokit.audits import AuditConfig
 from ergokit.ergotropy import passive_energy_of_spectrum, report, work
 from ergokit.errors import (DimensionMismatch, ErgokitError, InvalidPovm, NonFinite, NotHermitian, NotUnitary,
                             PreconditionFailed)
-from ergokit.instances import family_matrix, instance_from_dict
+from ergokit.instances import family_matrices, instance_from_dict
 from ergokit.linalg import as_matrix
 from ergokit.majorization import majorization_deficit, majorizes
 from ergokit.measurement import (Povm, StochasticMatrix, computational_basis, link_matrix, outcome_distribution,
@@ -135,18 +136,18 @@ BAD_INPUTS = {
     "majorizes numeric strings": lambda: majorizes(["1", "0"], [0.5, 0.5]),
     "work of an object array holding a string":
         lambda: work([0.0, 1.0], np.array([0.5, "0.5"], dtype=object), [0.5, 0.5]),
-    "family matrix of 0 outcomes": lambda: family_matrix("mix", 0.5, 0),
-    "family matrix of -1 outcomes": lambda: family_matrix("mix", 0.5, -1),
-    "family matrix of 2.5 outcomes": lambda: family_matrix("mix", 0.5, 2.5),
-    "family matrix of True outcomes": lambda: family_matrix("mix", 0.5, True),
+    "family matrix of 0 outcomes": lambda: family_matrices("mix", [0.5], 0),
+    "family matrix of -1 outcomes": lambda: family_matrices("mix", [0.5], -1),
+    "family matrix of 2.5 outcomes": lambda: family_matrices("mix", [0.5], 2.5),
+    "family matrix of True outcomes": lambda: family_matrices("mix", [0.5], True),
     "recipes of float dimension": lambda: recipes(2.5, 1, 1),
     "recipes of rank past the dimension": lambda: recipes(3, 1, 5),
-    "family parameter given as a string": lambda: family_matrix("mix", "0.5", 2),
-    "family parameter given as None": lambda: family_matrix("merge", None, 2),
-    "family parameter given as a complex number": lambda: family_matrix("mix", 0.5 + 0j, 2),
-    "family parameter given as an array": lambda: family_matrix("mix", np.array([0.5, 0.2]), 2),
-    "family parameter given as True": lambda: family_matrix("mix", True, 2),
-    "family parameter given as numpy True": lambda: family_matrix("mix", np.True_, 2),
+    "family parameter given as a string": lambda: family_matrices("mix", ["0.5"], 2),
+    "family parameter given as None": lambda: family_matrices("merge", [None], 2),
+    "family parameter given as a complex number": lambda: family_matrices("mix", [0.5 + 0j], 2),
+    "family parameter given as an array": lambda: family_matrices("mix", [np.array([0.5, 0.2])], 2),
+    "family parameter given as True": lambda: family_matrices("mix", [True], 2),
+    "family parameter given as numpy True": lambda: family_matrices("mix", [np.True_], 2),
 }
 
 
@@ -302,10 +303,12 @@ def test_domain_failures_raise_ergokit_errors(name):
 
 
 def test_family_parameters_of_integer_and_numpy_float_types_stay_accepted():
-    # a Python or numpy integer or float is a parameter, and reads as the float it equals
-    for param in (0, 1, np.int64(0), np.float32(0.5)):
-        expected = family_matrix("mix", float(param), 2).entries
-        assert family_matrix("mix", param, 2).entries.tobytes() == expected.tobytes()
+    # a Python or numpy integer or float is a parameter, reads as the float it equals, and so builds a matrix that
+    # StochasticMatrix accepts (a float32 0.1 once made 1 - t in float32, with column sums off by 2.2e-8)
+    for name, param in itertools.product(["merge", "mix"], [0, 1, np.int64(0), np.float32(0.5), np.float32(0.1)]):
+        entries = next(family_matrices(name, [param], 2)).entries
+        assert entries.tobytes() == next(family_matrices(name, [float(param)], 2)).entries.tobytes()
+        StochasticMatrix(entries)
 
 
 @pytest.mark.parametrize("shapes", [((3,), (4,)), ((2, 3), (4, 3))])

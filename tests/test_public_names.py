@@ -7,7 +7,8 @@ module-level constant is read by the program, so none outlives its last reader; 
 error class is read in another module, so none is left that nothing raises. Only the types that callers construct
 define ``__post_init__``, so a result type cannot start checking its computed values again. Operators made from a
 basis have one builder, so no module takes the Hermitian part of one again, and only states.py builds an unchecked
-DensityMatrix."""
+DensityMatrix. A sweep family is data, so its name is written once, as its key in ``instances.FAMILIES``. Every name
+the package exports is documented in README."""
 
 import ast
 import importlib
@@ -103,6 +104,23 @@ def test_operators_from_a_basis_have_one_builder(name):
     if name != "ergokit.states":
         assert [call.lineno for call in calls_of(tree, "unchecked")
                 if call.args and getattr(call.args[0], "id", None) == "DensityMatrix"] == []
+
+
+def test_each_family_name_is_written_once_as_its_key():
+    # a family is its two endpoint matrices, so no code branches on its name
+    from ergokit.instances import FAMILIES
+
+    literals = [node.value for name in MODULES for node in ast.walk(syntax_tree(name))
+                if isinstance(node, ast.Constant)]
+    table = next(node.value for node in syntax_tree("ergokit.instances").body if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "FAMILIES")
+    assert {name: literals.count(name) for name in FAMILIES} == {name: 1 for name in FAMILIES}
+    assert [key.value for key in table.keys] == list(FAMILIES)
+
+
+def test_every_package_export_is_in_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [name for name in ergokit.__all__ if not re.search(rf"\b{name}\b", readme)] == []
 
 
 def key_operations():
