@@ -18,9 +18,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ergokit import cli
 from ergokit.instances import matrix_to_json
-from ergokit.measurement import computational_basis, post_process, random_column_stochastic
+from ergokit.measurement import StochasticMatrix, computational_basis, post_process, random_column_stochastic
 from ergokit.states import RandomSource, haar_unitary, random_density, random_hamiltonian
 
 HERE = Path(__file__).resolve().parent
@@ -41,23 +43,27 @@ INSTANCE_RUNS = ["report {instance}",
                  "report --measurement general {instance}",
                  "report --measurement basis {instance}",
                  "sweep --family mix --grid 0:1:11 {instance}",
-                 "sweep --family mix --grid 0:1:11 --measurement general {instance}"]
+                 "sweep --family mix --grid 0:1:11 --measurement general {instance}",
+                 "sweep --family merge --grid 0:1:11 --measurement pair {instance}"]
 ARGVS = [[*f"verify all {args} --format {fmt}".split()] for args in VERIFY for fmt in ("json", "csv")] + \
         [[*f"{args} --format {fmt}".split()] for args in INSTANCE_RUNS for fmt in ("json", "csv")]
 
 
 def build_instance() -> dict:
-    """A d = 4 instance document: a rank-3 state, a random Hamiltonian, a Haar basis and a 6-outcome coarsening of
-    another Haar basis, each drawn from one seeded stream by the public constructors."""
+    """A d = 4 instance document: a rank-3 state, a random Hamiltonian, a Haar basis, a 6-outcome coarsening of
+    another Haar basis, each drawn from one seeded stream by the public constructors, and the first basis folded
+    pairwise by a fixed D, which draws nothing. Merge at t = 1 gives the pair's second outcome no weight."""
     rng = RandomSource(INSTANCE_SEED)
     state = random_density(4, 3, rng)
     hamiltonian = random_hamiltonian(4, rng)
     u, v = haar_unitary(4, rng), haar_unitary(4, rng)
     fine = computational_basis(4)
     coarse = post_process(fine, random_column_stochastic(6, 4, rng))
+    pair = post_process(fine, StochasticMatrix(np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])))
     return {"dimension": 4, "hamiltonian": matrix_to_json(hamiltonian.op), "state": matrix_to_json(state.op),
             "measurements": {"basis": matrix_to_json(u @ fine.elements @ u.conj().T),
-                             "general": matrix_to_json(v @ coarse.elements @ v.conj().T)}}
+                             "general": matrix_to_json(v @ coarse.elements @ v.conj().T),
+                             "pair": matrix_to_json(u @ pair.elements @ u.conj().T)}}
 
 
 def run(argv: list, instance_path: str) -> tuple[int, str]:
