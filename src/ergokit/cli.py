@@ -121,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("instance", help="path to a JSON instance file")
     p_sweep.add_argument("--family", required=True, help=f"post-processing family name ({', '.join(FAMILIES)})")
     p_sweep.add_argument("--grid", required=True,
-                         help="parameter grid: start:stop:count or comma-separated values")
+                         help="parameter grid: start:stop:count or comma-separated values; "
+                              "one that starts with '-' goes after '=', as --grid=-0.0,0.5")
     p_sweep.add_argument("--measurement", metavar="NAME", default=None,
                          help="base measurement to coarsen (default: computational basis)")
     _add_output_flags(p_sweep, "csv")

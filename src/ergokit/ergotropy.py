@@ -88,7 +88,7 @@ def passive_state(rho: DensityMatrix, h: Hamiltonian) -> tuple[DensityMatrix, np
     the energy eigenvectors so that U rho U^dag = Pi. For degenerate spectra
     the tie-broken representative is returned (ties keep their ascending order).
     """
-    _check_same_dim(rho, h)
+    _check_same_dim(rho, h, "Hamiltonian")
     vectors = rho.eig()[1]  # paired with the kept eigenvalues, both ascending, so Pi has rho's spectrum bit for bit
     order = np.argsort(-rho.eigenvalues, kind="stable")
     w = h.eigenbasis

@@ -30,8 +30,8 @@ class NotStochastic(ErgokitError):
 
 
 class InvalidPovm(ErgokitError):
-    """Elements are not positive, do not sum to the identity, or one is (numerically) zero: its trace, the volume an
-    estimate divides by, is below TOL."""
+    """Elements are not positive or do not sum to the identity, or a post-processing has a negative weight. A zero
+    element is valid: the estimate gives an outcome of volume below TOL no weight."""
 
 
 class PreconditionFailed(ErgokitError):

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidPovm, NotStochastic
 from .linalg import (LOOSE_TOL, TOL, as_matrix, diagonal_in_basis, energy_tol, max_abs, operator_in_basis,
                      require_hermitian, require_unitary, unchecked)
-from .states import DensityMatrix, Hamiltonian, RandomSource, require_int
+from .states import DensityMatrix, Hamiltonian, RandomSource, _check_same_dim, require_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,18 +49,17 @@ class StochasticMatrix:
 class Povm:
     """Finite POVM kept as rank-1 projectors and weights: element i is
     sum_j D[i, j] v_j v_j^dag over the unit columns v_j of ``base`` (d x K),
-    with D = ``post`` nonnegative and free of all-zero rows. Column j of D
-    sums to v_j's weight in the identity, so D is column-stochastic only
-    over a unitary base.
+    with D = ``post`` nonnegative. Column j of D sums to v_j's weight in the
+    identity, so D is column-stochastic only over a unitary base.
 
     ``Povm(U)`` takes a unitary U, the fine-grained measurement onto its
     columns, and sets D = I. ``Povm(stack)`` validates a dense (k, d, d)
     stack once, with one batched eigensolve, and keeps each element's
     eigenvectors of eigenvalue above the roundoff floor energy_tol(d, its
-    largest), those eigenvalues as D's entries. Zero elements are forbidden
-    because estimates divide by each element's volume. Element matrices are
-    built only when ``elements`` is read; a dense stack seeds that cache
-    with its validated Hermitian part.
+    largest), those eigenvalues as D's entries; a zero element, a valid
+    effect, keeps none, and the estimate gives its outcome no weight.
+    Element matrices are built only when ``elements`` is read; a dense stack
+    seeds that cache with its validated Hermitian part.
     """
 
     base: np.ndarray
@@ -76,10 +75,6 @@ class Povm:
             k = int(np.argmin(values[:, 0]))
             if float(values[k, 0]) < -TOL:
                 raise InvalidPovm(f"POVM element {k} has eigenvalue {float(values[k, 0]):.3e} below {-TOL:.0e}")
-            volumes = np.trace(stack, axis1=1, axis2=2).real
-            k = int(np.argmin(volumes))
-            if float(volumes[k]) < TOL:
-                raise InvalidPovm(f"POVM element {k} is (numerically) the zero operator")
             defect = max_abs(stack.sum(axis=0) - np.eye(stack.shape[-1]))
             if defect > LOOSE_TOL:
                 raise InvalidPovm(f"POVM elements sum to identity within {defect:.3e} > {LOOSE_TOL:.0e}")
@@ -123,23 +118,20 @@ def random_column_stochastic(n_out: int, n_in: int, rng: RandomSource) -> Stocha
 
 def post_process(p: Povm, d: StochasticMatrix) -> Povm:
     """Coarsen a measurement: output element i is sum_j D[i, j] * P_j, kept
-    as the same base with post-processing D @ p.post; no element is mixed.
-
-    Outcomes whose operator vanishes (coarse mass below TOL, as for an
-    all-zero row of D) are dropped, so the result's post holds only the
-    surviving rows. The result is not validated again: a column-stochastic
-    D keeps positivity and completeness.
+    as the same base with post-processing D @ p.post, one row per row of D;
+    no element is mixed. An outcome whose operator vanishes (an all-zero row
+    of D) is kept, and the estimate gives it no weight. The result is not
+    validated again: a column-stochastic D keeps positivity and completeness.
     """
     if d.n_in != p.n_outcomes:
         raise DimensionMismatch(f"post-processing expects {d.n_in} inputs but measurement has {p.n_outcomes} outcomes")
-    kept = np.flatnonzero(d.entries @ p.volumes >= TOL)
-    return unchecked(Povm, base=p.base, post=(d.entries @ p.post)[kept])
+    return unchecked(Povm, base=p.base, post=d.entries @ p.post)
 
 
 def energy_incoherent(h: Hamiltonian, q: StochasticMatrix) -> Povm:
     """Measurement diagonal in the energy eigenbasis: element i is
-    sum_j q[i, j] |E_j><E_j| built from the Hamiltonian's tie-broken basis.
-    All-zero rows of q are dropped, as in post_process."""
+    sum_j q[i, j] |E_j><E_j| built from the Hamiltonian's tie-broken basis,
+    one outcome per row of q, as in post_process."""
     if q.n_in != h.dim:
         raise DimensionMismatch(f"post-processing expects {q.n_in} energy levels but Hamiltonian has {h.dim}")
     return post_process(unchecked(Povm, base=h.eigenbasis, post=np.eye(h.dim)), q)
@@ -147,8 +139,7 @@ def energy_incoherent(h: Hamiltonian, q: StochasticMatrix) -> Povm:
 
 def _base_probabilities(rho: DensityMatrix, m: Povm) -> np.ndarray:
     """p_j = tr(rho v_j v_j^dag) = <v_j|rho|v_j> of the base projectors."""
-    if rho.dim != m.dim:
-        raise DimensionMismatch(f"state is {rho.dim}-dimensional but measurement is {m.dim}-dimensional")
+    _check_same_dim(rho, m, "measurement")
     return diagonal_in_basis(rho.op, m.base)
 
 
@@ -160,23 +151,24 @@ def outcome_distribution(rho: DensityMatrix, m: Povm) -> np.ndarray:
 def estimate_spectrum(post: np.ndarray, populations: np.ndarray) -> np.ndarray:
     """Lemma 1: over base projectors M_j of volume 1, the coarse estimate sum_i q_i N_i / tr N_i,
     N_i = sum_j D_ij M_j, is sum_j w_j M_j with w = D^T (D p / D 1) for base probabilities p, the
-    row sums D 1 being the volumes tr N_i and D p clipped of negative roundoff. Over a unitary base
-    w is the estimate's spectrum. Leading axes of post and populations are a batch."""
+    row sums D 1 being the volumes tr N_i and D p clipped of negative roundoff. The one rule for a
+    dead outcome: one of volume below TOL gets weight 0, not q_i / tr N_i. Over a unitary base w is
+    the estimate's spectrum. Leading axes of post and populations are a batch."""
     probs = np.clip((post @ populations[..., np.newaxis])[..., 0], 0.0, None)
-    return (np.swapaxes(post, -1, -2) @ (probs / post.sum(axis=-1))[..., np.newaxis])[..., 0]
+    volumes = post.sum(axis=-1)
+    weights = probs / np.where(volumes < TOL, np.inf, volumes)
+    return (np.swapaxes(post, -1, -2) @ weights[..., np.newaxis])[..., 0]
 
 
 def link_matrix(post) -> np.ndarray:
     """Lemma 1's link B, the kernel read off the unit populations (column k is estimate_spectrum(D, e_k)): B @ p is
     estimate_spectrum(D, p), so over a unitary base B maps the fine outcome distribution onto the coarse estimate's
-    spectrum; bistochastic for D column-stochastic. Leading axes of post are a batch. A negative weight (which the
-    kernel's clip would hide) or a row of mass below TOL (a zero-volume outcome, as post_process drops) is InvalidPovm."""
+    spectrum; bistochastic for D column-stochastic. Leading axes of post are a batch. A row of mass below TOL is an
+    outcome of zero volume, which the kernel weighs 0; a negative weight (which the kernel's clip would hide) is
+    InvalidPovm."""
     post = as_matrix(post, dtype=float, stack=True)
     if post.min() < 0.0:
         raise InvalidPovm(f"post-processing has a negative weight {post.min():.3e}")
-    mass = post.sum(axis=-1)
-    if mass.min() < TOL:
-        raise InvalidPovm(f"post-processing has a row of mass {mass.min():.3e} < {TOL:.0e}: an outcome of zero volume")
     return np.swapaxes(estimate_spectrum(post[..., np.newaxis, :, :], np.eye(post.shape[-1])), -1, -2)
 
 

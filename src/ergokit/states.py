@@ -165,14 +165,15 @@ class Hamiltonian:
         return self.op.shape[0]
 
 
-def _check_same_dim(rho: DensityMatrix, h: Hamiltonian) -> None:
-    if rho.dim != h.dim:
-        raise DimensionMismatch(f"state is {rho.dim}-dimensional but Hamiltonian is {h.dim}-dimensional")
+def _check_same_dim(rho: DensityMatrix, other, what: str) -> None:
+    """The one dimension-agreement rule of a state and the Hamiltonian or measurement (``what``) it meets."""
+    if rho.dim != other.dim:
+        raise DimensionMismatch(f"state is {rho.dim}-dimensional but {what} is {other.dim}-dimensional")
 
 
 def energy_populations(rho: DensityMatrix, h: Hamiltonian) -> np.ndarray:
     """rho's populations p_k = <E_k|rho|E_k> in the Hamiltonian's (tie-broken) eigenbasis: tr(H rho) is sum_k E_k p_k."""
-    _check_same_dim(rho, h)
+    _check_same_dim(rho, h, "Hamiltonian")
     return diagonal_in_basis(rho.op, h.eigenbasis)
 
 

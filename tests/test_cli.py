@@ -366,6 +366,18 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert "must be finite" in err
 
+    def test_a_grid_starting_with_a_minus_sign_follows_an_equals_sign(self, qubit_file, capsys):
+        # argparse reads a separate "-0.0,0.5" as an option, so only the "=" form reaches parse_grid
+        code, out, err = run_cli(capsys, "sweep", qubit_file, "--family", "mix", "--grid=-0.0,0.5", "--format", "json")
+        assert code == 0, err
+        assert repr(json.loads(out.splitlines()[0])["parameter"]) == "-0.0"
+        for grid in ("-0.0,0.5", "-0.5:1:3"):
+            with pytest.raises(SystemExit) as info:
+                main(["sweep", qubit_file, "--family", "mix", "--grid", grid])
+            out, err = capsys.readouterr()
+            assert (info.value.code, out) == (2, "")
+            assert "expected one argument" in err
+
     def test_out_of_range_parameter(self, qubit_file, capsys):
         code, _, err = run_cli(capsys, "sweep", qubit_file, "--family", "merge", "--grid", "0:2:3")
         assert code == 2
@@ -455,8 +467,8 @@ def test_family_matrices_are_the_closed_forms_bit_for_bit(t, family_n):
 @pytest.mark.parametrize("count", [5, 7])
 def test_sweep_rows_equal_the_validated_family_matrix(tmp_path, capsys, family, measurement, fmt, count):
     # each row is the observational ergotropy after post-processing with the family's closed form, validated,
-    # bit for bit; merge drops an all-zero row at b = 1 and needs a 2-outcome base, and the sevenths are not
-    # dyadic, so a reordered closed form shows
+    # bit for bit; merge has an all-zero row at b = 1, a dead outcome the estimate weighs 0, and needs a 2-outcome
+    # base, and the sevenths are not dyadic, so a reordered closed form shows
     from ergokit.ergotropy import report
     from ergokit.instances import load_instance
     from ergokit.measurement import StochasticMatrix, computational_basis, post_process
@@ -614,7 +626,7 @@ def test_dense_report_and_sweep_match_bench_oracle(d, tmp_path, capsys):
 
 
 def test_povm_json_round_trip(tmp_path, capsys):
-    # a POVM serialized with the library loads back through an instance file
+    # a POVM serialized with the library loads back through an instance file, a dead outcome's zero element too
     import numpy as np
 
     from ergokit.instances import load_instance, matrix_to_json, povm_to_json
@@ -625,26 +637,29 @@ def test_povm_json_round_trip(tmp_path, capsys):
     rng = RandomSource(0)
     coarse = post_process(computational_basis(2), StochasticMatrix(np.array([[0.5, 1.0], [0.5, 0.0]])))
     general = post_process(Povm(haar_unitary(3, rng)), random_column_stochastic(4, 3, rng))
-    for povm, populations in ((coarse, [0.25, 0.75]), (general, [0.25, 0.25, 0.5])):
+    dead = post_process(general, StochasticMatrix(np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                                                            [0.0, 0.0, 1.0, 1.0]])))
+    assert dead.n_outcomes == 3  # one outcome per row of D, the all-zero one too
+    for povm, populations in ((coarse, [0.25, 0.75]), (general, [0.25, 0.25, 0.5]), (dead, [0.5, 0.25, 0.25])):
         doc = {
             "dimension": povm.dim,
             "hamiltonian": matrix_to_json(np.diag(np.arange(povm.dim, dtype=float))),
             "state": matrix_to_json(np.diag(populations)),
             "measurements": {"coarse": povm_to_json(povm)},
         }
-        path = tmp_path / f"roundtrip-{povm.dim}.json"
+        path = tmp_path / f"roundtrip-{povm.dim}-{povm.n_outcomes}.json"
         path.write_text(json.dumps(doc))
-        loaded = load_instance(path)
-        for original, reloaded in zip(povm.elements, loaded.measurements["coarse"].elements):
-            assert np.max(np.abs(original - reloaded)) == 0.0
-    code, out, _ = run_cli(capsys, "report", str(tmp_path / "roundtrip-2.json"), "--measurement", "coarse")
+        reloaded = load_instance(path).measurements["coarse"]
+        assert reloaded.n_outcomes == povm.n_outcomes
+        assert np.max(np.abs(povm.elements - reloaded.elements)) == 0.0
+    code, out, _ = run_cli(capsys, "report", str(tmp_path / "roundtrip-2-2.json"), "--measurement", "coarse")
     assert code == 0
     assert json.loads(out)["observational"] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 # argvs that must print the same bytes in a fresh child as in-process, in both formats; {dense} and {qubit} are
-# bench/oracle.py's d = 16 and d = 2 instance files (a dense 32-element POVM, rank-1 projectors and a merge that
-# drops an outcome at b = 1), {golden} the pinned d = 4 instance
+# bench/oracle.py's d = 16 and d = 2 instance files (a dense 32-element POVM, rank-1 projectors and a merge whose
+# second outcome is dead at b = 1), {golden} the pinned d = 4 instance
 REPEATS = [
     *(f"verify all {args}" for args in [
         "--d 3 --n 4 --trials 200 --seed 0", "--d 64 --n 64 --trials 2 --seed 0",

@@ -29,7 +29,6 @@ BAD_INPUTS = {
     "stochastic negative entry": lambda: StochasticMatrix(np.array([[1.2], [-0.2]])),
     "stochastic column sum": lambda: StochasticMatrix(np.array([[0.5], [0.4]])),
     "povm not positive": lambda: Povm((BUMP, np.eye(2) - BUMP)),
-    "povm zero element": lambda: Povm((KET0 + KET1, np.zeros((2, 2), dtype=complex))),
     "povm incomplete": lambda: Povm((KET0, 0.5 * KET1)),
     "matrix with NaN": lambda: as_matrix([[np.nan, 0.0], [0.0, 1.0]]),
     "matrix with Inf": lambda: as_matrix([[np.inf, 0.0], [0.0, 1.0]]),
@@ -120,7 +119,6 @@ BAD_INPUTS = {
     "majorization deficit of batches that do not broadcast":
         lambda: majorization_deficit(np.zeros((2, 3)), np.zeros((4, 3))),
     "link matrix of ragged rows": lambda: link_matrix([[1.0, 0.0], [0.0]]),
-    "link matrix with a zero row": lambda: link_matrix(np.array([[1.0, 1.0], [0.0, 0.0]])),
     "link matrix with a negative weight": lambda: link_matrix([[-1.0, 2.0]]),
     "link matrix of columns summing to 1 with a negative weight": lambda: link_matrix([[0.5, -0.25], [0.5, 1.25]]),
     "work of descending energies": lambda: work([1.0, 0.0], [1.0, 0.0], [1.0, 0.0]),
@@ -211,6 +209,8 @@ ERROR_CLASSES = {
     "non-square hamiltonian": DimensionMismatch,
     "outcome distribution of a 3-dim state under a 2-dim povm": DimensionMismatch,
     "observational ergotropy of a 3-dim state under a 2-dim povm": DimensionMismatch,
+    "povm not positive": InvalidPovm,
+    "povm incomplete": InvalidPovm,
     "povm second element not Hermitian": NotHermitian,
     "povm second element near float max": NonFinite,
     "work of one population for three levels": DimensionMismatch,
@@ -234,7 +234,6 @@ ERROR_CLASSES = {
     "passive energy of batches that do not broadcast": DimensionMismatch,
     "majorization deficit of batches that do not broadcast": DimensionMismatch,
     "link matrix of ragged rows": DimensionMismatch,
-    "link matrix with a zero row": InvalidPovm,
     "link matrix with a negative weight": InvalidPovm,
     "link matrix of columns summing to 1 with a negative weight": InvalidPovm,
     "work of descending energies": PreconditionFailed,
@@ -286,6 +285,19 @@ ERROR_MESSAGES = {
     "recipes of float dimension": "dimension must be a positive integer, got 2.5",
     "recipes of rank past the dimension": "rank must be an integer in [1, 3], got 5",
 }
+
+
+# Outcomes of zero volume are not faults: the estimate gives them weight 0. Each call with the value it returns.
+DEAD_OUTCOMES = {
+    "povm zero element": (lambda: Povm((KET0 + KET1, np.zeros((2, 2), dtype=complex))).volumes, [2.0, 0.0]),
+    "link matrix with a zero row": (lambda: link_matrix(np.array([[1.0, 1.0], [0.0, 0.0]])), [[0.5, 0.5], [0.5, 0.5]]),
+}
+
+
+@pytest.mark.parametrize("name", list(DEAD_OUTCOMES))
+def test_dead_outcomes_are_not_errors(name):
+    call, expected = DEAD_OUTCOMES[name]
+    np.testing.assert_array_equal(call(), expected)
 
 
 def test_every_pin_names_a_bad_input():

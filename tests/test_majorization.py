@@ -171,9 +171,11 @@ class TestRefinementBistochastic:
         assert b.shape == (4, 4)
         assert bistochastic_residual(b) <= TOL
 
-    def test_all_zero_row_is_dropped_not_refused(self):
-        # post_process drops the dead coarse outcome, so one outcome holds everything and B is uniform
+    def test_all_zero_row_gets_no_weight(self):
+        # post_process keeps the dead coarse outcome and the kernel weighs it 0, so the live one holds everything and
+        # B is uniform
         m = post_process(computational_basis(2), StochasticMatrix(np.array([[1.0, 1.0], [0.0, 0.0]])))
+        assert m.n_outcomes == 2
         np.testing.assert_array_equal(link_matrix(m.post), [[0.5, 0.5], [0.5, 0.5]])
 
 

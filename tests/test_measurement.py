@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ergokit import linalg, measurement, states
 from ergokit.ergotropy import passive_state, report
-from ergokit.errors import DimensionMismatch
+from ergokit.errors import DimensionMismatch, InvalidPovm
 from ergokit.linalg import LOOSE_TOL, TOL, adjoint, energy_tol, max_abs
 from ergokit.measurement import (
     Povm,
@@ -54,9 +54,21 @@ class TestPovm:
         with pytest.raises(ValueError):
             Povm((KET0, 0.5 * KET1))
 
-    def test_rejects_zero_element(self):
-        with pytest.raises(ValueError):
-            Povm((KET0 + KET1, np.zeros((2, 2), dtype=complex)))
+    def test_accepts_zero_element(self):
+        # {1, 0} sums to the identity: the zero element keeps no base column, and the estimate gives its outcome no
+        # weight, so the pair estimates as the trivial POVM does
+        zero = np.zeros((2, 2), dtype=complex)
+        m = Povm((KET0 + KET1, zero))
+        np.testing.assert_array_equal(m.post, [[1.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(outcome_distribution(RHO, m), [1.0, 0.0])
+        assert max_abs(coarse_grained_state(RHO, m).op - np.eye(2) / 2) <= 1e-15
+        # a zero element excuses no other fault
+        bump = np.array([[1.2, 0.0], [0.0, 1.0]], dtype=complex)
+        for stack in ((bump, np.eye(2) - bump, zero), (KET0, zero)):
+            with pytest.raises(InvalidPovm):
+                Povm(stack)
+        with pytest.raises(InvalidPovm):
+            link_matrix([[1.5, 1.0], [-0.5, 0.0], [0.0, 0.0]])
 
     def test_rejects_non_positive_element(self):
         bump = np.array([[1.2, 0.0], [0.0, 1.0]], dtype=complex)
@@ -183,9 +195,12 @@ class TestPostProcess:
         assert q.n_outcomes == 1
         assert max_abs(q.elements[0] - np.eye(3)) <= 1e-12
 
-    def test_drops_zero_outcomes(self):
+    def test_keeps_zero_outcomes(self):
+        # merge at b = 1 has an all-zero second row: its outcome stays, with a zero element and no probability
         q = post_process(computational_basis(2), merge_matrix(1.0))
-        assert q.n_outcomes == 1
+        assert q.n_outcomes == 2
+        np.testing.assert_array_equal(q.elements[1], np.zeros((2, 2)))
+        np.testing.assert_array_equal(outcome_distribution(RHO, q), [1.0, 0.0])
 
     def test_preserves_completeness(self):
         rng = RandomSource(12)
@@ -321,7 +336,7 @@ def test_kernel_matches_dense_elements(d, n_rel, seed, rank_frac, zero_rows, deg
     # A general (non-projective) dense base coarsened by D, against its explicitly mixed elements.
     general = Povm(post_process(fine, random_column_stochastic(d, d, RandomSource(seed).split(1))).elements)
     coarse = post_process(general, dmat)
-    mixed = np.tensordot(dmat.entries, general.elements, axes=1)[np.flatnonzero(dmat.entries @ general.volumes >= TOL)]
+    mixed = np.tensordot(dmat.entries, general.elements, axes=1)  # all-zero rows give zero elements, which Povm takes
     cases = [(m, m.elements) for m in (fine, post_process(fine, dmat), energy_incoherent(h, dmat))]
     for structured, elements in [*cases, (coarse, mixed)]:
         dense = Povm(elements)
@@ -332,19 +347,73 @@ def test_kernel_matches_dense_elements(d, n_rel, seed, rank_frac, zero_rows, deg
     assert "elements" not in coarse.__dict__  # coarsening a dense base mixes no element matrices
 
 
-def test_post_processing_drops_zero_rows_of_basis_measurements():
+def test_post_processing_keeps_zero_rows_of_basis_measurements():
     dead_rows = StochasticMatrix(np.array([[0.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 1.0]]))
     coarse = post_process(computational_basis(3), dead_rows)
-    np.testing.assert_array_equal(coarse.post, dead_rows.entries[[1, 3]])
-    np.testing.assert_allclose(coarse.volumes, [1.5, 1.5], atol=0.0)
+    np.testing.assert_array_equal(coarse.post, dead_rows.entries)
+    np.testing.assert_allclose(coarse.volumes, [0.0, 1.5, 0.0, 1.5], atol=0.0)
     n = energy_incoherent(random_hamiltonian(3, RandomSource(70)), dead_rows)
-    np.testing.assert_array_equal(n.post, dead_rows.entries[[1, 3]])
+    np.testing.assert_array_equal(n.post, dead_rows.entries)
+    # the dead rows add nothing to the estimate: it is the live rows' estimate
+    live = post_process(computational_basis(3), StochasticMatrix(dead_rows.entries[[1, 3]]))
+    rho = random_density(3, 3, RandomSource(71))
+    assert max_abs(coarse_grained_state(rho, coarse).op - coarse_grained_state(rho, live).op) <= 1e-15
+
+
+def with_dead_row(n_out, n_in, rng, row):
+    """A random column-stochastic n_out x n_in matrix whose row ``row`` is all zero."""
+    return StochasticMatrix(np.insert(random_column_stochastic(n_out - 1, n_in, rng).entries, row, 0.0, axis=0))
+
+
+def test_theorem1_chain_with_a_dead_outcome_hand_example():
+    # D1 sends nothing to its first outcome; D2 then reads D1's three outcomes, as D2 @ D1 does at once
+    d1 = StochasticMatrix(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]))
+    d2 = StochasticMatrix(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    rho, h = DensityMatrix(np.diag([0.1, 0.3, 0.6])), Hamiltonian(np.diag([0.0, 1.0, 2.0]))
+    m = computational_basis(3)
+    stepwise = report(rho, h, post_process(post_process(m, d1), d2)).observational
+    assert stepwise == report(rho, h, post_process(m, StochasticMatrix(d2.entries @ d1.entries))).observational
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+@pytest.mark.parametrize("base", ["unitary", "dense"])
+@pytest.mark.parametrize("seed", range(5))
+def test_theorem1_holds_one_post_processing_at_a_time(d, base, seed):
+    # M -> D1 M -> D2 D1 M with a dead outcome in D1 M: the second step reads all of D1's rows, lands on D2 D1 M
+    # within energy_tol, and does not raise observational ergotropy
+    rng = RandomSource(80 + seed).split(d)
+    rho, h = random_density(d, d, rng), random_hamiltonian(d, rng)
+    m = Povm(haar_unitary(d, rng))
+    if base == "dense":
+        m = Povm(post_process(m, random_column_stochastic(d + 1, d, rng)).elements)
+    d1 = with_dead_row(m.n_outcomes + 1, m.n_outcomes, rng, row=seed % (m.n_outcomes + 1))
+    d2 = random_column_stochastic(3, m.n_outcomes + 1, rng)
+    tol = energy_tol(d, max_abs(h.energies))
+    step1 = post_process(m, d1)
+    stepwise = report(rho, h, post_process(step1, d2)).observational
+    at_once = report(rho, h, post_process(m, StochasticMatrix(d2.entries @ d1.entries))).observational
+    assert abs(stepwise - at_once) <= tol
+    assert stepwise <= report(rho, h, step1).observational + tol
+
+
+@pytest.mark.parametrize("base", ["unitary", "dense"])
+def test_outcome_distribution_has_one_entry_per_row(base):
+    rng = RandomSource(90)
+    rho = random_density(4, 4, rng)
+    m = Povm(haar_unitary(4, rng))
+    if base == "dense":
+        m = Povm(post_process(m, random_column_stochastic(5, 4, rng)).elements)
+    dmat = with_dead_row(m.n_outcomes + 2, m.n_outcomes, rng, row=2)
+    q = outcome_distribution(rho, post_process(m, dmat))
+    assert q.shape == (m.n_outcomes + 2,)
+    assert q[2] == 0.0
+    assert abs(q.sum() - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [1, 3, 8])
 def test_dense_projectors_take_the_square_path(d):
     # U e_j e_j^dag U^dag as a dense stack keeps one column each, a square base, and agrees with Povm(U) under any
-    # coarsening, one that drops an all-zero row among them
+    # coarsening, one with an all-zero row among them
     rng = RandomSource(74 + d)
     rho, h, u = random_density(d, d, rng), random_hamiltonian(d, rng), haar_unitary(d, rng)
     dense = Povm(np.stack([np.outer(u[:, j], np.conj(u[:, j])) for j in range(d)]))

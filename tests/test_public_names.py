@@ -8,7 +8,7 @@ error class is read in another module, so none is left that nothing raises. Only
 define ``__post_init__``, so a result type cannot start checking its computed values again. Operators made from a
 basis have one builder, so no module takes the Hermitian part of one again, and only states.py builds an unchecked
 DensityMatrix. A sweep family is data, so its name is written once, as its key in ``instances.FAMILIES``. Every name
-the package exports is documented in README."""
+the package exports is documented in README, and README's quick start prints what its comments say."""
 
 import ast
 import importlib
@@ -118,16 +118,19 @@ def test_each_family_name_is_written_once_as_its_key():
     assert [key.value for key in table.keys] == list(FAMILIES)
 
 
+def readme_text() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def test_every_package_export_is_in_the_readme():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = readme_text()
     assert [name for name in ergokit.__all__ if not re.search(rf"\b{name}\b", readme)] == []
 
 
 def key_operations():
     """(identifiers, module) per bullet of README's "Key operations" list: each backticked name, or the name of a
     backticked call, and the ``src/ergokit/<module>.py`` that the bullet names, if any."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("Key operations:", 1)[1].split("\n## ", 1)[0]
+    section = readme_text().split("Key operations:", 1)[1].split("\n## ", 1)[0]
     for bullet in re.split(r"\n- ", section)[1:]:
         names = re.findall(r"`([A-Za-z_]\w*)(?:\([^`]*\))?`", bullet)
         module = re.search(r"`src/ergokit/(\w+)\.py`", bullet)
@@ -140,3 +143,10 @@ def test_readme_key_operations_resolve():
     missing = [name for names, module in bullets for name in names
                if not hasattr(ergokit, name) and not (module and hasattr(module, name))]
     assert missing == []
+
+
+def test_readme_quick_start_prints_its_values(capsys):
+    # the first code a user runs: README's python block, run as it stands, prints the values its comments show
+    block = readme_text().split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == ["0.5", "0.3333333333333333"]

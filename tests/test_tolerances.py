@@ -12,12 +12,14 @@ from ergokit.audits import AuditConfig
 from ergokit.cli import build_parser
 from ergokit import ergotropy
 from ergokit.ergotropy import report
-from ergokit.errors import InconsistentReport, InvalidPovm, NonFinite, NotHermitian
-from ergokit.linalg import LOOSE_TOL, TOL, adjoint, energy_tol, hermitian_part, max_abs, require_hermitian
+from ergokit.errors import InconsistentReport, NonFinite, NotHermitian
+from ergokit.linalg import LOOSE_TOL, TOL, adjoint, energy_tol, hermitian_part, max_abs, require_hermitian, unchecked
 from ergokit.measurement import (
     Povm,
     StochasticMatrix,
+    coarse_grained_spectrum,
     computational_basis,
+    estimate_spectrum,
     post_process,
     random_column_stochastic,
 )
@@ -90,9 +92,12 @@ def test_work_report_at_small_energy_scale_is_checked_at_that_scale(monkeypatch)
 
 
 def test_povm_element_of_volume_below_tol_is_degenerate():
-    # volume 1e-11 < TOL
-    with pytest.raises(InvalidPovm):
-        Povm((1e-11 * KET0, np.eye(2) - 1e-11 * KET0))
+    # volume 1e-11 < TOL: the element is accepted, and keeps its eigenvector (1e-11 is above energy_tol(2, 1e-11)),
+    # but its outcome is dead, so the estimate weighs it 0 and equals the estimate without it bit for bit
+    m = Povm((1e-11 * KET0, np.eye(2) - 1e-11 * KET0))
+    assert 0.0 < m.volumes[0] < TOL
+    populations = np.array([0.25, 0.5, 0.25])
+    assert estimate_spectrum(m.post, populations).tobytes() == estimate_spectrum(m.post[1:], populations).tobytes()
 
 
 def test_column_sums_off_by_less_than_tol_are_accepted():
@@ -101,10 +106,15 @@ def test_column_sums_off_by_less_than_tol_are_accepted():
     assert m.entries[1, 0] == 0.5 + 5e-11
 
 
-def test_post_process_drops_rows_of_mass_below_tol():
-    # the second coarse outcome has mass 1e-11 < TOL
-    coarse = post_process(computational_basis(2), StochasticMatrix(np.array([[1.0, 1.0 - 1e-11], [0.0, 1e-11]])))
-    assert coarse.n_outcomes == 1
+def test_post_process_keeps_rows_of_mass_below_tol():
+    # the second coarse outcome has mass 1e-11 < TOL: it is kept, and the estimate weighs it 0, so the coarse
+    # estimate is the one-row estimate bit for bit
+    entries = np.array([[1.0, 1.0 - 1e-11], [0.0, 1e-11]])
+    coarse = post_process(computational_basis(2), StochasticMatrix(entries))
+    assert coarse.n_outcomes == 2
+    rho = DensityMatrix(np.diag([0.25, 0.75]))
+    one_row = unchecked(Povm, base=coarse.base, post=entries[:1])
+    assert coarse_grained_spectrum(rho, coarse).tobytes() == coarse_grained_spectrum(rho, one_row).tobytes()
 
 
 # --- scale covariance -------------------------------------------------------------
